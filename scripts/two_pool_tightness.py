@@ -45,7 +45,8 @@ def main() -> int:
                                 [n1_pool, n2_pool, n, g1, g2, split_text, bound, "", ""]
                             )
                             continue
-                        assert bound <= brute, tp
+                        if bound > brute:
+                            raise RuntimeError(f"split bound {bound} above optimum {brute} at {tp}")
                         writer.writerow(
                             [
                                 n1_pool,

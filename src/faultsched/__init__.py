@@ -13,13 +13,11 @@ from .game import (
     GameParams,
     Schedule,
     Violation,
-    adversary_from_dict,
     adversary_to_dict,
     load_adversary,
     load_schedule,
     save_adversary,
     save_schedule,
-    schedule_from_dict,
     schedule_to_dict,
     survival_time,
     trivial_schedule,
@@ -54,7 +52,6 @@ from .solver import (
     PInstance,
     TimeGraph,
     first_killable_time,
-    instance_from_dict,
     instance_to_dict,
     load_instance,
     membership_in_P,
@@ -66,7 +63,7 @@ from .solver import (
     surviving_prefix_instance,
     time_graph,
 )
-from .survival import HArgs, apriori_upper_bound, h_eval, h_value, optimum_survival_time
+from .survival import apriori_upper_bound, h_value, optimum_survival_time
 from .twopool import (
     TwoPoolParams,
     two_pool_best_split,
@@ -82,7 +79,6 @@ __all__ = [
     "DeficiencyWitness",
     "GameParams",
     "GameValue",
-    "HArgs",
     "Matching",
     "MatrixGameSolution",
     "MembershipReport",
@@ -93,7 +89,6 @@ __all__ = [
     "TwoPoolParams",
     "Violation",
     "adversary_best_response",
-    "adversary_from_dict",
     "adversary_to_dict",
     "apriori_upper_bound",
     "brute_adversary_min",
@@ -101,9 +96,7 @@ __all__ = [
     "brute_optimum",
     "deficiency_witness",
     "first_killable_time",
-    "h_eval",
     "h_value",
-    "instance_from_dict",
     "instance_to_dict",
     "load_adversary",
     "load_instance",
@@ -120,7 +113,6 @@ __all__ = [
     "save_adversary",
     "save_instance",
     "save_schedule",
-    "schedule_from_dict",
     "schedule_instance",
     "schedule_to_dict",
     "solve_zero_sum",

@@ -14,9 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from .game import (
     GameParams,
@@ -40,7 +38,7 @@ from .solver import (
     reduce_instance,
     save_instance,
 )
-from .survival import HArgs, h_value, optimum_survival_time
+from .survival import h_value, optimum_survival_time
 from .twopool import TwoPoolParams, two_pool_best_split, two_pool_brute_optimum
 
 EXIT_OK = 0
@@ -48,16 +46,8 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: the chosen command, its flag values, the
-    echoed seed, and the shape of its stdout."""
-
-    command: str
-    seed: int
-    options: Mapping[str, object]
-    output_format: str = "plain"
+# gen-trivial exits 3 above this many ids (N*n) instead of building them.
+MAX_TRIVIAL_IDS = 4_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,57 +59,47 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _game_params(cfg: RunConfig) -> GameParams:
-    return GameParams(
-        N=int(cfg.options["N"]), n=int(cfg.options["n"]), f=int(cfg.options["f"])
-    )
-
-
-def _cmd_h_eval(cfg: RunConfig) -> int:
-    args = HArgs(
-        n=int(cfg.options["n"]), f=int(cfg.options["f"]), k=int(cfg.options["k"])
-    )
-    print(h_value(args.n, args.f, args.k))
+def _cmd_h_eval(ns: argparse.Namespace) -> int:
+    print(h_value(ns.n, ns.f, ns.k))
     return EXIT_OK
 
 
-def _cmd_opt(cfg: RunConfig) -> int:
-    print(optimum_survival_time(_game_params(cfg)))
+def _cmd_opt(ns: argparse.Namespace) -> int:
+    print(optimum_survival_time(GameParams(N=ns.N, n=ns.n, f=ns.f)))
     return EXIT_OK
 
 
-def _cmd_gen_trivial(cfg: RunConfig) -> int:
-    params = _game_params(cfg)
-    s = trivial_schedule(params)
-    save_schedule(s, Path(str(cfg.options["out"])))
-    print(h_value(params.n, params.f, params.N))
+def _cmd_gen_trivial(ns: argparse.Namespace) -> int:
+    params = GameParams(N=ns.N, n=ns.n, f=ns.f)
+    if params.N * params.n > MAX_TRIVIAL_IDS:
+        raise BudgetExceededError(
+            f"schedule of N*n = {params.N * params.n} ids exceeds the cap of {MAX_TRIVIAL_IDS}"
+        )
+    save_schedule(trivial_schedule(params), ns.out)
+    print(optimum_survival_time(params))
     return EXIT_OK
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    s = load_schedule(Path(str(cfg.options["schedule"])))
-    a = load_adversary(Path(str(cfg.options["adversary"])))
-    print(survival_time(s, a))
+def _cmd_eval(ns: argparse.Namespace) -> int:
+    print(survival_time(load_schedule(ns.schedule), load_adversary(ns.adversary)))
     return EXIT_OK
 
 
-def _cmd_solve_adversary(cfg: RunConfig) -> int:
-    s = load_schedule(Path(str(cfg.options["schedule"])))
+def _cmd_solve_adversary(ns: argparse.Namespace) -> int:
+    s = load_schedule(ns.schedule)
     t_star = first_killable_time(s)
     adv = minimal_adversary(s)
     print(f"T={minimal_survival_time(s)}")
     print(f"t*={t_star if t_star else 'none'}")
-    out = cfg.options.get("out")
-    if out:
-        save_adversary(adv, Path(str(out)))
+    if ns.out:
+        save_adversary(adv, ns.out)
     else:
         print(json.dumps(adversary_to_dict(adv)))
     return EXIT_OK
 
 
-def _cmd_check_p(cfg: RunConfig) -> int:
-    inst = load_instance(Path(str(cfg.options["instance"])))
-    report = membership_in_P(inst)
+def _cmd_check_p(ns: argparse.Namespace) -> int:
+    report = membership_in_P(load_instance(ns.instance))
     if report.member:
         print("member")
         return EXIT_OK
@@ -127,12 +107,11 @@ def _cmd_check_p(cfg: RunConfig) -> int:
     return EXIT_MISMATCH
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    inst = load_instance(Path(str(cfg.options["instance"])))
+def _cmd_reduce(ns: argparse.Namespace) -> int:
+    inst = load_instance(ns.instance)
     reduced = reduce_instance(inst)
-    out = cfg.options.get("out")
-    if out:
-        save_instance(reduced, Path(str(out)))
+    if ns.out:
+        save_instance(reduced, ns.out)
         print(f"L={inst.left_count} R={inst.right_count}")
         print(f"L'={reduced.left_count} R'={reduced.right_count}")
     else:
@@ -140,16 +119,12 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_theorem(cfg: RunConfig) -> int:
-    max_n_pool = int(cfg.options["max_N"])
-    budget = SearchBudget(
-        max_states=int(cfg.options["max_states"]),
-        symmetry_pruning=not bool(cfg.options["no_symmetry"]),
-    )
+def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
+    budget = SearchBudget(max_states=ns.max_states, symmetry_pruning=not ns.no_symmetry)
     writer = csv.writer(sys.stdout)
     writer.writerow(["N", "n", "f", "h", "brute_T_opt", "match"])
     mismatched = skipped = False
-    for big_n in range(2, max_n_pool + 1):
+    for big_n in range(2, ns.max_N + 1):
         for n in range(2, big_n + 1):
             for f in range(1, n):
                 h = h_value(n, f, big_n)
@@ -169,24 +144,18 @@ def _cmd_verify_theorem(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_two_pool(cfg: RunConfig) -> int:
-    tp = TwoPoolParams(
-        N1=int(cfg.options["N1"]),
-        N2=int(cfg.options["N2"]),
-        n=int(cfg.options["n"]),
-        g1=int(cfg.options["g1"]),
-        g2=int(cfg.options["g2"]),
-    )
+def _cmd_two_pool(ns: argparse.Namespace) -> int:
+    tp = TwoPoolParams(N1=ns.N1, N2=ns.N2, n=ns.n, g1=ns.g1, g2=ns.g2)
     bound, split = two_pool_best_split(tp)
     print(f"bound={bound}")
     print(f"split={split[0]},{split[1]}" if split else "split=none")
-    if cfg.options.get("brute"):
+    if ns.brute:
         print(f"brute_T_opt={two_pool_brute_optimum(tp)}")
     return EXIT_OK
 
 
-def _cmd_online_value(cfg: RunConfig) -> int:
-    gv = online_game_value(_game_params(cfg), str(cfg.options["mode"]))
+def _cmd_online_value(ns: argparse.Namespace) -> int:
+    gv = online_game_value(GameParams(N=ns.N, n=ns.n, f=ns.f), ns.mode)
     print(f"value={gv.value}")
     print("support:")
     for sched, p in gv.strategy_support:
@@ -195,39 +164,13 @@ def _cmd_online_value(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    n, f = int(cfg.options["n"]), int(cfg.options["f"])
-    max_k = int(cfg.options["max_k"])
-    if max_k < 0:
-        raise ValueError("max-k must be nonnegative")
-    HArgs(n=n, f=f, k=0)
+def _cmd_sweep(ns: argparse.Namespace) -> int:
+    h_value(ns.n, ns.f, ns.max_k)  # rejects bad n, f or max-k before the header
     writer = csv.writer(sys.stdout)
     writer.writerow(["k", "h"])
-    for k in range(max_k + 1):
-        writer.writerow([k, h_value(n, f, k)])
+    for k in range(ns.max_k + 1):
+        writer.writerow([k, h_value(ns.n, ns.f, k)])
     return EXIT_OK
-
-
-_FORMATS = {
-    "verify-theorem": "csv",
-    "sweep": "csv",
-    "gen-trivial": "json",
-    "reduce": "json",
-}
-
-_HANDLERS: dict[str, Callable[[RunConfig], int]] = {
-    "h-eval": _cmd_h_eval,
-    "opt": _cmd_opt,
-    "gen-trivial": _cmd_gen_trivial,
-    "eval": _cmd_eval,
-    "solve-adversary": _cmd_solve_adversary,
-    "check-p": _cmd_check_p,
-    "reduce": _cmd_reduce,
-    "verify-theorem": _cmd_verify_theorem,
-    "two-pool": _cmd_two_pool,
-    "online-value": _cmd_online_value,
-    "sweep": _cmd_sweep,
-}
 
 
 def build_parser() -> _Parser:
@@ -240,44 +183,50 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    def command(
+        name: str, func: Callable[[argparse.Namespace], int], text: str
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
+
     def game_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--N", type=int, required=True, help="pool size")
         p.add_argument("--n", type=int, required=True, help="set size")
         p.add_argument("--f", type=int, required=True, help="fault tolerance")
 
-    p = sub.add_parser("h-eval", help="evaluate the survival function")
+    p = command("h-eval", _cmd_h_eval, "evaluate the survival function")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("opt", help="optimum worst-case survival time")
-    game_flags(p)
+    game_flags(command("opt", _cmd_opt, "optimum worst-case survival time"))
 
-    p = sub.add_parser("gen-trivial", help="write the batch schedule as JSON")
+    p = command("gen-trivial", _cmd_gen_trivial, "write the batch schedule as JSON")
     game_flags(p)
     p.add_argument("--out", required=True, help="output schedule path")
 
-    p = sub.add_parser("eval", help="survival time of a schedule against an adversary")
+    p = command("eval", _cmd_eval, "survival time of a schedule against an adversary")
     p.add_argument("--schedule", required=True)
     p.add_argument("--adversary", required=True)
 
-    p = sub.add_parser("solve-adversary", help="minimal adversary for a schedule")
+    p = command("solve-adversary", _cmd_solve_adversary, "minimal adversary for a schedule")
     p.add_argument("--schedule", required=True)
     p.add_argument("--out", help="adversary output path; prints JSON when omitted")
 
-    p = sub.add_parser("check-p", help="degree and matching membership test")
+    p = command("check-p", _cmd_check_p, "degree and matching membership test")
     p.add_argument("--instance", required=True)
 
-    p = sub.add_parser("reduce", help="one-row membership-preserving reduction")
+    p = command("reduce", _cmd_reduce, "one-row membership-preserving reduction")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", help="reduced instance path; prints JSON when omitted")
 
-    p = sub.add_parser("verify-theorem", help="closed form vs brute force as CSV")
+    p = command("verify-theorem", _cmd_verify_theorem, "closed form vs brute force as CSV")
     p.add_argument("--max-N", dest="max_N", type=int, required=True)
     p.add_argument("--max-states", dest="max_states", type=int, default=10**8)
     p.add_argument("--no-symmetry", dest="no_symmetry", action="store_true")
 
-    p = sub.add_parser("two-pool", help="two-type quorum lower bound")
+    p = command("two-pool", _cmd_two_pool, "two-type quorum lower bound")
     p.add_argument("--N1", type=int, required=True)
     p.add_argument("--N2", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -285,11 +234,11 @@ def build_parser() -> _Parser:
     p.add_argument("--g2", type=int, required=True)
     p.add_argument("--brute", action="store_true", help="also probe the exact optimum")
 
-    p = sub.add_parser("online-value", help="exact on-line game value")
+    p = command("online-value", _cmd_online_value, "exact on-line game value")
     game_flags(p)
     p.add_argument("--mode", choices=["deterministic", "randomized"], required=True)
 
-    p = sub.add_parser("sweep", help="survival function table as CSV")
+    p = command("sweep", _cmd_sweep, "survival function table as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--max-k", dest="max_k", type=int, required=True)
@@ -306,14 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     print(f"seed={ns.seed}", file=sys.stderr)
-    cfg = RunConfig(
-        command=ns.command,
-        seed=ns.seed,
-        options=vars(ns),
-        output_format=_FORMATS.get(ns.command, "plain"),
-    )
     try:
-        return _HANDLERS[ns.command](cfg)
+        return ns.func(ns)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -160,18 +160,59 @@ def trivial_schedule(params: GameParams) -> Schedule:
         tail = tuple(range(N - p + 1, N + 1))
         final = tuple(sorted(fill + tail))
         sets.extend([final] * max(f + p - n, 0))
-    assert len(sets) == h_value(n, f, N)
+    h = h_value(n, f, N)
+    if len(sets) != h:
+        raise RuntimeError(f"batch prefix has {len(sets)} sets, expected h = {h}")
     sets.extend([sets[-1]] * (N - len(sets)))
     return Schedule(params, tuple(sets))
 
 
 # ---------------------------------------------------------------------------
-# JSON wire formats.
+# JSON wire formats, read by one strict reader and written by one writer.
 #
 # Schedule: {"N": 4, "n": 2, "f": 1, "sets": [[1, 2], [3, 4], [3, 4], [3, 4]]}
 # Adversary: {"kills": [1, 3, 4, 4]}
+# Instance (solver.py): {"n": 2, "f": 1, "right_ids": [1, 2, 3, 4], "rows": [[1, 2]]}
 # Ids are 1-based; sets are serialized in ascending id order.
 # ---------------------------------------------------------------------------
+
+
+def read_document(path: str | Path, **depths: int) -> dict:
+    """Strict reader behind every wire format.
+
+    The file must hold a JSON object with each named field; depth 0 asks
+    for an integer, 1 for a list of integers, 2 for a list of such lists.
+    Numbers must be JSON integers: bools, floats and strings are rejected,
+    never coerced.  Lists come back as tuples.  Errors are ValueErrors
+    that name the field, such as ``sets[1][1] must be an integer``.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    if type(doc) is not dict:
+        raise ValueError(f"{path}: document must be a JSON object")
+    for key in depths:
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+    return {key: _strict(doc[key], depth, f"{path}: {key}") for key, depth in depths.items()}
+
+
+def _strict(x: object, depth: int, where: str) -> object:
+    if depth == 0:
+        if type(x) is not int:
+            raise ValueError(f"{where} must be an integer")
+        return x
+    if type(x) is not list:
+        raise ValueError(f"{where} must be a list")
+    if depth == 1 and all(type(y) is int for y in x):
+        return tuple(x)
+    return tuple(_strict(y, depth - 1, f"{where}[{i}]") for i, y in enumerate(x))
+
+
+def write_document(doc: dict, path: str | Path) -> None:
+    """The one writer: ``doc`` as a single line of JSON."""
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def schedule_to_dict(s: Schedule) -> dict:
@@ -183,38 +224,22 @@ def schedule_to_dict(s: Schedule) -> dict:
     }
 
 
-def schedule_from_dict(d: dict) -> Schedule:
-    try:
-        params = GameParams(N=int(d["N"]), n=int(d["n"]), f=int(d["f"]))
-        sets = tuple(tuple(int(p) for p in row) for row in d["sets"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed schedule document: {exc}") from exc
-    return Schedule(params, sets)
-
-
 def adversary_to_dict(a: Adversary) -> dict:
     return {"kills": list(a.kills)}
 
 
-def adversary_from_dict(d: dict) -> Adversary:
-    try:
-        kills = tuple(int(k) for k in d["kills"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed adversary document: {exc}") from exc
-    return Adversary(kills)
-
-
 def load_schedule(path: str | Path) -> Schedule:
-    return schedule_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    d = read_document(path, N=0, n=0, f=0, sets=2)
+    return Schedule(GameParams(N=d["N"], n=d["n"], f=d["f"]), d["sets"])
 
 
 def save_schedule(s: Schedule, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schedule_to_dict(s)) + "\n", encoding="utf-8")
+    write_document(schedule_to_dict(s), path)
 
 
 def load_adversary(path: str | Path) -> Adversary:
-    return adversary_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return Adversary(read_document(path, kills=1)["kills"])
 
 
 def save_adversary(a: Adversary, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(adversary_to_dict(a)) + "\n", encoding="utf-8")
+    write_document(adversary_to_dict(a), path)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 _INF = -1
 
@@ -150,16 +150,34 @@ def max_matching(g: BipartiteGraph) -> Matching:
                     q.append(l2)
         return found != _INF
 
-    def dfs(l: int) -> bool:
-        for r in g.adj[l - 1]:
-            l2 = pair_r[r]
-            if l2 == 0 or (dist[l2] == dist[l] + 1 and dfs(l2)):
-                pair_l[l] = r
-                pair_r[r] = l
-                return True
-        dist[l] = _INF
-        return False
+    def dfs(root: int) -> None:
+        """Augment along a layered path from ``root``, depth first without
+        recursion, so long paths cannot hit the recursion limit: ``l`` and
+        ``it`` are the current left vertex and its neighbour iterator,
+        ``stack`` holds those of its ancestors on the path."""
+        l, it = root, iter(adj[root - 1])
+        stack: list[tuple[int, Iterator[int]]] = []
+        while True:
+            for r in it:
+                l2 = pair_r[r]
+                if l2 == 0:
+                    while True:  # flip the path back to the root
+                        pair_r[r] = l
+                        pair_l[l], r = r, pair_l[l]
+                        if not stack:
+                            return
+                        l = stack.pop()[0]
+                if dist[l2] == dist[l] + 1:
+                    stack.append((l, it))
+                    l, it = l2, iter(adj[l2 - 1])
+                    break
+            else:
+                dist[l] = _INF
+                if not stack:
+                    return
+                l, it = stack.pop()
 
+    adj = g.adj
     while bfs():
         for l in range(1, g.left_count + 1):
             if pair_l[l] == 0:

@@ -101,13 +101,15 @@ def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolu
     col = tuple(zj * inv for zj in z)
     row = tuple(ui * inv for ui in duals)
 
-    assert sum(col) == 1 and all(p >= 0 for p in col)
-    assert sum(row) == 1 and all(p >= 0 for p in row)
+    for name, strategy in (("column", col), ("row", row)):
+        if sum(strategy) != 1 or any(p < 0 for p in strategy):
+            raise ArithmeticError(f"{name} strategy is not a distribution: {strategy}")
     floor = min(
         sum(row[i] * entries[i][j] for i in range(m)) for j in range(k)
     )
     ceil = max(
         sum(entries[i][j] * col[j] for j in range(k)) for i in range(m)
     )
-    assert floor == value == ceil, (floor, value, ceil)
+    if not floor == value == ceil:
+        raise ArithmeticError(f"certificate failed: floor={floor} value={value} ceil={ceil}")
     return MatrixGameSolution(value=value, row_strategy=row, col_strategy=col)

@@ -18,11 +18,10 @@ prescribes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .game import Adversary, Schedule, _require_valid
+from .game import Adversary, Schedule, _require_valid, read_document, write_document
 from .matching import BipartiteGraph, deficiency_witness, max_matching, neighborhood
 
 
@@ -200,10 +199,6 @@ def membership_in_P(inst: PInstance) -> MembershipReport:
     return MembershipReport(member=True, violating_t=0, reason="")
 
 
-# Instance JSON: {"n": 2, "f": 1, "right_ids": [1, 2, 3, 4], "rows": [[1, 2], [3, 4]]}
-# Ids 1-based, right_ids and each row ascending.
-
-
 def instance_to_dict(inst: PInstance) -> dict:
     return {
         "n": inst.n,
@@ -213,27 +208,12 @@ def instance_to_dict(inst: PInstance) -> dict:
     }
 
 
-def instance_from_dict(doc: dict) -> PInstance:
-    try:
-        return PInstance(
-            n=int(doc["n"]),
-            f=int(doc["f"]),
-            right_ids=tuple(int(p) for p in doc["right_ids"]),
-            rows=tuple(tuple(int(p) for p in row) for row in doc["rows"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed instance document: {exc}") from exc
+def load_instance(path: str | Path) -> PInstance:
+    return PInstance(**read_document(path, n=0, f=0, right_ids=1, rows=2))
 
 
-def load_instance(path: Path) -> PInstance:
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
-
-
-def save_instance(inst: PInstance, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh)
-        fh.write("\n")
+def save_instance(inst: PInstance, path: str | Path) -> None:
+    write_document(instance_to_dict(inst), path)
 
 
 def reduce_instance(inst: PInstance) -> PInstance:
@@ -267,5 +247,9 @@ def reduce_instance(inst: PInstance) -> PInstance:
     keep_ids = tuple(p for p in inst.right_ids if p not in c_ids)
     reduced = PInstance(n=inst.n, f=inst.f, right_ids=keep_ids, rows=keep_rows)
 
-    assert reduced.left_count == big_l - 1 - len(gamma)
+    if reduced.left_count != big_l - 1 - len(gamma):
+        raise RuntimeError(
+            f"reduced instance has {reduced.left_count} rows, "
+            f"expected L - 1 - |gamma(C)| = {big_l - 1 - len(gamma)}"
+        )
     return reduced

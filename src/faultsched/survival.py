@@ -11,53 +11,33 @@ floating point, safe for concurrent callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .game import GameParams
 
 
-@dataclass(frozen=True)
-class HArgs:
-    """Arguments of the survival function.
+def h_value(n: int, f: int, k: int) -> int:
+    """Survival budget of a size-k pool under (n, f) operation.
 
     n is the operating-set size, f the per-set fault tolerance, k the
     pool size.  f = 0 is admitted as a degenerate extension (needed when
     a two-pool split leaves a pool with no slack); the game model itself
     requires f >= 1.
-    """
-
-    n: int
-    f: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ValueError(f"set size n must be positive, got n={self.n}")
-        if not 0 <= self.f < self.n:
-            raise ValueError(
-                f"fault tolerance must satisfy 0 <= f < n, got f={self.f}, n={self.n}"
-            )
-        if self.k < 0:
-            raise ValueError(f"pool size k must be nonnegative, got k={self.k}")
-
-
-def h_eval(args: HArgs) -> int:
-    """Survival budget of a size-k pool under (n, f) operation.
 
     Computed as floor(k/n)*f + (k mod n + f - n)^+ where (x)^+ is the
     positive part.  Each full batch of n processors is worth f reports;
     the leftover k mod n processors add value only once they can be
     topped up into a full set with enough slack.
     """
-    q, r = divmod(args.k, args.n)
-    return q * args.f + max(r + args.f - args.n, 0)
-
-
-def h_value(n: int, f: int, k: int) -> int:
-    """Convenience form of :func:`h_eval` on raw integers (validates)."""
-    return h_eval(HArgs(n, f, k))
+    if n <= 0:
+        raise ValueError(f"set size n must be positive, got n={n}")
+    if not 0 <= f < n:
+        raise ValueError(f"fault tolerance must satisfy 0 <= f < n, got f={f}, n={n}")
+    if k < 0:
+        raise ValueError(f"pool size k must be nonnegative, got k={k}")
+    q, r = divmod(k, n)
+    return q * f + max(r + f - n, 0)
 
 
 def optimum_survival_time(params: GameParams) -> int:

@@ -16,14 +16,12 @@ import pytest
 from faultsched import (
     BipartiteGraph,
     GameParams,
-    HArgs,
     TwoPoolParams,
     adversary_best_response,
     brute_adversary_min,
     brute_deficiency,
     brute_optimum,
     deficiency_witness,
-    h_eval,
     h_value,
     max_matching,
     membership_in_P,
@@ -57,7 +55,7 @@ def criterion(capfd, num, label):
 
 def test_criterion_1_formula_spot_checks(capfd):
     with criterion(capfd, 1, "formula spot checks"):
-        assert h_eval(HArgs(n=4, f=3, k=7)) == 5
+        assert h_value(n=4, f=3, k=7) == 5
         assert optimum_survival_time(GameParams(N=4, n=2, f=1)) == 2
 
 

@@ -82,6 +82,17 @@ def test_gen_trivial_round_trip(tmp_path, capsys):
     assert load_schedule(path) == trivial_schedule(GameParams(4, 2, 1))
 
 
+def test_gen_trivial_size_guard(tmp_path, capsys):
+    # N*n = 2e9 ids is far above the cap, which is checked before any set exists.
+    path = tmp_path / "s.json"
+    code, out, err = run_cli(
+        capsys, "gen-trivial", "--N", str(10**9), "--n", "2", "--f", "1", "--out", str(path)
+    )
+    assert (code, out) == (3, "")
+    assert "error:" in err
+    assert not path.exists()
+
+
 def test_gen_trivial_partial_batch_length(tmp_path, capsys):
     path = tmp_path / "s.json"
     code, out, _ = run_cli(
@@ -153,6 +164,29 @@ def test_solve_adversary_unkillable(tmp_path, capsys):
     assert code == 0
     assert lines[:2] == ["T=2", "t*=none"]
     assert json.loads(lines[2]) == {"kills": [1, 3]}
+
+
+def test_solve_adversary_rejects_non_integers(tmp_path, capsys):
+    s_path = tmp_path / "s.json"
+    s_path.write_text('{"N": 4, "n": 2, "f": 1.9, "sets": [["1", 2], [3, 4.7], [true, 4]]}\n')
+    code, out, err = run_cli(capsys, "solve-adversary", "--schedule", str(s_path))
+    assert (code, out) == (1, "")
+    assert "f must be an integer" in err
+
+
+def test_overflowing_number_is_invalid_input(tmp_path):
+    s_path, a_path = tmp_path / "s.json", tmp_path / "a.json"
+    s_path.write_text('{"N": 4, "n": 2, "f": 1, "sets": [[1, 2], [3, 1e400]]}\n')
+    a_path.write_text('{"kills": [1, 3]}\n')
+    proc = subprocess.run(
+        [sys.executable, "-m", "faultsched", "eval", "--schedule", str(s_path),
+         "--adversary", str(a_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "error:" in proc.stderr and "sets[1][1] must be an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_p_member(tmp_path, capsys):

@@ -7,7 +7,6 @@ from faultsched import (
     Adversary,
     GameParams,
     Schedule,
-    adversary_from_dict,
     adversary_to_dict,
     h_value,
     load_adversary,
@@ -15,7 +14,6 @@ from faultsched import (
     random_schedule,
     save_adversary,
     save_schedule,
-    schedule_from_dict,
     schedule_to_dict,
     survival_time,
     trivial_schedule,
@@ -159,7 +157,6 @@ def test_schedule_json_round_trip(tmp_path):
     s = trivial_schedule(GameParams(4, 2, 1))
     doc = schedule_to_dict(s)
     assert doc == {"N": 4, "n": 2, "f": 1, "sets": [[1, 2], [3, 4], [3, 4], [3, 4]]}
-    assert schedule_from_dict(doc) == s
     path = tmp_path / "s.json"
     save_schedule(s, path)
     assert load_schedule(path) == s
@@ -170,18 +167,22 @@ def test_adversary_json_round_trip(tmp_path):
     a = Adversary(kills=(1, 3, 4, 4))
     doc = adversary_to_dict(a)
     assert doc == {"kills": [1, 3, 4, 4]}
-    assert adversary_from_dict(doc) == a
     path = tmp_path / "a.json"
     save_adversary(a, path)
     assert load_adversary(path) == a
+    assert json.loads(path.read_text()) == doc
 
 
 @pytest.mark.parametrize("doc", [{}, {"N": 4}, {"N": 4, "n": 2, "f": 1}, {"sets": []}])
-def test_malformed_schedule_doc(doc):
+def test_malformed_schedule_doc(doc, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
-        schedule_from_dict(doc)
+        load_schedule(path)
 
 
-def test_malformed_adversary_doc():
+def test_malformed_adversary_doc(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text("{}")
     with pytest.raises(ValueError):
-        adversary_from_dict({})
+        load_adversary(path)

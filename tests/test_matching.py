@@ -177,3 +177,12 @@ def test_hypothesis_matching_duality(data):
     assert nu == brute_max_matching_size(g)
     assert deficiency_witness(g, side="left").value == nu
     assert deficiency_witness(g, side="right").value == nu
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    # The second phase augments along a 1,501-step path: 1501 -> 1 -> 2 ...
+    adj = tuple((i, i + 1) for i in range(1, 1501)) + ((1,),)
+    g = BipartiteGraph(left_count=1501, right_count=1501, adj=adj)
+    m = max_matching(g)
+    assert m.size == 1501
+    assert m.pairs <= set(g.edges)

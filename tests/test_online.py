@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import faultsched
 
 from faultsched import (
     AdversaryPolicy,
@@ -61,6 +68,29 @@ class TestMatrixGame:
             solve_zero_sum([[]])
         with pytest.raises(ValueError):
             solve_zero_sum([[1], [2, 3]])
+
+    def test_certificate_checked_under_optimize_flag(self):
+        """The value certificate must not be an ``assert``: ``python -O``
+        strips those, and a corrupted simplex would go unnoticed."""
+        script = textwrap.dedent("""
+            from faultsched import matrixgame
+            simplex = matrixgame._simplex_max
+
+            def doubled(a, k):
+                z, duals = simplex(a, k)
+                return [2 * x for x in z], duals
+
+            matrixgame._simplex_max = doubled
+            try:
+                matrixgame.solve_zero_sum([[1, 0], [0, 1]])
+            except ArithmeticError:
+                raise SystemExit(0)
+            raise SystemExit("corrupted simplex result was returned")
+        """)
+        src = str(Path(faultsched.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGameValue:

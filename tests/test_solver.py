@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from faultsched import (
     brute_adversary_min,
     first_killable_time,
     h_value,
-    instance_from_dict,
     instance_to_dict,
     load_instance,
     max_matching,
@@ -191,9 +191,10 @@ def test_instance_json_round_trip(tmp_path):
     inst = PInstance(n=2, f=1, right_ids=(1, 2, 4), rows=((1, 2),))
     doc = instance_to_dict(inst)
     assert doc == {"n": 2, "f": 1, "right_ids": [1, 2, 4], "rows": [[1, 2]]}
-    assert instance_from_dict(doc) == inst
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     assert load_instance(path) == inst
+    assert json.loads(path.read_text()) == doc
+    path.write_text('{"n": 2}')
     with pytest.raises(ValueError):
-        instance_from_dict({"n": 2})
+        load_instance(path)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from faultsched import GameParams, HArgs, apriori_upper_bound, h_eval, h_value, optimum_survival_time
+from faultsched import GameParams, apriori_upper_bound, h_value, optimum_survival_time
 
 
 def test_known_values():
@@ -11,8 +11,8 @@ def test_known_values():
     assert h_value(2, 1, 5) == 2
 
 
-def test_h_eval_matches_h_value():
-    assert h_eval(HArgs(n=4, f=3, k=7)) == h_value(4, 3, 7)
+def test_h_value_keyword_call():
+    assert h_value(n=4, f=3, k=7) == h_value(4, 3, 7) == 5
 
 
 def test_zero_tolerance_collapses():
@@ -31,7 +31,7 @@ def test_exact_division():
 )
 def test_invalid_arguments(n, f, k):
     with pytest.raises(ValueError):
-        HArgs(n=n, f=f, k=k)
+        h_value(n=n, f=f, k=k)
 
 
 def test_optimum_survival_time():
