@@ -28,13 +28,12 @@ from .game import (
 )
 from .oracle import BudgetExceededError, SearchBudget, brute_optimum
 from .online import online_game_value
-from .solver import (
+from .solver import (  # noqa: F401 - perfbench/tracer.py wraps cli.first_killable_time
     first_killable_time,
     instance_to_dict,
     load_instance,
     membership_in_P,
     minimal_adversary,
-    minimal_survival_time,
     reduce_instance,
     save_instance,
 )
@@ -87,10 +86,10 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 def _cmd_solve_adversary(ns: argparse.Namespace) -> int:
     s = load_schedule(ns.schedule)
-    t_star = first_killable_time(s)
     adv = minimal_adversary(s)
-    print(f"T={minimal_survival_time(s)}")
-    print(f"t*={t_star if t_star else 'none'}")
+    T = survival_time(s, adv)  # the adversary attains the minimum, ending the run at t* - 1
+    print(f"T={T}")
+    print(f"t*={T + 1 if T < len(s) else 'none'}")
     if ns.out:
         save_adversary(adv, ns.out)
     else:

@@ -14,7 +14,7 @@ are pure and deterministic (searches visit vertices in ascending order).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 _INF = -1
@@ -57,6 +57,17 @@ class BipartiteGraph:
             seen.add((l, r))
             rows[l - 1].add(r)
         return cls(left_count, right_count, tuple(tuple(sorted(row)) for row in rows))
+
+    @classmethod
+    def from_rows(
+        cls, rows: tuple[tuple[int, ...], ...], right: tuple[int, ...]
+    ) -> BipartiteGraph:
+        """Time graph of ``rows`` over ``right``: left vertex u is adjacent
+        to j iff ``right[j - 1]`` is in ``rows[u - 1]``.  ``right`` and every
+        row are ascending ids; ids outside ``right`` are ignored."""
+        col = {p: j for j, p in enumerate(right, start=1)}
+        adj = tuple(tuple(col[p] for p in row if p in col) for row in rows)
+        return cls(left_count=len(rows), right_count=len(right), adj=adj)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

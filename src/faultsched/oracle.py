@@ -13,9 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 from .game import GameParams, Schedule, _require_valid
 from .matching import BipartiteGraph, DeficiencyWitness, max_matching
+
+Prefix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ def brute_adversary_min(s: Schedule, budget: SearchBudget | None = None) -> int:
     return best
 
 
-def _canonical(prefix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+def _canonical(prefix: Prefix) -> Prefix:
     """Relabel ids by order of first appearance, rows scanned ascending."""
     label: dict[int, int] = {}
     out = []
@@ -81,6 +84,48 @@ def _canonical(prefix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ..
                 label[p] = len(label) + 1
         out.append(tuple(sorted(label[p] for p in row)))
     return tuple(out)
+
+
+def prefix_search(
+    candidates: Sequence[tuple[int, ...]],
+    depth: int,
+    dead: Callable[[Prefix], bool],
+    max_states: int,
+    canonical: Callable[[Prefix], Prefix] | None = None,
+    label: str = "prefix search",
+) -> int:
+    """Length of the longest prefix of at most ``depth`` candidate sets
+    none of whose nonempty prefixes is ``dead``.
+
+    Depth first, extending with the candidates in order.  With
+    ``canonical`` each extension is relabeled and skipped when already
+    seen.  Every extension that is tested counts as a state; more than
+    ``max_states`` of them raises ``BudgetExceededError``.
+    """
+    seen: set[Prefix] = set()
+    states = 0
+    best = 0
+    stack: list[tuple[Prefix, Iterator[tuple[int, ...]]]] = [((), iter(candidates))]
+    while stack:
+        prefix, it = stack[-1]
+        for cand in it:
+            child = prefix + (cand,)
+            if canonical is not None:
+                child = canonical(child)
+                if child in seen:
+                    continue
+                seen.add(child)
+            states += 1
+            if states > max_states:
+                raise BudgetExceededError(f"{label} exceeded max_states={max_states}")
+            if not dead(child):
+                best = max(best, len(child))
+                if len(child) < depth:
+                    stack.append((child, iter(candidates)))
+                    break
+        else:
+            stack.pop()
+    return best
 
 
 def brute_optimum(params: GameParams, budget: SearchBudget | None = None) -> int:
@@ -93,42 +138,18 @@ def brute_optimum(params: GameParams, budget: SearchBudget | None = None) -> int
     ``symmetry_pruning`` prefixes are deduplicated up to relabeling.
     """
     budget = budget or SearchBudget()
-    candidates = [
-        tuple(c) for c in itertools.combinations(range(1, params.N + 1), params.n)
-    ]
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    states = 0
-    best = 0
 
-    def alive(prefix: tuple[tuple[int, ...], ...]) -> bool:
-        last = prefix[-1]
-        col = {p: j for j, p in enumerate(last, start=1)}
-        adj = tuple(tuple(col[p] for p in row if p in col) for row in prefix[:-1])
-        g = BipartiteGraph(left_count=len(prefix) - 1, right_count=len(last), adj=adj)
-        return max_matching(g).size < params.f
+    def dead(prefix: Prefix) -> bool:
+        g = BipartiteGraph.from_rows(prefix[:-1], prefix[-1])
+        return max_matching(g).size >= params.f
 
-    def descend(prefix: tuple[tuple[int, ...], ...]) -> None:
-        nonlocal states, best
-        best = max(best, len(prefix))
-        if len(prefix) >= params.N:
-            return
-        for cand in candidates:
-            child = prefix + (cand,)
-            if budget.symmetry_pruning:
-                child = _canonical(child)
-                if child in seen:
-                    continue
-                seen.add(child)
-            states += 1
-            if states > budget.max_states:
-                raise BudgetExceededError(
-                    f"prefix search exceeded max_states={budget.max_states}"
-                )
-            if alive(child):
-                descend(child)
-
-    descend(())
-    return best
+    return prefix_search(
+        list(itertools.combinations(range(1, params.N + 1), params.n)),
+        params.N,
+        dead,
+        budget.max_states,
+        _canonical if budget.symmetry_pruning else None,
+    )
 
 
 def brute_deficiency(g: BipartiteGraph, side: str = "right") -> DeficiencyWitness:

@@ -18,11 +18,11 @@ prescribes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .game import Adversary, Schedule, _require_valid, read_document, write_document
-from .matching import BipartiteGraph, deficiency_witness, max_matching, neighborhood
+from .matching import BipartiteGraph, Matching, deficiency_witness, max_matching, neighborhood
 
 
 @dataclass(frozen=True)
@@ -89,32 +89,29 @@ def time_graph(s: Schedule, t: int) -> TimeGraph:
     if not (1 <= t <= len(s)):
         raise ValueError(f"t={t} outside schedule of length {len(s)}")
     right_ids = s.sets[t - 1]
-    col = {p: j for j, p in enumerate(right_ids, start=1)}
-    adj = tuple(
-        tuple(col[p] for p in s.sets[u - 1] if p in col) for u in range(1, t)
-    )
-    g = BipartiteGraph(left_count=t - 1, right_count=len(right_ids), adj=adj)
+    g = BipartiteGraph.from_rows(s.sets[: t - 1], right_ids)
     return TimeGraph(t=t, graph=g, right_ids=right_ids)
 
 
-def _instance_time_graph(inst: PInstance, t: int) -> BipartiteGraph:
-    row_t = inst.rows[t - 1]
-    col = {p: j for j, p in enumerate(row_t, start=1)}
-    adj = tuple(
-        tuple(col[p] for p in inst.rows[u - 1] if p in col) for u in range(1, t)
-    )
-    return BipartiteGraph(left_count=t - 1, right_count=len(row_t), adj=adj)
+def _scan(rows: tuple[tuple[int, ...], ...], n: int, f: int) -> tuple[int, Matching | None]:
+    """First t at which row t has a degree other than n, or its time
+    graph over the earlier rows has matching number at least f.  Returns
+    t with that maximum matching (None on a degree failure), or (0, None)
+    when every row passes.  Callers validate their input first."""
+    for t, row in enumerate(rows, start=1):
+        if len(row) != n:
+            return t, None
+        m = max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))
+        if m.size >= f:
+            return t, m
+    return 0, None
 
 
 def first_killable_time(s: Schedule) -> int:
     """Smallest t with matching number of the time graph at least f,
     or 0 when no round of ``s`` is killable."""
     _require_valid(s)
-    f = s.params.f
-    for t in range(1, len(s) + 1):
-        if max_matching(time_graph(s, t).graph).size >= f:
-            return t
-    return 0
+    return _scan(s.sets, s.params.n, s.params.f)[0]
 
 
 def minimal_survival_time(s: Schedule) -> int:
@@ -135,18 +132,16 @@ def minimal_adversary(s: Schedule) -> Adversary:
     matching, which exists because f < n.
     """
     _require_valid(s)
-    t_star = first_killable_time(s)
+    t_star, m = _scan(s.sets, s.params.n, s.params.f)
     kills = [min(st) for st in s.sets]
-    if t_star == 0:
+    if m is None:
         return Adversary(kills=tuple(kills))
-    tg = time_graph(s, t_star)
-    pairs = sorted(max_matching(tg.graph).pairs)[: s.params.f]
+    right_ids = s.sets[t_star - 1]
     hit = set()
-    for u, j in pairs:
-        p = tg.right_ids[j - 1]
-        kills[u - 1] = p
-        hit.add(p)
-    kills[t_star - 1] = min(p for p in tg.right_ids if p not in hit)
+    for u, j in sorted(m.pairs)[: s.params.f]:
+        kills[u - 1] = right_ids[j - 1]
+        hit.add(right_ids[j - 1])
+    kills[t_star - 1] = min(p for p in right_ids if p not in hit)
     return Adversary(kills=tuple(kills))
 
 
@@ -164,15 +159,9 @@ def schedule_instance(s: Schedule) -> PInstance:
 def surviving_prefix_instance(s: Schedule) -> PInstance:
     """Instance formed by the rounds strictly before the first killable
     one (the whole schedule when none is killable)."""
-    _require_valid(s)
-    t_star = first_killable_time(s)
-    cut = t_star - 1 if t_star else len(s)
-    return PInstance(
-        n=s.params.n,
-        f=s.params.f,
-        right_ids=tuple(range(1, s.params.N + 1)),
-        rows=s.sets[:cut],
-    )
+    inst = schedule_instance(s)
+    t_star = _scan(inst.rows, inst.n, inst.f)[0]
+    return replace(inst, rows=inst.rows[: t_star - 1]) if t_star else inst
 
 
 def membership_in_P(inst: PInstance) -> MembershipReport:
@@ -182,21 +171,14 @@ def membership_in_P(inst: PInstance) -> MembershipReport:
     time graph has matching number at most f - 1.  The report names the
     first left index violating either condition.
     """
-    for t in range(1, inst.left_count + 1):
-        if len(inst.rows[t - 1]) != inst.n:
-            return MembershipReport(
-                member=False,
-                violating_t=t,
-                reason=f"row {t} has degree {len(inst.rows[t - 1])}, expected {inst.n}",
-            )
-        nu = max_matching(_instance_time_graph(inst, t)).size
-        if nu >= inst.f:
-            return MembershipReport(
-                member=False,
-                violating_t=t,
-                reason=f"time graph at t={t} has matching number {nu} >= f={inst.f}",
-            )
-    return MembershipReport(member=True, violating_t=0, reason="")
+    t, m = _scan(inst.rows, inst.n, inst.f)
+    if t == 0:
+        return MembershipReport(member=True, violating_t=0, reason="")
+    if m is None:
+        reason = f"row {t} has degree {len(inst.rows[t - 1])}, expected {inst.n}"
+    else:
+        reason = f"time graph at t={t} has matching number {m.size} >= f={inst.f}"
+    return MembershipReport(member=False, violating_t=t, reason=reason)
 
 
 def instance_to_dict(inst: PInstance) -> dict:
@@ -234,7 +216,7 @@ def reduce_instance(inst: PInstance) -> PInstance:
 
     big_l = inst.left_count
     last_row = inst.rows[big_l - 1]
-    g = _instance_time_graph(inst, big_l)
+    g = BipartiteGraph.from_rows(inst.rows[:-1], last_row)
     wit = deficiency_witness(g, side="right")
     c_ids = frozenset(last_row[j - 1] for j in wit.C)
     gamma = neighborhood(g, wit.C, side="right")

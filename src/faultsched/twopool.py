@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .matching import BipartiteGraph, max_matching
-from .oracle import BudgetExceededError
+from .oracle import BudgetExceededError, Prefix, prefix_search
 from .survival import h_value
 
 
@@ -94,9 +94,7 @@ def _type_counts(members: tuple[int, ...], n1_pool: int) -> tuple[int, int]:
     return a, len(members) - a
 
 
-def _killable(
-    prefix: tuple[tuple[int, ...], ...], tp: TwoPoolParams
-) -> bool:
+def _killable(prefix: Prefix, tp: TwoPoolParams) -> bool:
     """Whether some kill sequence breaks a quorum at the last round.
 
     Breaking quorum i at round t takes count_i - g_i + 1 dead type-i
@@ -106,7 +104,6 @@ def _killable(
     set, which is a per-type maximum matching question on the last
     time graph.  A zero quorum demands nothing and cannot break.
     """
-    t = len(prefix)
     last = prefix[-1]
     a, b = _type_counts(last, tp.N1)
     for is_type1, count, quorum in ((True, a, tp.g1), (False, b, tp.g2)):
@@ -115,20 +112,13 @@ def _killable(
         need_earlier = count - quorum
         if need_earlier <= 0:
             return True
-        rights = [p for p in last if (p <= tp.N1) == is_type1]
-        col = {p: j for j, p in enumerate(rights, start=1)}
-        adj = tuple(
-            tuple(col[p] for p in row if p in col) for row in prefix[: t - 1]
-        )
-        g = BipartiteGraph(left_count=t - 1, right_count=len(rights), adj=adj)
-        if max_matching(g).size >= need_earlier:
+        rights = tuple(p for p in last if (p <= tp.N1) == is_type1)
+        if max_matching(BipartiteGraph.from_rows(prefix[:-1], rights)).size >= need_earlier:
             return True
     return False
 
 
-def _canonical_two_pool(
-    prefix: tuple[tuple[int, ...], ...], n1_pool: int
-) -> tuple[tuple[int, ...], ...]:
+def _canonical_two_pool(prefix: Prefix, n1_pool: int) -> Prefix:
     """First-appearance relabeling applied within each type separately."""
     label: dict[int, int] = {}
     next_label = [1, n1_pool + 1]
@@ -161,27 +151,11 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
         a, b = _type_counts(c, tp.N1)
         if a >= tp.g1 and b >= tp.g2:
             candidates.append(c)
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    states = 0
-    best = 0
-
-    def descend(prefix: tuple[tuple[int, ...], ...]) -> None:
-        nonlocal states, best
-        best = max(best, len(prefix))
-        if len(prefix) >= total:
-            return
-        for cand in candidates:
-            child = _canonical_two_pool(prefix + (cand,), tp.N1)
-            if child in seen:
-                continue
-            seen.add(child)
-            states += 1
-            if states > max_states:
-                raise BudgetExceededError(
-                    f"two-pool probe exceeded max_states={max_states}"
-                )
-            if not _killable(child, tp):
-                descend(child)
-
-    descend(())
-    return best
+    return prefix_search(
+        candidates,
+        total,
+        lambda prefix: _killable(prefix, tp),
+        max_states,
+        lambda prefix: _canonical_two_pool(prefix, tp.N1),
+        label="two-pool probe",
+    )

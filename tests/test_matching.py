@@ -62,6 +62,22 @@ def test_edges_round_trip():
     assert g.edges == ((1, 2), (2, 1), (2, 3))
 
 
+def test_from_rows_over_a_subset_of_ids():
+    # The two-pool case: with N1 = 5 the right side is the type-1 part
+    # (3, 5) of the last set (3, 5, 6, 8); ids outside it drop out.
+    g = BipartiteGraph.from_rows(((1, 3, 6, 7), (5, 6, 7, 8), (2, 4, 6, 8)), (3, 5))
+    assert (g.left_count, g.right_count) == (3, 2)
+    assert g.adj == ((1,), (2,), ())
+    assert max_matching(g).size == 2
+
+
+def test_from_rows_without_rows():
+    g = BipartiteGraph.from_rows((), (2, 4, 6))
+    assert (g.left_count, g.right_count, g.adj) == (0, 3, ())
+    assert max_matching(g).size == 0
+    assert BipartiteGraph.from_rows((), ()) == BipartiteGraph.from_edges(0, 0, [])
+
+
 def test_matching_disjointness_enforced():
     with pytest.raises(ValueError):
         Matching(pairs=frozenset({(1, 1), (1, 2)}))

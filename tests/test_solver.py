@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from faultsched import game
 from faultsched import (
     Adversary,
     GameParams,
@@ -20,12 +21,14 @@ from faultsched import (
     random_schedule,
     reduce_instance,
     save_instance,
+    save_schedule,
     schedule_instance,
     survival_time,
     surviving_prefix_instance,
     time_graph,
     trivial_schedule,
 )
+from faultsched.cli import main
 
 
 def random_cases(count, seed, max_pool=8, max_n=3):
@@ -113,6 +116,40 @@ def test_minimal_adversary_attains_on_random(count=60):
 def test_minimal_survival_matches_brute_on_random(count=60):
     for s in random_cases(count, seed=3):
         assert minimal_survival_time(s) == brute_adversary_min(s)
+        assert first_killable_time(s) == membership_in_P(schedule_instance(s)).violating_t
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Schedules passed to ``game.validate_schedule`` while the test runs."""
+    seen = []
+    real = game.validate_schedule
+
+    def counting(s):
+        seen.append(s)
+        return real(s)
+
+    monkeypatch.setattr(game, "validate_schedule", counting)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "entry", [first_killable_time, minimal_adversary, surviving_prefix_instance]
+)
+def test_schedule_validated_once(validations, entry):
+    s = trivial_schedule(GameParams(N=40, n=4, f=2))
+    assert len(s) == 40 and first_killable_time(s) == 21
+    validations.clear()
+    entry(s)
+    assert len(validations) == 1
+
+
+def test_solve_adversary_validates_at_most_twice(validations, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    save_schedule(trivial_schedule(GameParams(N=40, n=4, f=2)), path)
+    assert main(["solve-adversary", "--schedule", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["T=20", "t*=21"]
+    assert len(validations) <= 2
 
 
 def test_schedule_instance_full():
