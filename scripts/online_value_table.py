@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Tabulate deterministic versus randomized online game values.
 
-Covers every (N, n, f) the exact solver accepts up to --max-N and
-prints both values side by side, the randomized support size, and the
-gain from mixing.  Values are exact rationals.
+Covers every (N, n, f) up to --max-N and prints both values side by
+side, the randomized support size, and the gain from mixing.  Values
+are exact rationals.  A cell the exact solver's size guard rejects is
+printed as skipped, and the script then exits 3, as the CLI does when a
+search exceeds its budget.
 """
 
 import argparse
 import sys
-from math import comb
 
 from faultsched import BudgetExceededError, GameParams, online_game_value
 
@@ -22,24 +23,24 @@ def parse_args() -> argparse.Namespace:
 def main() -> int:
     args = parse_args()
     print("N n f deterministic randomized support gain")
+    skipped = 0
     for big_n in range(2, args.max_N + 1):
         for n in range(2, big_n + 1):
-            if comb(big_n, n) > 6:
-                continue
             for f in range(1, n):
                 params = GameParams(N=big_n, n=n, f=f)
-                det = online_game_value(params, "deterministic")
                 try:
+                    det = online_game_value(params, "deterministic")
                     rnd = online_game_value(params, "randomized")
                 except BudgetExceededError as exc:
-                    print(f"{big_n} {n} {f} {det.value} skipped ({exc})")
+                    print(f"{big_n} {n} {f} skipped ({exc})")
+                    skipped += 1
                     continue
                 gain = rnd.value - det.value
                 print(
                     f"{big_n} {n} {f} {det.value} {rnd.value}"
                     f" {len(rnd.strategy_support)} {gain}"
                 )
-    return 0
+    return 3 if skipped else 0
 
 
 if __name__ == "__main__":

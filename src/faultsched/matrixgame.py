@@ -29,18 +29,18 @@ def _simplex_max(
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Maximize sum of the first k variables subject to rows of ``a``
     read as [coeffs | slack identity | rhs], all variables nonnegative.
-    Returns (primal z, duals u).  Bland's rule, so it terminates."""
+    Returns (primal z, duals u).  The objective row (negated reduced
+    costs) is appended to ``a`` and pivoted with the other rows; entering
+    on its first negative entry is Bland's rule, so the simplex
+    terminates, and its final slack entries are the duals."""
     m = len(a)
     width = k + m
     basis = [k + i for i in range(m)]
-    cost = [Fraction(1)] * k + [Fraction(0)] * m
+    objective = [Fraction(-1)] * k + [Fraction(0)] * (m + 1)
+    a.append(objective)
 
     while True:
-        cb = [cost[b] for b in basis]
-        reduced = [
-            cost[j] - sum(cb[i] * a[i][j] for i in range(m)) for j in range(width)
-        ]
-        enter = next((j for j in range(width) if reduced[j] > 0), -1)
+        enter = next((j for j in range(width) if objective[j] < 0), -1)
         if enter == -1:
             break
         best_ratio: Fraction | None = None
@@ -58,19 +58,18 @@ def _simplex_max(
             raise ArithmeticError("unbounded game reformulation; matrix not shifted")
         piv = a[leave][enter]
         a[leave] = [x / piv for x in a[leave]]
-        for i in range(m):
+        for i in range(m + 1):
             if i != leave and a[i][enter] != 0:
                 factor = a[i][enter]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[leave])]
+        objective = a[m]
         basis[leave] = enter
 
     z = [Fraction(0)] * k
     for i, b in enumerate(basis):
         if b < k:
             z[b] = a[i][width]
-    cb = [cost[b] for b in basis]
-    duals = [sum(cb[i] * a[i][k + j] for i in range(m)) for j in range(m)]
-    return z, duals
+    return z, objective[k:width]
 
 
 def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolution:
@@ -82,12 +81,13 @@ def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolu
     k = len(matrix[0])
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix rows must have equal length")
-    entries = [[Fraction(x) for x in row] for row in matrix]
+    if not all(type(x) is int or isinstance(x, Fraction) for row in matrix for x in row):
+        raise ValueError("matrix entries must be int or Fraction")
 
-    low = min(min(row) for row in entries)
+    low = min(min(row) for row in matrix)
     shift = Fraction(1) - low if low < 1 else Fraction(0)
     tableau = [
-        [entries[i][j] + shift for j in range(k)]
+        [matrix[i][j] + shift for j in range(k)]
         + [Fraction(int(i == r)) for r in range(m)]
         + [Fraction(1)]
         for i in range(m)
@@ -105,10 +105,10 @@ def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolu
         if sum(strategy) != 1 or any(p < 0 for p in strategy):
             raise ArithmeticError(f"{name} strategy is not a distribution: {strategy}")
     floor = min(
-        sum(row[i] * entries[i][j] for i in range(m)) for j in range(k)
+        sum(row[i] * matrix[i][j] for i in range(m)) for j in range(k)
     )
     ceil = max(
-        sum(entries[i][j] * col[j] for j in range(k)) for i in range(m)
+        sum(matrix[i][j] * col[j] for j in range(k)) for i in range(m)
     )
     if not floor == value == ceil:
         raise ArithmeticError(f"certificate failed: floor={floor} value={value} ceil={ceil}")

@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .game import Adversary, GameParams, Schedule, survival_time, trivial_schedule
+from .game import GameParams, Schedule, trivial_schedule
+from .game import survival_time  # noqa: F401 - perfbench/tracer.py wraps online.survival_time
 from .matrixgame import solve_zero_sum
 from .oracle import BudgetExceededError
 from .survival import h_value
@@ -73,19 +74,16 @@ class AdversaryPolicy:
         return min(alive) if alive else min(current)
 
 
-def _policy_kills(sets: Sets, policy: AdversaryPolicy) -> tuple[int, ...]:
-    kills: list[int] = []
-    killed: frozenset[int] = frozenset()
-    for t in range(1, len(sets) + 1):
-        s = policy.kill(sets[:t], killed)
-        kills.append(s)
-        killed |= {s}
-    return tuple(kills)
-
-
 def _policy_survival(params: GameParams, sets: Sets, policy: AdversaryPolicy) -> int:
-    s = Schedule(params=params, sets=sets)
-    return survival_time(s, Adversary(kills=_policy_kills(sets, policy)))
+    """Survival time of ``sets`` against ``policy``.  Both come from this
+    module, so they are well formed and the replay stops at the first
+    round with more than f dead members."""
+    killed: frozenset[int] = frozenset()
+    for t, row in enumerate(sets, start=1):
+        killed |= {policy.kill(sets[:t], killed)}
+        if sum(1 for p in row if p in killed) > params.f:
+            return t - 1
+    return len(sets)
 
 
 def _best_response(
@@ -167,10 +165,7 @@ def _scheduler_best_response(
     best: Fraction | None = None
     best_sets: Sets = ()
     for sets in itertools.product(candidates, repeat=params.N):
-        ev = sum(
-            (w * Fraction(_policy_survival(params, sets, pol)) for pol, w in policies),
-            Fraction(0),
-        )
+        ev = sum(w * _policy_survival(params, sets, pol) for pol, w in policies)
         if best is None or ev > best:
             best, best_sets = ev, sets
     return best, best_sets
@@ -190,12 +185,11 @@ def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, F
     rows: list[Sets] = [start]
     _, first_policy = _best_response(params, [(start, Fraction(1))])
     cols: list[AdversaryPolicy] = [first_policy]
+    # matrix[i][j] is the survival time of rows[i] against cols[j]; it
+    # grows by a column or a row as the supports do.
+    matrix = [[_policy_survival(params, start, first_policy)]]
 
     for _ in range(_MAX_ROUNDS_OF_ORACLE):
-        matrix = [
-            [Fraction(_policy_survival(params, sets, pol)) for pol in cols]
-            for sets in rows
-        ]
         sol = solve_zero_sum(matrix)
         v = sol.value
         x_support = [
@@ -210,9 +204,12 @@ def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, F
         improved = False
         if br_adv < v:
             cols.append(br_policy)
+            for sets, payoffs in zip(rows, matrix):
+                payoffs.append(_policy_survival(params, sets, br_policy))
             improved = True
         if br_sch > v:
             rows.append(br_sets)
+            matrix.append([_policy_survival(params, br_sets, pol) for pol in cols])
             improved = True
         if not improved:
             return v, tuple(x_support)

@@ -1,4 +1,7 @@
+import importlib.util
+import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,6 +13,7 @@ import pytest
 import faultsched
 
 from faultsched import (
+    Adversary,
     AdversaryPolicy,
     BudgetExceededError,
     GameParams,
@@ -20,8 +24,10 @@ from faultsched import (
     apriori_upper_bound,
     online_game_value,
     solve_zero_sum,
+    survival_time,
     trivial_schedule,
 )
+from faultsched.online import _best_response, _policy_survival
 
 
 class TestMatrixGame:
@@ -68,6 +74,21 @@ class TestMatrixGame:
             solve_zero_sum([[]])
         with pytest.raises(ValueError):
             solve_zero_sum([[1], [2, 3]])
+        with pytest.raises(ValueError):
+            solve_zero_sum([["1/2"]])
+        with pytest.raises(ValueError):
+            solve_zero_sum([[0.5]])
+        with pytest.raises(ValueError):
+            solve_zero_sum([[True]])
+
+    @pytest.mark.parametrize("matrix,row,col", [
+        ([[1, 1], [1, 1]], (1, 0), (1, 0)),
+        ([[0, 1, 1], [1, 0, 1]], (Fraction(1, 2),) * 2, (Fraction(1, 2),) * 2 + (0,)),
+    ])
+    def test_degenerate_strategies_pinned(self, matrix, row, col):
+        """Several strategies are optimal here; Bland's rule picks these."""
+        sol = solve_zero_sum(matrix)
+        assert (sol.row_strategy, sol.col_strategy) == (row, col)
 
     def test_certificate_checked_under_optimize_flag(self):
         """The value certificate must not be an ``assert``: ``python -O``
@@ -196,6 +217,29 @@ class TestOnlineGameValue:
         assert adversary_best_response(params, rand.strategy_support) == rand.value
         assert simple_best_response(params, rand.strategy_support) == rand.value
 
+    @pytest.mark.parametrize("params,value,support", [
+        (GameParams(3, 2, 1), Fraction(3, 2), [
+            (((1, 2), (2, 3), (1, 2)), Fraction(1, 2)),
+            (((1, 2), (1, 3), (1, 2)), Fraction(1, 2)),
+        ]),
+        (GameParams(4, 3, 1), Fraction(4, 3), [
+            (((1, 2, 4), (2, 3, 4), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
+            (((1, 2, 4), (1, 3, 4), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
+            (((1, 2, 4), (1, 2, 3), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
+        ]),
+    ])
+    def test_randomized_support_pinned(self, params, value, support):
+        """Sets, weights and order of the double oracle's support."""
+        gv = online_game_value(params, "randomized")
+        assert gv.value == value
+        assert [(s.sets, p) for s, p in gv.strategy_support] == support
+
+    def test_randomized_validates_no_schedule(self, validations):
+        """Every schedule the double oracle plays is built in the module, so
+        none needs validating."""
+        online_game_value(GameParams(3, 2, 1), "randomized")
+        assert validations == []
+
     def test_guard_too_many_sets(self):
         with pytest.raises(BudgetExceededError):
             online_game_value(GameParams(5, 2, 1), "randomized")
@@ -207,6 +251,63 @@ class TestOnlineGameValue:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             online_game_value(GameParams(4, 2, 1), "stochastic")
+
+
+@pytest.mark.parametrize("max_n,code", [(4, 0), (6, 3)])
+def test_online_value_table_exit_code(monkeypatch, capsys, max_n, code):
+    """Cells past the size guard are printed as skipped and make the
+    script exit 3.  Both columns are the closed form here, which keeps
+    the sweep fast and goes through the same guard."""
+    path = Path(__file__).parents[1] / "scripts" / "online_value_table.py"
+    spec = importlib.util.spec_from_file_location("online_value_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "online_game_value",
+                        lambda params, mode: online_game_value(params, "deterministic"))
+    monkeypatch.setattr(sys, "argv", ["online_value_table.py", "--max-N", str(max_n)])
+    assert script.main() == code
+    lines = capsys.readouterr().out.splitlines()
+    cells = sum(n - 1 for big_n in range(2, max_n + 1) for n in range(2, big_n + 1))
+    assert len(lines) == 1 + cells
+    skipped = {line.split(" skipped")[0] for line in lines if " skipped " in line}
+    assert ("6 5 1" in skipped) == (max_n == 6)
+    assert "4 2 1" not in skipped
+
+
+def replayed_survival(params, sets, policy):
+    """The policy's kills, then the validated public ``survival_time``."""
+    kills, killed = [], frozenset()
+    for t in range(1, len(sets) + 1):
+        kills.append(policy.kill(sets[:t], killed))
+        killed |= {kills[-1]}
+    return survival_time(Schedule(params=params, sets=sets), Adversary(kills=tuple(kills)))
+
+
+class LazyPolicy(AdversaryPolicy):
+    """Always kills the lowest id in the set, dead or not, so some
+    schedules survive to the end."""
+
+    def kill(self, revealed, killed):
+        return revealed[-1][0]
+
+
+def test_policy_survival_matches_replay():
+    params = GameParams(3, 2, 1)
+    pure = list(itertools.product(itertools.combinations(range(1, 4), 2), repeat=3))
+    rng = random.Random(5)
+    policies = [AdversaryPolicy(), LazyPolicy()]
+    for _ in range(20):
+        chosen = rng.sample(pure, rng.randint(1, 4))
+        weights = [rng.randint(1, 5) for _ in chosen]
+        support = [(sets, Fraction(w, sum(weights))) for sets, w in zip(chosen, weights)]
+        policies.append(_best_response(params, support)[1])
+    seen = set()
+    for policy in policies:
+        for sets in pure:
+            got = _policy_survival(params, sets, policy)
+            assert got == replayed_survival(params, sets, policy)
+            seen.add(got)
+    assert seen == {1, 2, 3}
 
 
 class TestAdversaryBestResponse:

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from faultsched import game
 from faultsched import (
     Adversary,
     GameParams,
@@ -117,20 +116,6 @@ def test_minimal_survival_matches_brute_on_random(count=60):
     for s in random_cases(count, seed=3):
         assert minimal_survival_time(s) == brute_adversary_min(s)
         assert first_killable_time(s) == membership_in_P(schedule_instance(s)).violating_t
-
-
-@pytest.fixture
-def validations(monkeypatch):
-    """Schedules passed to ``game.validate_schedule`` while the test runs."""
-    seen = []
-    real = game.validate_schedule
-
-    def counting(s):
-        seen.append(s)
-        return real(s)
-
-    monkeypatch.setattr(game, "validate_schedule", counting)
-    return seen
 
 
 @pytest.mark.parametrize(
