@@ -30,7 +30,6 @@ from .matching import (
     Matching,
     deficiency_witness,
     max_matching,
-    neighborhood,
 )
 from .matrixgame import MatrixGameSolution, solve_zero_sum
 from .online import (
@@ -105,7 +104,6 @@ __all__ = [
     "membership_in_P",
     "minimal_adversary",
     "minimal_survival_time",
-    "neighborhood",
     "online_game_value",
     "optimum_survival_time",
     "random_schedule",

@@ -1,11 +1,12 @@
 """Bipartite graphs, maximum matching, and deficiency witnesses.
 
 The matching size nu of a bipartite graph equals, by Ore's deficiency
-formula, the minimum over subsets C of one side B of |B - C| + |gamma(C)|,
-where gamma is the neighborhood map.  ``deficiency_witness`` returns a
-minimizing C constructively from a maximum matching (the Koenig-style
-alternating-reachability argument), so every matching computed here comes
-with a same-size certificate of optimality.
+formula, the minimum over subsets C of the right side B of
+|B - C| + |gamma(C)|, where gamma(C) is the set of left neighbours of C.
+``deficiency_witness`` returns a minimizing C and its gamma(C)
+constructively from a maximum matching (the Koenig-style
+alternating-reachability argument) and checks that the attained value
+equals the matching size, a same-size certificate of optimality.
 
 Vertices are 1-based on both sides.  Graphs are immutable; all functions
 are pure and deterministic (searches visit vertices in ascending order).
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 _INF = -1
 
@@ -44,21 +45,6 @@ class BipartiteGraph:
                 raise ValueError(f"edge endpoint out of range at left vertex {i}")
 
     @classmethod
-    def from_edges(
-        cls, left_count: int, right_count: int, edges: Iterable[tuple[int, int]]
-    ) -> BipartiteGraph:
-        rows: list[set[int]] = [set() for _ in range(left_count)]
-        seen: set[tuple[int, int]] = set()
-        for l, r in edges:
-            if not (1 <= l <= left_count and 1 <= r <= right_count):
-                raise ValueError(f"edge ({l}, {r}) out of range")
-            if (l, r) in seen:
-                raise ValueError(f"duplicate edge ({l}, {r})")
-            seen.add((l, r))
-            rows[l - 1].add(r)
-        return cls(left_count, right_count, tuple(tuple(sorted(row)) for row in rows))
-
-    @classmethod
     def from_rows(
         cls, rows: tuple[tuple[int, ...], ...], right: tuple[int, ...]
     ) -> BipartiteGraph:
@@ -68,10 +54,6 @@ class BipartiteGraph:
         col = {p: j for j, p in enumerate(right, start=1)}
         adj = tuple(tuple(col[p] for p in row if p in col) for row in rows)
         return cls(left_count=len(rows), right_count=len(right), adj=adj)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((l, r) for l, nbrs in enumerate(self.adj, start=1) for r in nbrs)
 
     def right_adj(self) -> tuple[tuple[int, ...], ...]:
         rows: list[list[int]] = [[] for _ in range(self.right_count)]
@@ -101,30 +83,13 @@ class Matching:
 
 @dataclass(frozen=True)
 class DeficiencyWitness:
-    """Subset C of the designated side B attaining the deficiency minimum
-    |B - C| + |gamma(C)|; the attained value equals the matching size."""
+    """Subset C of the right side B attaining the deficiency minimum
+    |B - C| + |gamma(C)|, with gamma(C) its left neighbourhood; the
+    attained value equals the matching size."""
 
-    side: str
     C: frozenset[int]
+    gamma: frozenset[int]
     value: int
-
-
-def neighborhood(g: BipartiteGraph, c: Iterable[int], side: str = "left") -> frozenset[int]:
-    """Union of adjacencies of the vertex set ``c`` on the stated side."""
-    members = set(c)
-    if side == "left":
-        bound = g.left_count
-        if any(v < 1 or v > bound for v in members):
-            raise ValueError("vertex index out of range")
-        return frozenset(r for v in members for r in g.adj[v - 1])
-    if side == "right":
-        bound = g.right_count
-        if any(v < 1 or v > bound for v in members):
-            raise ValueError("vertex index out of range")
-        return frozenset(
-            l for l, nbrs in enumerate(g.adj, start=1) if any(r in members for r in nbrs)
-        )
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def max_matching(g: BipartiteGraph) -> Matching:
@@ -199,44 +164,35 @@ def max_matching(g: BipartiteGraph) -> Matching:
     return Matching(pairs)
 
 
-def deficiency_witness(g: BipartiteGraph, side: str = "right") -> DeficiencyWitness:
-    """Minimizing subset C of side B for |B - C| + |gamma(C)|.
+def deficiency_witness(g: BipartiteGraph) -> DeficiencyWitness:
+    """Minimizing subset C of the right side B for |B - C| + |gamma(C)|.
 
     Construction: from a maximum matching, grow alternating-path
-    reachability from the unmatched vertices of B (non-matching edges
-    away from B, matching edges back); C is the reached part of B.  The
-    attained value then equals the matching size, certifying both.
+    reachability from the unmatched right vertices (non-matching edges
+    to the left, matching edges back); C is the reached part of B.
+    Raises ArithmeticError unless the attained value equals the size of
+    the matching, the certificate that both are optimal.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     m = max_matching(g)
-
-    if side == "right":
-        b_count = g.right_count
-        b_adj = g.right_adj()
-        partner_of_b = {r: l for l, r in m.pairs}
-        partner_of_other = {l: r for l, r in m.pairs}
-    else:
-        b_count = g.left_count
-        b_adj = g.adj
-        partner_of_b = {l: r for l, r in m.pairs}
-        partner_of_other = {r: l for l, r in m.pairs}
-
-    reached_b = {b for b in range(1, b_count + 1) if b not in partner_of_b}
-    reached_other: set[int] = set()
-    q = deque(sorted(reached_b))
+    right_adj = g.right_adj()
+    mate_of_left = dict(m.pairs)
+    reached = set(range(1, g.right_count + 1)).difference(mate_of_left.values())
+    reached_left: set[int] = set()
+    q = deque(sorted(reached))
     while q:
-        b = q.popleft()
-        for a in b_adj[b - 1]:
-            if partner_of_b.get(b) == a or a in reached_other:
+        for l in right_adj[q.popleft() - 1]:
+            if l in reached_left:
                 continue
-            reached_other.add(a)
-            b2 = partner_of_other.get(a)
-            if b2 is not None and b2 not in reached_b:
-                reached_b.add(b2)
-                q.append(b2)
+            reached_left.add(l)
+            r2 = mate_of_left.get(l)
+            if r2 is not None and r2 not in reached:
+                reached.add(r2)
+                q.append(r2)
 
-    c = frozenset(reached_b)
-    gamma = neighborhood(g, c, side=side) if c else frozenset()
-    value = (b_count - len(c)) + len(gamma)
-    return DeficiencyWitness(side=side, C=c, value=value)
+    gamma = frozenset(l for r in reached for l in right_adj[r - 1])
+    value = (g.right_count - len(reached)) + len(gamma)
+    if value != m.size:
+        raise ArithmeticError(
+            f"deficiency value {value} differs from the matching size {m.size}"
+        )
+    return DeficiencyWitness(C=frozenset(reached), gamma=gamma, value=value)

@@ -213,7 +213,9 @@ def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, F
             improved = True
         if not improved:
             return v, tuple(x_support)
-    raise RuntimeError("double oracle did not converge within the iteration cap")
+    raise BudgetExceededError(
+        f"double oracle did not converge within {_MAX_ROUNDS_OF_ORACLE} rounds"
+    )
 
 
 def online_game_value(params: GameParams, mode: str) -> GameValue:
@@ -222,7 +224,8 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
     Deterministic mode: pure schedules gain nothing from the adversary
     being on-line, so the value is the closed-form optimum and the
     support is the batch schedule.  Randomized mode: double oracle as
-    described in the module docstring.
+    described in the module docstring.  Raises ``BudgetExceededError``
+    beyond the size guard or when the double oracle runs out of rounds.
     """
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"mode must be deterministic or randomized, got {mode!r}")

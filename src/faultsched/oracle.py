@@ -98,16 +98,19 @@ def prefix_search(
     none of whose nonempty prefixes is ``dead``.
 
     Depth first, extending with the candidates in order.  With
-    ``canonical`` each extension is relabeled and skipped when already
-    seen.  Every extension that is tested counts as a state; more than
-    ``max_states`` of them raises ``BudgetExceededError``.
+    ``canonical`` each extension is relabeled and skipped when a sibling
+    already gave it.  A canonical child keeps its parent as its earlier
+    rows, so two parents never share a child and each frame of the
+    stack keeps only the children of its own prefix.  Every extension
+    that is tested counts as a state; more than ``max_states`` of them
+    raises ``BudgetExceededError``.
     """
-    seen: set[Prefix] = set()
     states = 0
     best = 0
-    stack: list[tuple[Prefix, Iterator[tuple[int, ...]]]] = [((), iter(candidates))]
+    stack: list[tuple[Prefix, Iterator[tuple[int, ...]], set[Prefix]]]
+    stack = [((), iter(candidates), set())]
     while stack:
-        prefix, it = stack[-1]
+        prefix, it, seen = stack[-1]
         for cand in it:
             child = prefix + (cand,)
             if canonical is not None:
@@ -121,7 +124,7 @@ def prefix_search(
             if not dead(child):
                 best = max(best, len(child))
                 if len(child) < depth:
-                    stack.append((child, iter(candidates)))
+                    stack.append((child, iter(candidates), set()))
                     break
         else:
             stack.pop()
@@ -152,26 +155,22 @@ def brute_optimum(params: GameParams, budget: SearchBudget | None = None) -> int
     )
 
 
-def brute_deficiency(g: BipartiteGraph, side: str = "right") -> DeficiencyWitness:
-    """Exact deficiency minimum by enumerating all subsets of side B.
+def brute_deficiency(g: BipartiteGraph) -> DeficiencyWitness:
+    """Exact deficiency minimum by enumerating all subsets of the right
+    side B.
 
     Matching-free on purpose: the value doubles as an independent check
     of the matching number.  Ties break toward the smallest subset,
     then lexicographically.
     """
-    if side == "right":
-        b_count = g.right_count
-        rows = g.right_adj()
-    elif side == "left":
-        b_count = g.left_count
-        rows = g.adj
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    b_count = g.right_count
+    rows = g.right_adj()
     if b_count > 20:
-        raise BudgetExceededError(f"side of size {b_count} exceeds the 2^20 subset cap")
+        raise BudgetExceededError(f"right side of size {b_count} exceeds the 2^20 subset cap")
 
     best_value = b_count + 1 + sum(len(r) for r in rows)
     best_c: tuple[int, ...] = ()
+    best_gamma: set[int] = set()
     for mask in range(1 << b_count):
         members = tuple(b for b in range(1, b_count + 1) if mask >> (b - 1) & 1)
         gamma: set[int] = set()
@@ -180,8 +179,8 @@ def brute_deficiency(g: BipartiteGraph, side: str = "right") -> DeficiencyWitnes
         value = (b_count - len(members)) + len(gamma)
         key = (value, len(members), members)
         if key < (best_value, len(best_c), best_c):
-            best_value, best_c = value, members
-    return DeficiencyWitness(side=side, C=frozenset(best_c), value=best_value)
+            best_value, best_c, best_gamma = value, members, gamma
+    return DeficiencyWitness(C=frozenset(best_c), gamma=frozenset(best_gamma), value=best_value)
 
 
 def random_schedule(params: GameParams, length: int, seed: int) -> Schedule:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .game import Adversary, Schedule, _require_valid, read_document, write_document
-from .matching import BipartiteGraph, Matching, deficiency_witness, max_matching, neighborhood
+from .matching import BipartiteGraph, Matching, deficiency_witness, max_matching
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def reduce_instance(inst: PInstance) -> PInstance:
     """One-row reduction preserving membership.
 
     Let L be the row count and B the last row.  A deficiency witness C
-    of the time graph at L (over side B) satisfies
+    of the time graph at L (over its right side B) satisfies
     |B - C| + |gamma(C)| = nu <= f - 1.  Dropping row L, every earlier
     row meeting C, and the right vertices of C yields an instance with
     L' = L - 1 - |gamma_{I_L}(C)| rows over |R| - |C| right ids that
@@ -217,15 +217,10 @@ def reduce_instance(inst: PInstance) -> PInstance:
     big_l = inst.left_count
     last_row = inst.rows[big_l - 1]
     g = BipartiteGraph.from_rows(inst.rows[:-1], last_row)
-    wit = deficiency_witness(g, side="right")
+    wit = deficiency_witness(g)
     c_ids = frozenset(last_row[j - 1] for j in wit.C)
-    gamma = neighborhood(g, wit.C, side="right")
-
-    keep_rows = tuple(
-        inst.rows[u - 1]
-        for u in range(1, big_l)
-        if u not in gamma
-    )
+    gamma = wit.gamma
+    keep_rows = tuple(row for u, row in enumerate(inst.rows[:-1], start=1) if u not in gamma)
     keep_ids = tuple(p for p in inst.right_ids if p not in c_ids)
     reduced = PInstance(n=inst.n, f=inst.f, right_ids=keep_ids, rows=keep_rows)
 

@@ -119,8 +119,8 @@ def test_criterion_5_matching_deficiency_duality(capfd):
             )
             g = BipartiteGraph(left_count=left, right_count=right, adj=adj)
             nu = max_matching(g).size
-            assert deficiency_witness(g, side="right").value == nu
-            assert brute_deficiency(g, side="right").value == nu
+            assert deficiency_witness(g).value == nu
+            assert brute_deficiency(g).value == nu
 
 
 def test_criterion_6_survival_function_properties(capfd):

@@ -17,6 +17,7 @@ from faultsched import (
     surviving_prefix_instance,
     trivial_schedule,
 )
+from faultsched import online
 from faultsched.cli import main
 
 
@@ -334,6 +335,12 @@ def test_online_value_guard(capsys):
         capsys, "online-value", "--N", "5", "--n", "2", "--f", "1", "--mode", "randomized"
     )
     assert code == 3
+
+
+def test_online_value_round_cap(capsys, monkeypatch):
+    monkeypatch.setattr(online, "_MAX_ROUNDS_OF_ORACLE", 1)
+    assert main(["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "randomized"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: double oracle")
 
 
 def test_sweep(capsys):

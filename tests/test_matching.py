@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from faultsched import (
     BipartiteGraph,
+    DeficiencyWitness,
     Matching,
     deficiency_witness,
     max_matching,
-    neighborhood,
 )
+from faultsched import matching
 
 
 def brute_max_matching_size(g: BipartiteGraph) -> int:
@@ -32,22 +33,17 @@ def brute_max_matching_size(g: BipartiteGraph) -> int:
 def random_graph(rng: random.Random, max_left: int = 6, max_right: int = 6) -> BipartiteGraph:
     lc = rng.randint(0, max_left)
     rc = rng.randint(0, max_right)
-    edges = [
-        (l, r)
-        for l in range(1, lc + 1)
-        for r in range(1, rc + 1)
-        if rng.random() < 0.4
-    ]
-    return BipartiteGraph.from_edges(lc, rc, edges)
+    adj = tuple(tuple(r for r in range(1, rc + 1) if rng.random() < 0.4) for _ in range(lc))
+    return BipartiteGraph(left_count=lc, right_count=rc, adj=adj)
 
 
-def test_from_edges_validation():
-    with pytest.raises(ValueError):
-        BipartiteGraph.from_edges(2, 2, [(1, 3)])
-    with pytest.raises(ValueError):
-        BipartiteGraph.from_edges(2, 2, [(0, 1)])
-    with pytest.raises(ValueError):
-        BipartiteGraph.from_edges(2, 2, [(1, 1), (1, 1)])
+def gamma_of(g: BipartiteGraph, c) -> frozenset[int]:
+    """Left neighbours of the right vertices ``c``, read off ``g.adj``."""
+    return frozenset(l for l, nbrs in enumerate(g.adj, start=1) if set(nbrs) & set(c))
+
+
+def is_matching_of(m: Matching, g: BipartiteGraph) -> bool:
+    return all(r in g.adj[l - 1] for l, r in m.pairs)
 
 
 def test_adjacency_validation():
@@ -55,11 +51,18 @@ def test_adjacency_validation():
         BipartiteGraph(left_count=1, right_count=2, adj=((2, 1),))
     with pytest.raises(ValueError):
         BipartiteGraph(left_count=2, right_count=2, adj=((1,),))
+    with pytest.raises(ValueError):
+        BipartiteGraph(left_count=-1, right_count=2, adj=())
 
 
-def test_edges_round_trip():
-    g = BipartiteGraph.from_edges(2, 3, [(1, 2), (2, 1), (2, 3)])
-    assert g.edges == ((1, 2), (2, 1), (2, 3))
+def test_from_edges_validation():
+    """An edge to a right vertex out of range, or a repeated edge, is rejected."""
+    with pytest.raises(ValueError):
+        BipartiteGraph(left_count=2, right_count=2, adj=((3,), ()))
+    with pytest.raises(ValueError):
+        BipartiteGraph(left_count=2, right_count=2, adj=((0,), ()))
+    with pytest.raises(ValueError):
+        BipartiteGraph(left_count=2, right_count=2, adj=((1, 1), ()))
 
 
 def test_from_rows_over_a_subset_of_ids():
@@ -75,7 +78,7 @@ def test_from_rows_without_rows():
     g = BipartiteGraph.from_rows((), (2, 4, 6))
     assert (g.left_count, g.right_count, g.adj) == (0, 3, ())
     assert max_matching(g).size == 0
-    assert BipartiteGraph.from_rows((), ()) == BipartiteGraph.from_edges(0, 0, [])
+    assert BipartiteGraph.from_rows((), ()) == BipartiteGraph(left_count=0, right_count=0, adj=())
 
 
 def test_matching_disjointness_enforced():
@@ -85,52 +88,43 @@ def test_matching_disjointness_enforced():
         Matching(pairs=frozenset({(1, 1), (2, 1)}))
 
 
-def test_neighborhood():
-    g = BipartiteGraph.from_edges(3, 3, [(1, 1), (1, 2), (2, 2), (3, 3)])
-    assert neighborhood(g, [1], side="left") == frozenset({1, 2})
-    assert neighborhood(g, [2], side="right") == frozenset({1, 2})
-    assert neighborhood(g, [], side="left") == frozenset()
-    with pytest.raises(ValueError):
-        neighborhood(g, [4], side="left")
-    with pytest.raises(ValueError):
-        neighborhood(g, [1], side="middle")
-
-
 def test_perfect_matching():
-    g = BipartiteGraph.from_edges(2, 2, [(1, 1), (2, 2)])
+    g = BipartiteGraph(left_count=2, right_count=2, adj=((1,), (2,)))
     m = max_matching(g)
     assert m.size == 2
     assert m.pairs == frozenset({(1, 1), (2, 2)})
 
 
 def test_star_graph():
-    g = BipartiteGraph.from_edges(1, 3, [(1, 1), (1, 2), (1, 3)])
+    g = BipartiteGraph(left_count=1, right_count=3, adj=((1, 2, 3),))
     assert max_matching(g).size == 1
-    w = deficiency_witness(g, side="right")
+    w = deficiency_witness(g)
     assert w.value == 1
+    assert (w.C, w.gamma) == (frozenset({1, 2, 3}), frozenset({1}))
 
 
 def test_edgeless():
-    g = BipartiteGraph.from_edges(3, 3, [])
+    g = BipartiteGraph(left_count=3, right_count=3, adj=((), (), ()))
     assert max_matching(g).size == 0
-    w = deficiency_witness(g, side="right")
+    w = deficiency_witness(g)
     assert w.value == 0
     assert w.C == frozenset({1, 2, 3})
+    assert w.gamma == frozenset()
 
 
 def test_augmenting_path_needed():
-    g = BipartiteGraph.from_edges(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+    g = BipartiteGraph(left_count=3, right_count=3, adj=((1,), (1, 2), (2, 3)))
     assert max_matching(g).size == 3
 
 
 def test_empty_graph():
-    g = BipartiteGraph.from_edges(0, 0, [])
+    g = BipartiteGraph(left_count=0, right_count=0, adj=())
     assert max_matching(g).size == 0
-    assert deficiency_witness(g, side="left").value == 0
+    assert deficiency_witness(g) == DeficiencyWitness(C=frozenset(), gamma=frozenset(), value=0)
 
 
 def test_matching_deterministic():
-    g = BipartiteGraph.from_edges(3, 3, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
+    g = BipartiteGraph(left_count=3, right_count=3, adj=((1, 2), (1, 2), (3,)))
     first = max_matching(g)
     assert all(max_matching(g).pairs == first.pairs for _ in range(5))
 
@@ -139,8 +133,7 @@ def test_matching_pairs_are_edges():
     rng = random.Random(11)
     for _ in range(50):
         g = random_graph(rng)
-        m = max_matching(g)
-        assert m.pairs <= set(g.edges)
+        assert is_matching_of(max_matching(g), g)
 
 
 def test_matching_size_against_brute():
@@ -150,35 +143,34 @@ def test_matching_size_against_brute():
         assert max_matching(g).size == brute_max_matching_size(g)
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_witness_attains_formula(side):
+def test_witness_attains_formula():
     rng = random.Random(13)
     for _ in range(100):
         g = random_graph(rng)
-        w = deficiency_witness(g, side=side)
-        b_count = g.right_count if side == "right" else g.left_count
-        gamma = neighborhood(g, w.C, side=side)
-        assert w.side == side
-        assert w.value == (b_count - len(w.C)) + len(gamma)
+        w = deficiency_witness(g)
+        assert w.gamma == gamma_of(g, w.C)
+        assert w.value == (g.right_count - len(w.C)) + len(w.gamma)
         assert w.value == max_matching(g).size
+
+
+def test_witness_checks_its_matching(monkeypatch):
+    # Against a matching that is not maximum, the witness value exceeds
+    # the matching size, and the witness must refuse to certify it.
+    g = BipartiteGraph(left_count=1, right_count=1, adj=((1,),))
+    monkeypatch.setattr(matching, "max_matching", lambda g: Matching(pairs=frozenset()))
+    with pytest.raises(ArithmeticError):
+        deficiency_witness(g)
 
 
 def test_witness_is_minimum_over_all_subsets():
     rng = random.Random(17)
     for _ in range(40):
         g = random_graph(rng, max_left=5, max_right=5)
-        w = deficiency_witness(g, side="right")
+        w = deficiency_witness(g)
         b = range(1, g.right_count + 1)
         for k in range(g.right_count + 1):
             for c in itertools.combinations(b, k):
-                gamma = neighborhood(g, c, side="right")
-                assert w.value <= (g.right_count - len(c)) + len(gamma)
-
-
-def test_witness_bad_side():
-    g = BipartiteGraph.from_edges(1, 1, [(1, 1)])
-    with pytest.raises(ValueError):
-        deficiency_witness(g, side="top")
+                assert w.value <= (g.right_count - len(c)) + len(gamma_of(g, c))
 
 
 @settings(max_examples=60)
@@ -186,13 +178,12 @@ def test_witness_bad_side():
 def test_hypothesis_matching_duality(data):
     lc = data.draw(st.integers(0, 5))
     rc = data.draw(st.integers(0, 5))
-    possible = [(l, r) for l in range(1, lc + 1) for r in range(1, rc + 1)]
-    edges = data.draw(st.lists(st.sampled_from(possible), unique=True) if possible else st.just([]))
-    g = BipartiteGraph.from_edges(lc, rc, edges)
+    row = st.sets(st.integers(1, rc)) if rc else st.just(set())
+    adj = tuple(tuple(sorted(data.draw(row))) for _ in range(lc))
+    g = BipartiteGraph(left_count=lc, right_count=rc, adj=adj)
     nu = max_matching(g).size
     assert nu == brute_max_matching_size(g)
-    assert deficiency_witness(g, side="left").value == nu
-    assert deficiency_witness(g, side="right").value == nu
+    assert deficiency_witness(g).value == nu
 
 
 def test_long_augmenting_path_needs_no_recursion():
@@ -201,4 +192,4 @@ def test_long_augmenting_path_needs_no_recursion():
     g = BipartiteGraph(left_count=1501, right_count=1501, adj=adj)
     m = max_matching(g)
     assert m.size == 1501
-    assert m.pairs <= set(g.edges)
+    assert is_matching_of(m, g)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -81,36 +82,46 @@ class TestBruteOptimum:
         with pytest.raises(BudgetExceededError):
             brute_optimum(GameParams(5, 2, 1), SearchBudget(max_states=3))
 
+    def test_memory_is_bounded_by_the_path(self):
+        # Only the siblings of the prefixes on the current path are kept,
+        # not every state the search has visited (1.26 MB here when they were).
+        tracemalloc.start()
+        try:
+            assert brute_optimum(GameParams(6, 4, 3)) == h_value(4, 3, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+
 
 class TestBruteDeficiency:
     def test_edgeless(self):
-        g = BipartiteGraph.from_edges(2, 3, [])
-        w = brute_deficiency(g, side="right")
+        g = BipartiteGraph(left_count=2, right_count=3, adj=((), ()))
+        w = brute_deficiency(g)
         assert w.value == 0
         assert w.C == frozenset({1, 2, 3})
+        assert w.gamma == frozenset()
 
     def test_perfect(self):
-        g = BipartiteGraph.from_edges(2, 2, [(1, 1), (2, 2)])
-        w = brute_deficiency(g, side="right")
+        g = BipartiteGraph(left_count=2, right_count=2, adj=((1,), (2,)))
+        w = brute_deficiency(g)
         assert w.value == 2
         assert w.C == frozenset()
+        assert w.gamma == frozenset()
 
     def test_tie_breaks_prefer_smaller_subset(self):
-        g = BipartiteGraph.from_edges(1, 2, [(1, 1)])
-        w = brute_deficiency(g, side="right")
+        g = BipartiteGraph(left_count=1, right_count=2, adj=((1,),))
+        w = brute_deficiency(g)
         assert w.value == 1
         assert w.C == frozenset({2})
+        assert w.gamma == frozenset()
 
     def test_unique_minimizer(self):
-        g = BipartiteGraph.from_edges(1, 2, [(1, 1), (1, 2)])
-        w = brute_deficiency(g, side="right")
+        g = BipartiteGraph(left_count=1, right_count=2, adj=((1, 2),))
+        w = brute_deficiency(g)
         assert w.value == 1
         assert w.C == frozenset({1, 2})
-
-    def test_left_side(self):
-        g = BipartiteGraph.from_edges(3, 1, [(1, 1), (2, 1), (3, 1)])
-        w = brute_deficiency(g, side="left")
-        assert w.value == 1
+        assert w.gamma == frozenset({1})
 
     def test_matches_matching_size(self):
         import random
@@ -118,25 +129,18 @@ class TestBruteDeficiency:
         rng = random.Random(31)
         for _ in range(60):
             lc, rc = rng.randint(0, 5), rng.randint(0, 5)
-            edges = [
-                (l, r)
-                for l in range(1, lc + 1)
-                for r in range(1, rc + 1)
-                if rng.random() < 0.45
-            ]
-            g = BipartiteGraph.from_edges(lc, rc, edges)
-            for side in ("left", "right"):
-                assert brute_deficiency(g, side=side).value == max_matching(g).size
+            adj = tuple(
+                tuple(r for r in range(1, rc + 1) if rng.random() < 0.45) for _ in range(lc)
+            )
+            g = BipartiteGraph(left_count=lc, right_count=rc, adj=adj)
+            w = brute_deficiency(g)
+            assert w.value == max_matching(g).size
+            assert w.gamma == {l for l, nbrs in enumerate(adj, start=1) if set(nbrs) & w.C}
 
     def test_side_too_large(self):
         g = BipartiteGraph(left_count=0, right_count=21, adj=())
         with pytest.raises(BudgetExceededError):
-            brute_deficiency(g, side="right")
-
-    def test_bad_side(self):
-        g = BipartiteGraph.from_edges(1, 1, [(1, 1)])
-        with pytest.raises(ValueError):
-            brute_deficiency(g, side="both")
+            brute_deficiency(g)
 
 
 class TestRandomSchedule:
