@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterator
 
 _INF = -1
@@ -39,7 +40,7 @@ class BipartiteGraph:
                 f"adjacency has {len(self.adj)} rows for {self.left_count} left vertices"
             )
         for i, nbrs in enumerate(self.adj, start=1):
-            if list(nbrs) != sorted(set(nbrs)):
+            if not all(map(lt, nbrs, nbrs[1:])):
                 raise ValueError(f"neighbors of left vertex {i} must be sorted and duplicate-free")
             if nbrs and (nbrs[0] < 1 or nbrs[-1] > self.right_count):
                 raise ValueError(f"edge endpoint out of range at left vertex {i}")

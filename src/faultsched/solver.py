@@ -8,6 +8,13 @@ S_t already dead by time t, one killed per earlier round.  The first
 such t, written t* here, pins down the minimal survival time, and a
 truncated matching converts into an explicit kill sequence.
 
+The scan for t* never builds the time graphs below it.  It keeps, for
+each processor, the steps where it appeared so far, and tests step t on
+the lists of the members of S_t alone: fewer than f distinct earlier
+steps among them settles the step, otherwise an augmenting-path search
+stops as soon as it reaches f.  At t* only, the time graph is built and
+Hopcroft-Karp returns its maximum matching.
+
 ``PInstance`` packages the abstract form of a surviving prefix: a
 left-ordered bipartite graph whose rows all have degree n and whose
 time graphs all have matching number at most f - 1.  ``reduce_instance``
@@ -93,17 +100,63 @@ def time_graph(s: Schedule, t: int) -> TimeGraph:
     return TimeGraph(t=t, graph=g, right_ids=right_ids)
 
 
+def _reaches(lists: list[list[int]], f: int) -> bool:
+    """Whether f of the members can be matched to distinct earlier steps,
+    member j to a step of ``lists[j]``: Kuhn's augmenting-path search from
+    the members, stopped once the matching reaches f or the members not
+    yet tried cannot bring it there.  A failed search leaves its visited
+    steps marked until the next augmentation, since no augmenting path
+    runs through them before the matching changes."""
+    lists = [steps for steps in lists if steps]
+    if len(lists) < f or len(set().union(*lists)) < f:
+        return False
+    mate: dict[int, int] = {}  # earlier step -> index of its member
+    visited: set[int] = set()
+    for j in range(len(lists)):
+        if len(mate) + len(lists) - j < f:
+            return False
+        stack, path = [(j, iter(lists[j]))], []  # path[i]: step taken from stack[i]
+        while stack:
+            for u in stack[-1][1]:
+                if u not in visited:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            visited.add(u)
+            path.append(u)
+            if u in mate:
+                stack.append((mate[u], iter(lists[mate[u]])))
+                continue
+            for (k, _), step in zip(stack, path):
+                mate[step] = k
+            if len(mate) == f:
+                return True
+            visited.clear()
+            break
+    return False
+
+
 def _scan(rows: tuple[tuple[int, ...], ...], n: int, f: int) -> tuple[int, Matching | None]:
     """First t at which row t has a degree other than n, or its time
     graph over the earlier rows has matching number at least f.  Returns
     t with that maximum matching (None on a degree failure), or (0, None)
     when every row passes.  Callers validate their input first."""
+    steps: dict[int, list[int]] = {}
     for t, row in enumerate(rows, start=1):
         if len(row) != n:
             return t, None
-        m = max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))
-        if m.size >= f:
+        if _reaches([steps.get(p, []) for p in row], f):
+            m = max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))
+            if m.size < f:
+                raise ArithmeticError(
+                    f"step lists reach f={f} at t={t}, Hopcroft-Karp finds {m.size}"
+                )
             return t, m
+        for p in row:
+            steps.setdefault(p, []).append(t)
     return 0, None
 
 

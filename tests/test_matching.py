@@ -50,6 +50,10 @@ def test_adjacency_validation():
     with pytest.raises(ValueError):
         BipartiteGraph(left_count=1, right_count=2, adj=((2, 1),))
     with pytest.raises(ValueError):
+        BipartiteGraph(left_count=1, right_count=3, adj=((1, 3, 2),))
+    with pytest.raises(ValueError):
+        BipartiteGraph(left_count=1, right_count=3, adj=((1, 2, 2, 3),))
+    with pytest.raises(ValueError):
         BipartiteGraph(left_count=2, right_count=2, adj=((1,),))
     with pytest.raises(ValueError):
         BipartiteGraph(left_count=-1, right_count=2, adj=())

@@ -27,6 +27,7 @@ from faultsched import (
     time_graph,
     trivial_schedule,
 )
+from faultsched import solver
 from faultsched.cli import main
 
 
@@ -135,6 +136,96 @@ def test_solve_adversary_validates_at_most_twice(validations, tmp_path, capsys):
     assert main(["solve-adversary", "--schedule", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["T=20", "t*=21"]
     assert len(validations) <= 2
+
+
+def reference_killable(s):
+    """First t* with matching number of the time graph at least f, and
+    its maximum matching, straight from the public ``time_graph`` and
+    ``max_matching``: one graph and one Hopcroft-Karp run per step."""
+    for t in range(1, len(s) + 1):
+        m = max_matching(time_graph(s, t).graph)
+        if m.size >= s.params.f:
+            return t, m
+    return 0, None
+
+
+def reference_kills(s, t_star, m):
+    kills = [min(st) for st in s.sets]
+    if t_star:
+        right_ids = s.sets[t_star - 1]
+        hit = set()
+        for u, j in sorted(m.pairs)[: s.params.f]:
+            kills[u - 1] = right_ids[j - 1]
+            hit.add(right_ids[j - 1])
+        kills[t_star - 1] = min(p for p in right_ids if p not in hit)
+    return tuple(kills)
+
+
+def perturbed_trivial_cases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        f = rng.randint(1, n - 1)
+        s = trivial_schedule(GameParams(N=rng.randint(n, 24), n=n, f=f))
+        sets = list(s.sets)
+        for _ in range(rng.randint(0, 3)):
+            sets[rng.randrange(len(sets))] = tuple(sorted(rng.sample(range(1, s.params.N + 1), n)))
+        yield Schedule(params=s.params, sets=tuple(sets))
+
+
+def test_scan_agrees_with_per_step_reference():
+    jump = Schedule(params=GameParams(9, 3, 2), sets=((1, 4, 5), (2, 6, 7), (3, 8, 9), (1, 2, 3)))
+    cases = [jump, *random_cases(150, seed=5, max_pool=16, max_n=6)]
+    cases += perturbed_trivial_cases(150, seed=6)
+    killed = 0
+    for s in cases:
+        t_star, m = reference_killable(s)
+        killed += t_star > 0
+        assert first_killable_time(s) == t_star
+        assert minimal_adversary(s).kills == reference_kills(s, t_star, m)
+        report = membership_in_P(schedule_instance(s))
+        assert report.violating_t == t_star
+        if t_star:
+            f = s.params.f
+            assert report.reason == f"time graph at t={t_star} has matching number {m.size} >= f={f}"
+        else:
+            assert report.member and report.reason == ""
+    assert 100 <= killed < len(cases)
+
+
+@pytest.fixture
+def matching_calls(monkeypatch):
+    """Graphs passed to the solver's ``max_matching`` while the test runs."""
+    seen = []
+    real = solver.max_matching
+
+    def counting(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(solver, "max_matching", counting)
+    return seen
+
+
+def test_scan_runs_hopcroft_karp_at_most_once(matching_calls):
+    s = trivial_schedule(GameParams(N=40, n=4, f=2))
+    assert first_killable_time(s) == 21
+    assert len(matching_calls) <= 1
+
+
+def test_scan_without_killable_step_runs_no_matching(matching_calls):
+    s = Schedule(params=GameParams(6, 2, 1), sets=((1, 2), (3, 4), (5, 6)))
+    assert first_killable_time(s) == 0
+    assert membership_in_P(schedule_instance(s)).member
+    assert matching_calls == []
+
+
+@pytest.mark.parametrize("N,n,f", [(3200, 40, 10), (1600, 40, 10), (800, 8, 7)])
+def test_trivial_schedule_attains_h_at_scale(N, n, f):
+    s = trivial_schedule(GameParams(N=N, n=n, f=f))
+    h = h_value(n, f, N)
+    assert minimal_survival_time(s) == h
+    assert survival_time(s, minimal_adversary(s)) == h
 
 
 def test_schedule_instance_full():
