@@ -8,8 +8,10 @@ by a double oracle: keep finite supports of pure schedules and pure
 adversary policies, solve the restricted matrix game exactly, and grow
 whichever support admits a strictly improving best response.  The
 adversary best response is a posterior-belief dynamic program; the
-scheduler best response enumerates all pure schedules, which the size
-guard keeps tiny.  All values are rationals end to end.
+scheduler best response is a branch-and-bound search over schedule
+prefixes that carries every policy of the mix at once.  A size guard
+and a budget on LP work keep instances tiny.  All values are exact:
+rationals, with integer pivots and integer weights inside.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .game import GameParams, Schedule, trivial_schedule
 from .game import survival_time  # noqa: F401 - perfbench/tracer.py wraps online.survival_time
-from .matrixgame import solve_zero_sum
+from .matrixgame import over_common_denominator, solve_zero_sum
 from .oracle import BudgetExceededError
 from .survival import h_value
 
@@ -31,6 +33,8 @@ Sets = tuple[tuple[int, ...], ...]
 _MAX_DISTINCT_SETS = 6
 _MAX_POOL = 5
 _MAX_ROUNDS_OF_ORACLE = 500
+# Payoff-matrix cells summed over all LP solves of one double oracle.
+_MAX_PAYOFF_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -97,46 +101,47 @@ def _best_response(
     are deterministic.
     """
     f, length = params.f, params.N
+    masses, _ = over_common_denominator([w for _, w in support])
+    weighted = [(sets, w) for (sets, _), w in zip(support, masses)]
     table: dict[tuple[Sets, frozenset[int]], int] = {}
-    memo: dict[tuple[Sets, frozenset[int]], Fraction] = {}
+    memo: dict[tuple[Sets, frozenset[int]], int] = {}
 
-    def continuations(prefix: Sets) -> list[tuple[Sets, Fraction]]:
+    def continuations(prefix: Sets) -> list[tuple[Sets, int]]:
         t = len(prefix)
-        agg: dict[tuple[int, ...], Fraction] = {}
-        for sets, w in support:
+        agg: dict[tuple[int, ...], int] = {}
+        for sets, w in weighted:
             if sets[:t] == prefix:
-                agg[sets[t]] = agg.get(sets[t], Fraction(0)) + w
-        total = sum(agg.values())
-        return [(prefix + (a,), w / total) for a, w in sorted(agg.items())]
+                agg[sets[t]] = agg.get(sets[t], 0) + w
+        return [(prefix + (a,), w) for a, w in sorted(agg.items())]
 
-    def decide(prefix: Sets, killed: frozenset[int]) -> Fraction:
+    def decide(prefix: Sets, killed: frozenset[int], mass: int) -> int:
+        """``mass``, the weight of the support behind ``prefix``, times the
+        least expected survival time; a positive factor leaves the choice
+        of kill as it is, and every term stays an int."""
         key = (prefix, killed)
         if key in memo:
             return memo[key]
         t = len(prefix)
         current = prefix[-1]
         conts = continuations(prefix) if t < length else []
-        best: Fraction | None = None
+        best: int | None = None
         best_kill = current[0]
         for s in current:
             nxt = killed | {s}
             if len(nxt & set(current)) > f:
-                val = Fraction(t - 1)
+                val = mass * (t - 1)
             elif t == length:
-                val = Fraction(length)
+                val = mass * length
             else:
-                val = sum(
-                    (w * decide(child, nxt) for child, w in conts),
-                    Fraction(0),
-                )
+                val = sum(decide(child, nxt, w) for child, w in conts)
             if best is None or val < best:
                 best, best_kill = val, s
         table[key] = best_kill
         memo[key] = best
         return best
 
-    openings = continuations(())
-    value = sum((w * decide(child, frozenset()) for child, w in openings), Fraction(0))
+    total = sum(decide(child, frozenset(), w) for child, w in continuations(()))
+    value = Fraction(total, sum(masses))
     return value, AdversaryPolicy(table=table)
 
 
@@ -161,14 +166,46 @@ def adversary_best_response(
 def _scheduler_best_response(
     params: GameParams, policies: Sequence[tuple[AdversaryPolicy, Fraction]]
 ) -> tuple[Fraction, Sets]:
-    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
-    best: Fraction | None = None
+    """Best pure schedule against a policy mix: the first maximizer of the
+    expected survival time in ``itertools.product`` order.
+
+    A depth-first search over schedule prefixes in that order carries each
+    policy's kill set down the tree and fixes a policy's payoff at the
+    round where it kills.  Weights are ints over their common
+    denominator.  A branch whose fixed payoff plus N times its live weight
+    cannot beat the best so far is cut, and a branch that can gain nothing
+    more is settled by its first leaf; ties never replace the best, so the
+    answer is the one full enumeration finds."""
+    length, f = params.N, params.f
+    candidates = list(itertools.combinations(range(1, length + 1), params.n))
+    best = -1
     best_sets: Sets = ()
-    for sets in itertools.product(candidates, repeat=params.N):
-        ev = sum(w * _policy_survival(params, sets, pol) for pol, w in policies)
-        if best is None or ev > best:
-            best, best_sets = ev, sets
-    return best, best_sets
+
+    def descend(prefix: Sets, live: list, fixed: int, live_weight: int) -> None:
+        nonlocal best, best_sets
+        t = len(prefix)
+        for row in candidates:
+            revealed = prefix + (row,)
+            gain, weight, still = fixed, live_weight, []
+            for policy, w, killed in live:
+                killed = killed | {policy.kill(revealed, killed)}
+                if sum(1 for p in row if p in killed) > f:
+                    gain += w * t
+                    weight -= w
+                else:
+                    still.append((policy, w, killed))
+            bound = gain + weight * length
+            if bound <= best:
+                continue
+            if not still or t + 1 == length:
+                best, best_sets = bound, revealed + (candidates[0],) * (length - t - 1)
+            else:
+                descend(revealed, still, gain, weight)
+
+    weights, scale = over_common_denominator([w for _, w in policies])
+    descend((), [(policy, w, frozenset()) for (policy, _), w in zip(policies, weights)],
+            0, sum(weights))
+    return Fraction(best, scale), best_sets
 
 
 def _check_guard(params: GameParams) -> None:
@@ -188,8 +225,15 @@ def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, F
     # matrix[i][j] is the survival time of rows[i] against cols[j]; it
     # grows by a column or a row as the supports do.
     matrix = [[_policy_survival(params, start, first_policy)]]
+    cells = 0
 
     for _ in range(_MAX_ROUNDS_OF_ORACLE):
+        cells += len(matrix) * len(matrix[0])
+        if cells > _MAX_PAYOFF_CELLS:
+            raise BudgetExceededError(
+                f"double oracle exceeded its budget of {_MAX_PAYOFF_CELLS} "
+                "payoff-matrix cells over all LP solves"
+            )
         sol = solve_zero_sum(matrix)
         v = sol.value
         x_support = [
@@ -225,7 +269,8 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
     being on-line, so the value is the closed-form optimum and the
     support is the batch schedule.  Randomized mode: double oracle as
     described in the module docstring.  Raises ``BudgetExceededError``
-    beyond the size guard or when the double oracle runs out of rounds.
+    beyond the size guard, or when the double oracle runs out of rounds
+    or of payoff-matrix cells to solve.
     """
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"mode must be deterministic or randomized, got {mode!r}")

@@ -343,6 +343,15 @@ def test_online_value_round_cap(capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: double oracle")
 
 
+def test_online_value_cell_budget(capsys, monkeypatch):
+    """(3,2,1) solves payoff matrices of 143 cells in all; a smaller
+    budget on that work exits 3 before the next LP."""
+    monkeypatch.setattr(online, "_MAX_PAYOFF_CELLS", 50)
+    assert main(["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "randomized"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: double oracle exceeded its budget of 50 payoff-matrix cells")
+
+
 def test_sweep(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--f", "1", "--max-k", "5")
     assert code == 0

@@ -27,7 +27,7 @@ from faultsched import (
     survival_time,
     trivial_schedule,
 )
-from faultsched.online import _best_response, _policy_survival
+from faultsched.online import _best_response, _policy_survival, _scheduler_best_response
 
 
 class TestMatrixGame:
@@ -112,6 +112,70 @@ class TestMatrixGame:
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_matches_fraction_simplex(self):
+        """The integer pivots make every pivot the Fraction simplex made,
+        so the strategies, not only the value, are the same."""
+        rng = random.Random(17)
+        matrices = []
+        for lo, hi in ((0, 3), (0, 7), (-5, 5), (-20, 20)):
+            for _ in range(110):
+                m, k = rng.randint(1, 7), rng.randint(1, 7)
+                matrices.append([[rng.randint(lo, hi) for _ in range(k)] for _ in range(m)])
+        for _ in range(120):
+            m, k = rng.randint(1, 7), rng.randint(1, 7)
+            matrices.append([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
+                             for _ in range(m)])
+        for matrix in matrices:
+            sol = solve_zero_sum(matrix)
+            got = (sol.value, sol.row_strategy, sol.col_strategy)
+            assert repr(got) == repr(fraction_solve(matrix)), matrix
+
+
+def fraction_simplex_max(a, k):
+    """The simplex over Fraction that the integer pivots replaced: Bland's
+    rule, each pivot row divided through by its pivot."""
+    m = len(a)
+    width = k + m
+    basis = [k + i for i in range(m)]
+    objective = [Fraction(-1)] * k + [Fraction(0)] * (m + 1)
+    a.append(objective)
+    while True:
+        enter = next((j for j in range(width) if objective[j] < 0), -1)
+        if enter == -1:
+            break
+        best_ratio, leave = None, -1
+        for i in range(m):
+            if a[i][enter] > 0:
+                ratio = a[i][width] / a[i][enter]
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])):
+                    best_ratio, leave = ratio, i
+        piv = a[leave][enter]
+        a[leave] = [x / piv for x in a[leave]]
+        for i in range(m + 1):
+            if i != leave and a[i][enter] != 0:
+                factor = a[i][enter]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[leave])]
+        objective = a[m]
+        basis[leave] = enter
+    z = [Fraction(0)] * k
+    for i, b in enumerate(basis):
+        if b < k:
+            z[b] = a[i][width]
+    return z, objective[k:width]
+
+
+def fraction_solve(matrix):
+    """(value, row strategy, column strategy) from ``fraction_simplex_max``."""
+    m, k = len(matrix), len(matrix[0])
+    low = min(min(row) for row in matrix)
+    shift = Fraction(1) - low if low < 1 else Fraction(0)
+    tableau = [[matrix[i][j] + shift for j in range(k)]
+               + [Fraction(int(i == r)) for r in range(m)] + [Fraction(1)] for i in range(m)]
+    z, duals = fraction_simplex_max(tableau, k)
+    inv = Fraction(1) / sum(z)
+    return inv - shift, tuple(u * inv for u in duals), tuple(zj * inv for zj in z)
 
 
 class TestGameValue:
@@ -227,6 +291,27 @@ class TestOnlineGameValue:
             (((1, 2, 4), (1, 3, 4), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
             (((1, 2, 4), (1, 2, 3), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
         ]),
+        (GameParams(4, 2, 1), Fraction(9, 4), [
+            (((1, 2), (3, 4), (2, 4), (1, 2)), Fraction(1, 4)),
+            (((1, 2), (3, 4), (2, 3), (1, 2)), Fraction(1, 4)),
+            (((1, 2), (3, 4), (1, 4), (1, 2)), Fraction(1, 4)),
+            (((1, 2), (3, 4), (1, 3), (1, 2)), Fraction(1, 4)),
+        ]),
+        (GameParams(5, 4, 1), Fraction(5, 4), [
+            (((1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
+             Fraction(1, 4)),
+            (((1, 2, 3, 4), (1, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
+             Fraction(1, 4)),
+            (((1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
+             Fraction(1, 4)),
+            (((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
+             Fraction(1, 4)),
+        ]),
+        (GameParams(4, 3, 2), Fraction(8, 3), [
+            (((1, 2, 3), (1, 2, 3), (1, 3, 4), (1, 2, 3)), Fraction(1, 3)),
+            (((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 3)), Fraction(1, 3)),
+            (((1, 2, 3), (1, 2, 3), (2, 3, 4), (1, 2, 3)), Fraction(1, 3)),
+        ]),
     ])
     def test_randomized_support_pinned(self, params, value, support):
         """Sets, weights and order of the double oracle's support."""
@@ -308,6 +393,97 @@ def test_policy_survival_matches_replay():
             assert got == replayed_survival(params, sets, policy)
             seen.add(got)
     assert seen == {1, 2, 3}
+
+
+def fraction_best_response(params, support):
+    """The adversary best response over Fraction that the integer one
+    replaced: posterior weights normalized at every prefix."""
+    f, length = params.f, params.N
+    table, memo = {}, {}
+
+    def continuations(prefix):
+        t = len(prefix)
+        agg = {}
+        for sets, w in support:
+            if sets[:t] == prefix:
+                agg[sets[t]] = agg.get(sets[t], Fraction(0)) + w
+        total = sum(agg.values())
+        return [(prefix + (a,), w / total) for a, w in sorted(agg.items())]
+
+    def decide(prefix, killed):
+        key = (prefix, killed)
+        if key in memo:
+            return memo[key]
+        t, current = len(prefix), prefix[-1]
+        conts = continuations(prefix) if t < length else []
+        best, best_kill = None, current[0]
+        for s in current:
+            nxt = killed | {s}
+            if len(nxt & set(current)) > f:
+                val = Fraction(t - 1)
+            elif t == length:
+                val = Fraction(length)
+            else:
+                val = sum((w * decide(child, nxt) for child, w in conts), Fraction(0))
+            if best is None or val < best:
+                best, best_kill = val, s
+        table[key] = best_kill
+        memo[key] = best
+        return best
+
+    value = sum((w * decide(child, frozenset()) for child, w in continuations(())), Fraction(0))
+    return value, table
+
+
+@pytest.mark.parametrize("params", [GameParams(3, 2, 1), GameParams(4, 3, 1),
+                                    GameParams(4, 2, 1), GameParams(5, 4, 2)])
+def test_best_response_matches_fraction_dp(params):
+    """Integer masses pick the same kill in every state as normalized
+    Fraction posteriors, and give the same value."""
+    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
+    rng = random.Random(params.N * 100 + params.n * 10 + params.f)
+    for _ in range(25):
+        chosen = list(dict.fromkeys(tuple(rng.choice(candidates) for _ in range(params.N))
+                                    for _ in range(rng.randint(1, 8))))
+        weights = [rng.randint(1, 9) for _ in chosen]
+        support = [(sets, Fraction(w, sum(weights))) for sets, w in zip(chosen, weights)]
+        value, policy = _best_response(params, support)
+        ref_value, ref_table = fraction_best_response(params, support)
+        assert repr(value) == repr(ref_value)
+        assert list(policy.table.items()) == list(ref_table.items())
+
+
+def enumerated_scheduler_best_response(params, policies):
+    """Every pure schedule in ``itertools.product`` order against the
+    mix, keeping the first maximizer."""
+    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
+    best, best_sets = None, ()
+    for sets in itertools.product(candidates, repeat=params.N):
+        ev = sum(w * _policy_survival(params, sets, pol) for pol, w in policies)
+        if best is None or ev > best:
+            best, best_sets = ev, sets
+    return best, best_sets
+
+
+@pytest.mark.parametrize("params", [GameParams(3, 2, 1), GameParams(4, 3, 1), GameParams(4, 2, 1)])
+def test_scheduler_best_response_matches_enumeration(params):
+    """The pruned prefix search returns the value and the first maximizer
+    of full enumeration; the default and lazy policies add ties and
+    schedules that survive all N rounds."""
+    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
+    pure = list(itertools.product(candidates, repeat=params.N))
+    rng = random.Random(params.N * 100 + params.n * 10 + params.f)
+    for _ in range(8):
+        policies = [AdversaryPolicy(), LazyPolicy()][:rng.randint(0, 2)]
+        for _ in range(rng.randint(1, 3)):
+            chosen = rng.sample(pure, rng.randint(1, 5))
+            weights = [rng.randint(1, 5) for _ in chosen]
+            support = [(sets, Fraction(w, sum(weights))) for sets, w in zip(chosen, weights)]
+            policies.append(_best_response(params, support)[1])
+        weights = [rng.randint(1, 7) for _ in policies]
+        mix = [(pol, Fraction(w, sum(weights))) for pol, w in zip(policies, weights)]
+        got = _scheduler_best_response(params, mix)
+        assert repr(got) == repr(enumerated_scheduler_best_response(params, mix))
 
 
 class TestAdversaryBestResponse:
