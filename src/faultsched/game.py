@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import lt
 from pathlib import Path
 
 from .survival import h_value
@@ -87,7 +88,7 @@ def validate_schedule(s: Schedule) -> Violation | None:
     for t, row in enumerate(s.sets, start=1):
         if len(row) != n:
             return Violation(t, "wrong-cardinality", f"set of size {len(row)} at t={t}, expected {n}")
-        if len(set(row)) != len(row):
+        if not all(map(lt, row, row[1:])):  # rows are sorted on construction
             return Violation(t, "duplicate-id", f"duplicate id at t={t}")
         if row[0] < 1 or row[-1] > N:
             return Violation(t, "id-out-of-range", f"id out of range at t={t}")

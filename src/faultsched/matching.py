@@ -1,5 +1,9 @@
 """Bipartite graphs, maximum matching, and deficiency witnesses.
 
+There is one matcher, Kuhn's augmenting-path search ``_grow_matching``:
+``max_matching`` runs it to the end, and the solver's killability scan
+runs it on per-processor step lists with the stop target f.
+
 The matching size nu of a bipartite graph equals, by Ore's deficiency
 formula, the minimum over subsets C of the right side B of
 |B - C| + |gamma(C)|, where gamma(C) is the set of left neighbours of C.
@@ -17,9 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterator
-
-_INF = -1
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -93,76 +95,49 @@ class DeficiencyWitness:
     value: int
 
 
-def max_matching(g: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching by Hopcroft-Karp.
-
-    Phases of BFS layering plus DFS along shortest augmenting paths;
-    vertices are visited in ascending index order so the returned pair
-    set is deterministic.
-    """
-    pair_l: list[int] = [0] * (g.left_count + 1)  # 0 = free
-    pair_r: list[int] = [0] * (g.right_count + 1)
-    dist: list[int] = [0] * (g.left_count + 1)
-
-    def bfs() -> bool:
-        q: deque[int] = deque()
-        for l in range(1, g.left_count + 1):
-            if pair_l[l] == 0:
-                dist[l] = 0
-                q.append(l)
-            else:
-                dist[l] = _INF
-        found = _INF
-        while q:
-            l = q.popleft()
-            if found != _INF and dist[l] >= found:
-                continue
-            for r in g.adj[l - 1]:
-                l2 = pair_r[r]
-                if l2 == 0:
-                    if found == _INF:
-                        found = dist[l] + 1
-                elif dist[l2] == _INF:
-                    dist[l2] = dist[l] + 1
-                    q.append(l2)
-        return found != _INF
-
-    def dfs(root: int) -> None:
-        """Augment along a layered path from ``root``, depth first without
-        recursion, so long paths cannot hit the recursion limit: ``l`` and
-        ``it`` are the current left vertex and its neighbour iterator,
-        ``stack`` holds those of its ancestors on the path."""
-        l, it = root, iter(adj[root - 1])
-        stack: list[tuple[int, Iterator[int]]] = []
-        while True:
-            for r in it:
-                l2 = pair_r[r]
-                if l2 == 0:
-                    while True:  # flip the path back to the root
-                        pair_r[r] = l
-                        pair_l[l], r = r, pair_l[l]
-                        if not stack:
-                            return
-                        l = stack.pop()[0]
-                if dist[l2] == dist[l] + 1:
-                    stack.append((l, it))
-                    l, it = l2, iter(adj[l2 - 1])
+def _grow_matching(adj: Sequence[Sequence[int]], target: int) -> dict[int, int]:
+    """Kuhn's augmenting-path search: match vertex j = 0, 1, ... to a
+    neighbour in ``adj[j]``, searching from each vertex in turn, until
+    the matching has ``target`` pairs or every vertex was tried; returns
+    it as a neighbour -> vertex map.  Depth first without recursion:
+    ``stack`` holds the vertices on the path with their neighbour
+    iterators, ``path[i]`` the neighbour taken from ``stack[i]``.  A
+    failed search leaves its visited neighbours marked until the next
+    augmentation, since no augmenting path runs through them before the
+    matching changes."""
+    mate: dict[int, int] = {}
+    visited: set[int] = set()
+    for j in range(len(adj)):
+        stack, path = [(j, iter(adj[j]))], []
+        while stack:
+            for u in stack[-1][1]:
+                if u not in visited:
                     break
             else:
-                dist[l] = _INF
-                if not stack:
-                    return
-                l, it = stack.pop()
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            visited.add(u)
+            path.append(u)
+            if u in mate:
+                stack.append((mate[u], iter(adj[mate[u]])))
+                continue
+            for (k, _), step in zip(stack, path):
+                mate[step] = k
+            if len(mate) == target:
+                return mate
+            visited.clear()
+            break
+    return mate
 
-    adj = g.adj
-    while bfs():
-        for l in range(1, g.left_count + 1):
-            if pair_l[l] == 0:
-                dfs(l)
-    pairs = frozenset(
-        (l, pair_l[l]) for l in range(1, g.left_count + 1) if pair_l[l] != 0
-    )
-    return Matching(pairs)
+
+def max_matching(g: BipartiteGraph) -> Matching:
+    """Maximum-cardinality matching by ``_grow_matching`` from the left
+    side, left vertices tried in ascending order, so the returned pair
+    set is deterministic."""
+    mate = _grow_matching(g.adj, min(g.left_count, g.right_count))
+    return Matching(frozenset((l + 1, r) for r, l in mate.items()))
 
 
 def deficiency_witness(g: BipartiteGraph) -> DeficiencyWitness:

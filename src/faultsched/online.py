@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -106,6 +107,7 @@ def _best_response(
     table: dict[tuple[Sets, frozenset[int]], int] = {}
     memo: dict[tuple[Sets, frozenset[int]], int] = {}
 
+    @cache  # a state's continuations depend on its prefix alone
     def continuations(prefix: Sets) -> list[tuple[Sets, int]]:
         t = len(prefix)
         agg: dict[tuple[int, ...], int] = {}

@@ -11,9 +11,10 @@ truncated matching converts into an explicit kill sequence.
 The scan for t* never builds the time graphs below it.  It keeps, for
 each processor, the steps where it appeared so far, and tests step t on
 the lists of the members of S_t alone: fewer than f distinct earlier
-steps among them settles the step, otherwise an augmenting-path search
-stops as soon as it reaches f.  At t* only, the time graph is built and
-Hopcroft-Karp returns its maximum matching.
+steps among them settles the step, otherwise the augmenting-path search
+of the matching layer, the one behind ``max_matching``, stops as soon as
+it reaches f.  At t* only, the time graph is built and ``max_matching``
+returns its maximum matching.
 
 ``PInstance`` packages the abstract form of a surviving prefix: a
 left-ordered bipartite graph whose rows all have degree n and whose
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .game import Adversary, Schedule, _require_valid, read_document, write_document
-from .matching import BipartiteGraph, Matching, deficiency_witness, max_matching
+from .matching import BipartiteGraph, Matching, _grow_matching, deficiency_witness, max_matching
 
 
 @dataclass(frozen=True)
@@ -102,41 +103,12 @@ def time_graph(s: Schedule, t: int) -> TimeGraph:
 
 def _reaches(lists: list[list[int]], f: int) -> bool:
     """Whether f of the members can be matched to distinct earlier steps,
-    member j to a step of ``lists[j]``: Kuhn's augmenting-path search from
-    the members, stopped once the matching reaches f or the members not
-    yet tried cannot bring it there.  A failed search leaves its visited
-    steps marked until the next augmentation, since no augmenting path
-    runs through them before the matching changes."""
+    member j to a step of ``lists[j]``: ``_grow_matching`` from the
+    members, stopped once the matching reaches f."""
     lists = [steps for steps in lists if steps]
     if len(lists) < f or len(set().union(*lists)) < f:
         return False
-    mate: dict[int, int] = {}  # earlier step -> index of its member
-    visited: set[int] = set()
-    for j in range(len(lists)):
-        if len(mate) + len(lists) - j < f:
-            return False
-        stack, path = [(j, iter(lists[j]))], []  # path[i]: step taken from stack[i]
-        while stack:
-            for u in stack[-1][1]:
-                if u not in visited:
-                    break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            visited.add(u)
-            path.append(u)
-            if u in mate:
-                stack.append((mate[u], iter(lists[mate[u]])))
-                continue
-            for (k, _), step in zip(stack, path):
-                mate[step] = k
-            if len(mate) == f:
-                return True
-            visited.clear()
-            break
-    return False
+    return len(_grow_matching(lists, f)) == f
 
 
 def _scan(rows: tuple[tuple[int, ...], ...], n: int, f: int) -> tuple[int, Matching | None]:
@@ -152,7 +124,7 @@ def _scan(rows: tuple[tuple[int, ...], ...], n: int, f: int) -> tuple[int, Match
             m = max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))
             if m.size < f:
                 raise ArithmeticError(
-                    f"step lists reach f={f} at t={t}, Hopcroft-Karp finds {m.size}"
+                    f"step lists reach f={f} at t={t}, max_matching finds {m.size}"
                 )
             return t, m
         for p in row:
@@ -182,7 +154,9 @@ def minimal_adversary(s: Schedule) -> Adversary:
     exceed f); each pair (u, p) schedules the kill of p at round u, the
     remaining rounds default to the least member of their set, and the
     kill at t* is the least member of S_t* outside the truncated
-    matching, which exists because f < n.
+    matching, which exists because f < n.  Which maximum matching
+    ``max_matching`` returns is implementation-defined, and so are the
+    kills; any of them replays to exactly the minimal survival time.
     """
     _require_valid(s)
     t_star, m = _scan(s.sets, s.params.n, s.params.f)

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .matching import BipartiteGraph, max_matching
-from .oracle import BudgetExceededError, Prefix, prefix_search
+from .oracle import BudgetExceededError, Prefix, _canonical, prefix_search
 from .survival import h_value
 
 
@@ -118,21 +118,6 @@ def _killable(prefix: Prefix, tp: TwoPoolParams) -> bool:
     return False
 
 
-def _canonical_two_pool(prefix: Prefix, n1_pool: int) -> Prefix:
-    """First-appearance relabeling applied within each type separately."""
-    label: dict[int, int] = {}
-    next_label = [1, n1_pool + 1]
-    out = []
-    for row in prefix:
-        for p in row:
-            if p not in label:
-                k = 0 if p <= n1_pool else 1
-                label[p] = next_label[k]
-                next_label[k] += 1
-        out.append(tuple(sorted(label[p] for p in row)))
-    return tuple(out)
-
-
 def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
     """Exact two-pool optimum on tiny instances, by prefix search.
 
@@ -156,6 +141,6 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
         total,
         lambda prefix: _killable(prefix, tp),
         max_states,
-        lambda prefix: _canonical_two_pool(prefix, tp.N1),
+        lambda prefix: _canonical(prefix, tp.N1),
         label="two-pool probe",
     )

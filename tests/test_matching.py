@@ -142,9 +142,20 @@ def test_matching_pairs_are_edges():
 
 def test_matching_size_against_brute():
     rng = random.Random(5)
-    for _ in range(100):
-        g = random_graph(rng)
+    # Stopping once the untried vertices cannot reach min(3, 5) pairs
+    # would end this one at size 1.
+    cut_short = BipartiteGraph(left_count=3, right_count=5, adj=((1, 2, 5), (), (1, 3, 4)))
+    for g in [cut_short, *(random_graph(rng) for _ in range(100))]:
         assert max_matching(g).size == brute_max_matching_size(g)
+
+
+def test_search_stops_at_target():
+    # nu = 4 here, and the search returns as soon as it holds target pairs.
+    adj = ((1, 2), (1, 2, 3), (2, 3, 4), (3, 4))
+    for target in range(1, 5):
+        mate = matching._grow_matching(adj, target)
+        assert len(mate) == target
+        assert all(r in adj[j] for r, j in mate.items())
 
 
 def test_witness_attains_formula():
@@ -164,6 +175,37 @@ def test_witness_checks_its_matching(monkeypatch):
     monkeypatch.setattr(matching, "max_matching", lambda g: Matching(pairs=frozenset()))
     with pytest.raises(ArithmeticError):
         deficiency_witness(g)
+
+
+def all_maximum_matchings(g: BipartiteGraph) -> list[frozenset[tuple[int, int]]]:
+    """Every maximum matching of ``g``, by brute force."""
+    found: list[frozenset[tuple[int, int]]] = []
+
+    def grow(l: int, pairs: tuple[tuple[int, int], ...]) -> None:
+        if l > g.left_count:
+            found.append(frozenset(pairs))
+            return
+        grow(l + 1, pairs)
+        used = {r for _, r in pairs}
+        for r in g.adj[l - 1]:
+            if r not in used:
+                grow(l + 1, pairs + ((l, r),))
+
+    grow(1, ())
+    nu = max(len(m) for m in found)
+    return [m for m in found if len(m) == nu]
+
+
+def test_witness_does_not_depend_on_the_maximum_matching(monkeypatch):
+    # C is the set of right vertices that some maximum matching leaves
+    # free, so any maximum matching gives the same witness.
+    rng = random.Random(19)
+    graphs = [random_graph(rng) for _ in range(300)]
+    expected = [deficiency_witness(g) for g in graphs]
+    monkeypatch.setattr(
+        matching, "max_matching", lambda g: Matching(max(all_maximum_matchings(g), key=sorted))
+    )
+    assert [deficiency_witness(g) for g in graphs] == expected
 
 
 def test_witness_is_minimum_over_all_subsets():

@@ -141,7 +141,7 @@ def test_solve_adversary_validates_at_most_twice(validations, tmp_path, capsys):
 def reference_killable(s):
     """First t* with matching number of the time graph at least f, and
     its maximum matching, straight from the public ``time_graph`` and
-    ``max_matching``: one graph and one Hopcroft-Karp run per step."""
+    ``max_matching``: one graph and one maximum matching per step."""
     for t in range(1, len(s) + 1):
         m = max_matching(time_graph(s, t).graph)
         if m.size >= s.params.f:
@@ -207,7 +207,7 @@ def matching_calls(monkeypatch):
     return seen
 
 
-def test_scan_runs_hopcroft_karp_at_most_once(matching_calls):
+def test_scan_runs_max_matching_at_most_once(matching_calls):
     s = trivial_schedule(GameParams(N=40, n=4, f=2))
     assert first_killable_time(s) == 21
     assert len(matching_calls) <= 1
