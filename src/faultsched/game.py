@@ -191,6 +191,8 @@ def read_document(path: str | Path, **depths: int) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as e:  # bad syntax, bytes that are not UTF-8, an overlong integer
+        raise ValueError(f"{path}: {e}") from None
     if type(doc) is not dict:
         raise ValueError(f"{path}: document must be a JSON object")
     for key in depths:

@@ -1,8 +1,8 @@
 """Bipartite graphs, maximum matching, and deficiency witnesses.
 
 There is one matcher, Kuhn's augmenting-path search ``_grow_matching``:
-``max_matching`` runs it to the end, and the solver's killability scan
-runs it on per-processor step lists with the stop target f.
+``max_matching`` runs it on a graph's adjacency, and the solver's
+killability scan on the same adjacency inverted from its step lists.
 
 The matching size nu of a bipartite graph equals, by Ore's deficiency
 formula, the minimum over subsets C of the right side B of
@@ -99,12 +99,12 @@ def _grow_matching(adj: Sequence[Sequence[int]], target: int) -> dict[int, int]:
     """Kuhn's augmenting-path search: match vertex j = 0, 1, ... to a
     neighbour in ``adj[j]``, searching from each vertex in turn, until
     the matching has ``target`` pairs or every vertex was tried; returns
-    it as a neighbour -> vertex map.  Depth first without recursion:
-    ``stack`` holds the vertices on the path with their neighbour
-    iterators, ``path[i]`` the neighbour taken from ``stack[i]``.  A
-    failed search leaves its visited neighbours marked until the next
-    augmentation, since no augmenting path runs through them before the
-    matching changes."""
+    it as a neighbour -> vertex map; a vertex without neighbours changes
+    nothing.  Depth first without recursion: ``stack`` holds the vertices
+    on the path with their neighbour iterators, ``path[i]`` the neighbour
+    taken from ``stack[i]``.  A failed search leaves its visited
+    neighbours marked until the next augmentation, since no augmenting
+    path runs through them before the matching changes."""
     mate: dict[int, int] = {}
     visited: set[int] = set()
     for j in range(len(adj)):

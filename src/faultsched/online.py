@@ -23,7 +23,7 @@ from functools import cache
 from math import comb
 from typing import Mapping, Sequence
 
-from .game import GameParams, Schedule, trivial_schedule
+from .game import GameParams, Schedule, _require_valid, trivial_schedule
 from .game import survival_time  # noqa: F401 - perfbench/tracer.py wraps online.survival_time
 from .matrixgame import over_common_denominator, solve_zero_sum
 from .oracle import BudgetExceededError
@@ -33,8 +33,8 @@ Sets = tuple[tuple[int, ...], ...]
 
 _MAX_DISTINCT_SETS = 6
 _MAX_POOL = 5
-_MAX_ROUNDS_OF_ORACLE = 500
-# Payoff-matrix cells summed over all LP solves of one double oracle.
+# Payoff-matrix cells summed over all LP solves of one double oracle; it
+# bounds the rounds too, since a round that goes on adds a row or column.
 _MAX_PAYOFF_CELLS = 100_000
 
 
@@ -162,6 +162,7 @@ def adversary_best_response(
             raise ValueError("support schedule parameters disagree")
         if len(s) != params.N:
             raise ValueError("support schedules must have full length N")
+        _require_valid(s)
     return _best_response(params, flat)[0]
 
 
@@ -229,7 +230,7 @@ def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, F
     matrix = [[_policy_survival(params, start, first_policy)]]
     cells = 0
 
-    for _ in range(_MAX_ROUNDS_OF_ORACLE):
+    while True:
         cells += len(matrix) * len(matrix[0])
         if cells > _MAX_PAYOFF_CELLS:
             raise BudgetExceededError(
@@ -259,9 +260,6 @@ def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, F
             improved = True
         if not improved:
             return v, tuple(x_support)
-    raise BudgetExceededError(
-        f"double oracle did not converge within {_MAX_ROUNDS_OF_ORACLE} rounds"
-    )
 
 
 def online_game_value(params: GameParams, mode: str) -> GameValue:
@@ -271,8 +269,8 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
     being on-line, so the value is the closed-form optimum and the
     support is the batch schedule.  Randomized mode: double oracle as
     described in the module docstring.  Raises ``BudgetExceededError``
-    beyond the size guard, or when the double oracle runs out of rounds
-    or of payoff-matrix cells to solve.
+    beyond the size guard, or when the double oracle runs out of
+    payoff-matrix cells to solve.
     """
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"mode must be deterministic or randomized, got {mode!r}")

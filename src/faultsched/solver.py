@@ -8,13 +8,13 @@ S_t already dead by time t, one killed per earlier round.  The first
 such t, written t* here, pins down the minimal survival time, and a
 truncated matching converts into an explicit kill sequence.
 
-The scan for t* never builds the time graphs below it.  It keeps, for
-each processor, the steps where it appeared so far, and tests step t on
-the lists of the members of S_t alone: fewer than f distinct earlier
-steps among them settles the step, otherwise the augmenting-path search
-of the matching layer, the one behind ``max_matching``, stops as soon as
-it reaches f.  At t* only, the time graph is built and ``max_matching``
-returns its maximum matching.
+The scan for t* never builds a time graph.  It keeps, for each
+processor, the steps where it appeared so far, and tests step t on the
+lists of the members of S_t alone: fewer than f members seen before, or
+fewer than f distinct earlier steps among them, settles the step.
+Otherwise the lists are inverted into the time graph's adjacency and
+the augmenting-path search behind ``max_matching`` runs once; at t* its
+maximum matching is the one returned.
 
 ``PInstance`` packages the abstract form of a surviving prefix: a
 left-ordered bipartite graph whose rows all have degree n and whose
@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .game import Adversary, Schedule, _require_valid, read_document, write_document
-from .matching import BipartiteGraph, Matching, _grow_matching, deficiency_witness, max_matching
+from .matching import BipartiteGraph, Matching, _grow_matching, deficiency_witness
+from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps solver.max_matching
 
 
 @dataclass(frozen=True)
@@ -101,32 +102,28 @@ def time_graph(s: Schedule, t: int) -> TimeGraph:
     return TimeGraph(t=t, graph=g, right_ids=right_ids)
 
 
-def _reaches(lists: list[list[int]], f: int) -> bool:
-    """Whether f of the members can be matched to distinct earlier steps,
-    member j to a step of ``lists[j]``: ``_grow_matching`` from the
-    members, stopped once the matching reaches f."""
-    lists = [steps for steps in lists if steps]
-    if len(lists) < f or len(set().union(*lists)) < f:
-        return False
-    return len(_grow_matching(lists, f)) == f
-
-
 def _scan(rows: tuple[tuple[int, ...], ...], n: int, f: int) -> tuple[int, Matching | None]:
     """First t at which row t has a degree other than n, or its time
     graph over the earlier rows has matching number at least f.  Returns
     t with that maximum matching (None on a degree failure), or (0, None)
-    when every row passes.  Callers validate their input first."""
+    when every row passes.  Callers validate their input first.  A
+    searched step's adjacency lists the earlier steps ascending, each with
+    the ascending indices of its members there: the search runs as in
+    ``max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))``."""
     steps: dict[int, list[int]] = {}
     for t, row in enumerate(rows, start=1):
         if len(row) != n:
             return t, None
-        if _reaches([steps.get(p, []) for p in row], f):
-            m = max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))
-            if m.size < f:
-                raise ArithmeticError(
-                    f"step lists reach f={f} at t={t}, max_matching finds {m.size}"
-                )
-            return t, m
+        lists = [steps.get(p, ()) for p in row]
+        if n - lists.count(()) >= f and len(set().union(*lists)) >= f:
+            adj: dict[int, list[int]] = {}
+            for j, seen in enumerate(lists, start=1):
+                for u in seen:
+                    adj.setdefault(u, []).append(j)
+            order = sorted(adj)
+            mate = _grow_matching([adj[u] for u in order], n)
+            if len(mate) >= f:
+                return t, Matching(frozenset((order[k], j) for j, k in mate.items()))
         for p in row:
             steps.setdefault(p, []).append(t)
     return 0, None
@@ -154,9 +151,9 @@ def minimal_adversary(s: Schedule) -> Adversary:
     exceed f); each pair (u, p) schedules the kill of p at round u, the
     remaining rounds default to the least member of their set, and the
     kill at t* is the least member of S_t* outside the truncated
-    matching, which exists because f < n.  Which maximum matching
-    ``max_matching`` returns is implementation-defined, and so are the
-    kills; any of them replays to exactly the minimal survival time.
+    matching, which exists because f < n.  Which maximum matching the
+    scan finds, the one ``max_matching`` finds, is implementation-defined,
+    and so are the kills; any replays to exactly the minimal survival time.
     """
     _require_valid(s)
     t_star, m = _scan(s.sets, s.params.n, s.params.f)

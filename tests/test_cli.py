@@ -337,12 +337,6 @@ def test_online_value_guard(capsys):
     assert code == 3
 
 
-def test_online_value_round_cap(capsys, monkeypatch):
-    monkeypatch.setattr(online, "_MAX_ROUNDS_OF_ORACLE", 1)
-    assert main(["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "randomized"]) == 3
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error: double oracle")
-
-
 def test_online_value_cell_budget(capsys, monkeypatch):
     """(3,2,1) solves payoff matrices of 143 cells in all; a smaller
     budget on that work exits 3 before the next LP."""

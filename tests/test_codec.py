@@ -2,6 +2,7 @@
 documents whose numbers or lists have the wrong JSON type."""
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -96,11 +97,13 @@ def test_mutated_document_rejected(tmp_path, kind_value, data):
 
 
 @pytest.mark.parametrize("kind", sorted(FORMATS))
-@pytest.mark.parametrize("text", ["[]", "[{}]", "3", "null", '"doc"', "{not json", ""])
+@pytest.mark.parametrize("text", ["[]", "[{}]", "3", "null", '"doc"', "{not json", "",
+                                  pytest.param(b'{"N": \xff}', id="not-utf8"),
+                                  pytest.param('{"N": 1' + "0" * 5000 + "}", id="5001-digits")])
 def test_non_object_rejected(tmp_path, kind, text):
     path = tmp_path / "doc.json"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         FORMATS[kind][0](path)
 
 

@@ -513,3 +513,8 @@ class TestAdversaryBestResponse:
         other = trivial_schedule(GameParams(3, 2, 1))
         with pytest.raises(ValueError):
             adversary_best_response(params, ((other, Fraction(1)),))
+        small = GameParams(3, 2, 1)
+        for sets in (((1, 2), (1, 2, 3), (7, 9)), ((1, 1), (2, 3), (1, 3))):
+            bad = Schedule(params=small, sets=sets)
+            with pytest.raises(ValueError, match="invalid schedule"):
+                adversary_best_response(small, ((bad, Fraction(1)),))

@@ -182,6 +182,7 @@ def test_scan_agrees_with_per_step_reference():
         t_star, m = reference_killable(s)
         killed += t_star > 0
         assert first_killable_time(s) == t_star
+        assert solver._scan(s.sets, s.params.n, s.params.f)[1] == m
         assert minimal_adversary(s).kills == reference_kills(s, t_star, m)
         report = membership_in_P(schedule_instance(s))
         assert report.violating_t == t_star
@@ -195,22 +196,22 @@ def test_scan_agrees_with_per_step_reference():
 
 @pytest.fixture
 def matching_calls(monkeypatch):
-    """Graphs passed to the solver's ``max_matching`` while the test runs."""
+    """Adjacencies the scan passes to ``_grow_matching`` while the test runs."""
     seen = []
-    real = solver.max_matching
+    real = solver._grow_matching
 
-    def counting(g):
-        seen.append(g)
-        return real(g)
+    def counting(adj, target):
+        seen.append(adj)
+        return real(adj, target)
 
-    monkeypatch.setattr(solver, "max_matching", counting)
+    monkeypatch.setattr(solver, "_grow_matching", counting)
     return seen
 
 
-def test_scan_runs_max_matching_at_most_once(matching_calls):
+def test_scan_searches_once_on_trivial(matching_calls):
     s = trivial_schedule(GameParams(N=40, n=4, f=2))
     assert first_killable_time(s) == 21
-    assert len(matching_calls) <= 1
+    assert len(matching_calls) == 1
 
 
 def test_scan_without_killable_step_runs_no_matching(matching_calls):
