@@ -4,7 +4,8 @@ Everything here recomputes a quantity the fast modules obtain through
 matchings or closed forms, by direct enumeration and independently of
 those modules wherever feasible.  ``brute_deficiency`` touches no
 matching code at all; ``brute_adversary_min`` replays raw kill
-sequences; ``brute_optimum`` searches schedule prefixes.  Budgets are
+sequences; ``brute_optimum`` searches schedule prefixes up to
+relabeling, with Ore's formula on classes of ids as its dead test.  Budgets are
 hard caps, not hints: exceeding one raises instead of degrading.
 """
 
@@ -13,18 +14,23 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from operator import add
+from typing import Callable, Iterable, TypeVar
 
 from .game import GameParams, Schedule, _require_valid
 from .matching import BipartiteGraph, DeficiencyWitness, max_matching
 
 Prefix = tuple[tuple[int, ...], ...]
+# (incidence vector, number of ids with it), sorted by vector
+Classes = tuple[tuple[int, int], ...]
+Node = TypeVar("Node")
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Enumeration cap; ``symmetry_pruning`` toggles prefix
-    canonicalization in ``brute_optimum``."""
+    """Enumeration cap; ``symmetry_pruning`` makes ``brute_optimum``
+    search prefixes up to relabeling of the ids, so that ``max_states``
+    counts those classes rather than prefixes."""
 
     max_states: int = 10**8
     symmetry_pruning: bool = True
@@ -94,48 +100,72 @@ def _canonical(prefix: Prefix, split: int = 0) -> Prefix:
 
 
 def prefix_search(
-    candidates: Sequence[tuple[int, ...]],
+    root: Node,
+    children: Callable[[Node], Iterable[Node]],
+    dead: Callable[[Node], bool],
     depth: int,
-    dead: Callable[[Prefix], bool],
     max_states: int,
-    canonical: Callable[[Prefix], Prefix] | None = None,
     label: str = "prefix search",
 ) -> int:
-    """Length of the longest prefix of at most ``depth`` candidate sets
-    none of whose nonempty prefixes is ``dead``.
+    """Length of the longest chain of at most ``depth`` extensions of
+    ``root``, each one of ``children`` of the one before, none of them
+    ``dead``.
 
-    Depth first, extending with the candidates in order.  With
-    ``canonical`` each extension is relabeled and skipped when a sibling
-    already gave it.  A canonical child keeps its parent as its earlier
-    rows, so two parents never share a child and each frame of the
-    stack keeps only the children of its own prefix.  Every extension
-    that is tested counts as a state; more than ``max_states`` of them
-    raises ``BudgetExceededError``.
+    Depth first, in the order ``children`` gives.  Only the open
+    iterators of the current path are kept.  Every child that is tested
+    counts as a state; more than ``max_states`` of them raises
+    ``BudgetExceededError``.
     """
     states = 0
     best = 0
-    stack: list[tuple[Prefix, Iterator[tuple[int, ...]], set[Prefix]]]
-    stack = [((), iter(candidates), set())]
+    stack = [iter(children(root))]
     while stack:
-        prefix, it, seen = stack[-1]
-        for cand in it:
-            child = prefix + (cand,)
-            if canonical is not None:
-                child = canonical(child)
-                if child in seen:
-                    continue
-                seen.add(child)
+        for child in stack[-1]:
             states += 1
             if states > max_states:
                 raise BudgetExceededError(f"{label} exceeded max_states={max_states}")
             if not dead(child):
-                best = max(best, len(child))
-                if len(child) < depth:
-                    stack.append((child, iter(candidates), set()))
+                best = max(best, len(stack))
+                if len(stack) < depth:
+                    stack.append(iter(children(child)))
                     break
         else:
             stack.pop()
     return best
+
+
+def _class_children(state: Classes, n: int) -> list[Classes]:
+    """Every way to draw the next row's n ids from the classes of
+    ``state``: k_v of class v, 0 <= k_v <= count_v.  The row's bit sits
+    above every bit set so far, so the children stay sorted by vector
+    and distinct compositions give distinct children."""
+    bit = 1 << state[-1][0].bit_length()
+    room = sum(c for _, c in state)  # ids in the classes not yet drawn from
+    partial = [(n, (), ())]  # (ids left to draw, classes kept, classes drawn)
+    for v, c in state:
+        room -= c
+        partial = [
+            (rest - k, kept + ((v, c - k),) if k < c else kept,
+             drawn + ((v | bit, k),) if k else drawn)
+            for rest, kept, drawn in partial
+            for k in range(max(0, rest - room), min(c, rest) + 1)
+        ]
+    return [kept + drawn for _, kept, drawn in partial]
+
+
+def _class_matching_number(state: Classes) -> int:
+    """Matching number of the newest row's time graph, by Ore's formula
+    on whole classes: the row's members drawn from one class have the
+    same earlier steps as neighbours, so nu is the minimum over sets Q of
+    the classes the row meets of (n - sum of k_v over Q) + |union of
+    the supports of Q|."""
+    top = 1 << (state[-1][0].bit_length() - 1)
+    taken, unions = [0], [0]  # over Q: minus the sum of k_v, the union
+    for v, k in state:
+        if v & top:
+            taken += [t - k for t in taken]
+            unions += [u | (v ^ top) for u in unions]
+    return min(map(add, taken, map(int.bit_count, unions))) - taken[-1]
 
 
 def brute_optimum(params: GameParams, budget: SearchBudget | None = None) -> int:
@@ -144,21 +174,34 @@ def brute_optimum(params: GameParams, budget: SearchBudget | None = None) -> int
     A schedule survives t rounds iff its first t sets form a prefix
     whose every time graph has matching number below f, so the optimum
     equals the deepest such prefix (never deeper than N).  Extensions
-    whose newest time graph reaches f are dead and pruned; with
-    ``symmetry_pruning`` prefixes are deduplicated up to relabeling.
+    whose newest time graph reaches f are dead and pruned.  With
+    ``symmetry_pruning`` a state is a prefix up to relabeling of the
+    ids: the multiset of their incidence vectors (bit u set iff the id
+    is in S_{u+1}), as ``(vector, count)`` pairs sorted by vector, and
+    its dead test is ``_class_matching_number``.  Without it a state is
+    a prefix of candidate sets, tested with ``max_matching``.
     """
     budget = budget or SearchBudget()
+    if budget.symmetry_pruning:
+        return prefix_search(
+            ((0, params.N),),
+            lambda state: _class_children(state, params.n),
+            lambda state: _class_matching_number(state) >= params.f,
+            params.N,
+            budget.max_states,
+        )
+    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
 
     def dead(prefix: Prefix) -> bool:
         g = BipartiteGraph.from_rows(prefix[:-1], prefix[-1])
         return max_matching(g).size >= params.f
 
     return prefix_search(
-        list(itertools.combinations(range(1, params.N + 1), params.n)),
-        params.N,
+        (),
+        lambda prefix: (prefix + (c,) for c in candidates),
         dead,
+        params.N,
         budget.max_states,
-        _canonical if budget.symmetry_pruning else None,
     )
 
 

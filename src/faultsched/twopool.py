@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .matching import BipartiteGraph, max_matching
 from .oracle import BudgetExceededError, Prefix, _canonical, prefix_search
@@ -136,11 +137,17 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
         a, b = _type_counts(c, tp.N1)
         if a >= tp.g1 and b >= tp.g2:
             candidates.append(c)
+
+    def children(prefix: Prefix) -> Iterator[Prefix]:
+        # Relabeling keeps a child's earlier rows, its parent, so only
+        # siblings can coincide.
+        return iter(dict.fromkeys(_canonical(prefix + (c,), tp.N1) for c in candidates))
+
     return prefix_search(
-        candidates,
-        total,
+        (),
+        children,
         lambda prefix: _killable(prefix, tp),
+        total,
         max_states,
-        lambda prefix: _canonical(prefix, tp.N1),
         label="two-pool probe",
     )

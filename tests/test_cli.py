@@ -275,6 +275,13 @@ def test_verify_theorem_no_symmetry(capsys):
     assert [r["match"] for r in rows] == ["true"] * len(rows)
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+def test_verify_theorem_rejects_small_max_n(capsys, max_n):
+    code, out, err = run_cli(capsys, "verify-theorem", "--max-N", max_n)
+    assert (code, out) == (1, "")
+    assert "--max-N must be at least 2" in err
+
+
 def test_two_pool(capsys):
     code, out, _ = run_cli(
         capsys, "two-pool", "--N1", "4", "--N2", "4", "--n", "4", "--g1", "1", "--g2", "1"

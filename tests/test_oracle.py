@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultsched import (
     BipartiteGraph,
@@ -19,6 +20,37 @@ from faultsched import (
     random_schedule,
     trivial_schedule,
 )
+from faultsched.oracle import _class_matching_number
+
+
+def grid(max_n):
+    return [GameParams(big_n, n, f)
+            for big_n in range(2, max_n + 1) for n in range(2, big_n + 1) for f in range(1, n)]
+
+
+def classes(prefix, big_n):
+    """The class state of a prefix: how many ids have each incidence
+    vector, bit u set iff the id is in row u."""
+    vectors = Counter(sum(1 << u for u, row in enumerate(prefix) if p in row)
+                      for p in range(1, big_n + 1))
+    return tuple(sorted(vectors.items()))
+
+
+def plain_search_prefixes(params):
+    """Every prefix the plain search tests: each extension of a prefix
+    whose time graphs all stay below f, up to length N."""
+    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
+    out = []
+
+    def grow(prefix):
+        for c in candidates:
+            out.append(prefix + (c,))
+            if (len(prefix) + 1 < params.N
+                    and max_matching(BipartiteGraph.from_rows(prefix, c)).size < params.f):
+                grow(prefix + (c,))
+
+    grow(())
+    return out
 
 
 def test_budget_validation():
@@ -70,13 +102,42 @@ class TestBruteOptimum:
         assert brute_optimum(GameParams(5, 2, 1)) == 2
 
     def test_symmetry_pruning_neutral(self):
-        for big_n in range(2, 5):
-            for n in range(2, big_n + 1):
-                for f in range(1, n):
-                    p = GameParams(big_n, n, f)
-                    with_sym = brute_optimum(p, SearchBudget(symmetry_pruning=True))
-                    without = brute_optimum(p, SearchBudget(symmetry_pruning=False))
-                    assert with_sym == without == h_value(n, f, big_n)
+        for p in grid(5):
+            with_sym = brute_optimum(p, SearchBudget(symmetry_pruning=True))
+            without = brute_optimum(p, SearchBudget(symmetry_pruning=False))
+            assert with_sym == without == h_value(p.n, p.f, p.N)
+
+    def test_matches_closed_form_to_seven(self):
+        cells = grid(7)
+        assert GameParams(7, 5, 4) in cells
+        for p in cells:
+            assert brute_optimum(p) == h_value(p.n, p.f, p.N)
+
+    @pytest.mark.parametrize("params", grid(5), ids=str)
+    def test_states_are_orbits(self, params):
+        # The search up to relabeling tests one state per orbit of the
+        # prefixes the plain search tests, the orbit's representative
+        # being its least relabeling over all N! permutations of the ids.
+        relabelings = [dict(zip(range(1, params.N + 1), q))
+                       for q in itertools.permutations(range(1, params.N + 1))]
+        orbits = {min(tuple(tuple(sorted(m[p] for p in row)) for row in prefix)
+                      for m in relabelings)
+                  for prefix in plain_search_prefixes(params)}
+        value = h_value(params.n, params.f, params.N)
+        assert brute_optimum(params, SearchBudget(max_states=len(orbits))) == value
+        with pytest.raises(BudgetExceededError):
+            brute_optimum(params, SearchBudget(max_states=len(orbits) - 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_class_dead_test_is_the_matching_number(self, data):
+        big_n = data.draw(st.integers(2, 7))
+        n = data.draw(st.integers(1, big_n))
+        row = st.sets(st.integers(1, big_n), min_size=n, max_size=n).map(sorted).map(tuple)
+        prefix = tuple(data.draw(st.lists(row, min_size=1, max_size=big_n)))
+        g = BipartiteGraph.from_rows(prefix[:-1], prefix[-1])
+        nu = _class_matching_number(classes(prefix, big_n))
+        assert nu == max_matching(g).size == brute_deficiency(g).value
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
