@@ -16,12 +16,15 @@ from faultsched import BudgetExceededError, GameParams, online_game_value
 
 def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-N", type=int, default=4)
+    ap.add_argument("--max-N", type=int, default=4, help="largest N, at least 2")
     return ap.parse_args()
 
 
 def main() -> int:
     args = parse_args()
+    if args.max_N < 2:
+        print(f"error: --max-N must be at least 2, got {args.max_N}", file=sys.stderr)
+        return 1
     print("N n f deterministic randomized support gain")
     skipped = 0
     for big_n in range(2, args.max_N + 1):

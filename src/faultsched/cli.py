@@ -121,7 +121,7 @@ def _cmd_reduce(ns: argparse.Namespace) -> int:
 def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
     if ns.max_N < 2:
         raise ValueError(f"--max-N must be at least 2, got {ns.max_N}")
-    budget = SearchBudget(max_states=ns.max_states, symmetry_pruning=not ns.no_symmetry)
+    budget = SearchBudget(max_states=ns.max_states)
     writer = csv.writer(sys.stdout)
     writer.writerow(["N", "n", "f", "h", "brute_T_opt", "match"])
     mismatched = skipped = False
@@ -226,9 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-N", dest="max_N", type=int, required=True, help="largest N, at least 2")
     p.add_argument("--max-states", dest="max_states", type=int, default=10**8,
                    help="states a cell may test before it is skipped; a state is a prefix "
-                   "up to relabeling of the ids, or a plain prefix with --no-symmetry")
-    p.add_argument("--no-symmetry", dest="no_symmetry", action="store_true",
-                   help="plain prefix search with the matching dead test, as a cross-check")
+                   "up to relabeling of the ids")
 
     p = command("two-pool", _cmd_two_pool, "two-type quorum lower bound")
     p.add_argument("--N1", type=int, required=True)

@@ -11,14 +11,14 @@ hard caps, not hints: exceeding one raises instead of degrading.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, TypeVar
 
 from .game import GameParams, Schedule, _require_valid
-from .matching import BipartiteGraph, DeficiencyWitness, max_matching
+from .matching import BipartiteGraph, DeficiencyWitness
+from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps oracle.max_matching
 
 Prefix = tuple[tuple[int, ...], ...]
 # (incidence vector, number of ids with it), sorted by vector
@@ -28,12 +28,10 @@ Node = TypeVar("Node")
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Enumeration cap; ``symmetry_pruning`` makes ``brute_optimum``
-    search prefixes up to relabeling of the ids, so that ``max_states``
-    counts those classes rather than prefixes."""
+    """Enumeration cap: a search that would test more than
+    ``max_states`` states raises ``BudgetExceededError``."""
 
     max_states: int = 10**8
-    symmetry_pruning: bool = True
 
     def __post_init__(self) -> None:
         if self.max_states <= 0:
@@ -114,7 +112,8 @@ def prefix_search(
     Depth first, in the order ``children`` gives.  Only the open
     iterators of the current path are kept.  Every child that is tested
     counts as a state; more than ``max_states`` of them raises
-    ``BudgetExceededError``.
+    ``BudgetExceededError``.  ``brute_optimum`` and the two-pool probe
+    both run it.
     """
     states = 0
     best = 0
@@ -169,37 +168,22 @@ def _class_matching_number(state: Classes) -> int:
 
 
 def brute_optimum(params: GameParams, budget: SearchBudget | None = None) -> int:
-    """Exact optimum worst-case survival by prefix search.
+    """Exact optimum worst-case survival by prefix search up to
+    relabeling of the ids.
 
     A schedule survives t rounds iff its first t sets form a prefix
     whose every time graph has matching number below f, so the optimum
-    equals the deepest such prefix (never deeper than N).  Extensions
-    whose newest time graph reaches f are dead and pruned.  With
-    ``symmetry_pruning`` a state is a prefix up to relabeling of the
-    ids: the multiset of their incidence vectors (bit u set iff the id
-    is in S_{u+1}), as ``(vector, count)`` pairs sorted by vector, and
-    its dead test is ``_class_matching_number``.  Without it a state is
-    a prefix of candidate sets, tested with ``max_matching``.
+    equals the deepest such prefix (never deeper than N).  A state is
+    the multiset of the ids' incidence vectors (bit u set iff the id is
+    in S_{u+1}), as ``(vector, count)`` pairs sorted by vector; its
+    children are ``_class_children`` and it is dead, and pruned, when
+    ``_class_matching_number`` reaches f.
     """
     budget = budget or SearchBudget()
-    if budget.symmetry_pruning:
-        return prefix_search(
-            ((0, params.N),),
-            lambda state: _class_children(state, params.n),
-            lambda state: _class_matching_number(state) >= params.f,
-            params.N,
-            budget.max_states,
-        )
-    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
-
-    def dead(prefix: Prefix) -> bool:
-        g = BipartiteGraph.from_rows(prefix[:-1], prefix[-1])
-        return max_matching(g).size >= params.f
-
     return prefix_search(
-        (),
-        lambda prefix: (prefix + (c,) for c in candidates),
-        dead,
+        ((0, params.N),),
+        lambda state: _class_children(state, params.n),
+        lambda state: _class_matching_number(state) >= params.f,
         params.N,
         budget.max_states,
     )

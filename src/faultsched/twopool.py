@@ -125,8 +125,11 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
     Experimental probe only: guards reject anything beyond N1 + N2 <= 8
     or n > 4.  Candidate sets already meeting a quorum with zero faults
     are the only ones considered; prefixes are deduplicated up to
-    relabeling within each type.
+    relabeling within each type.  ``max_states`` must be positive, as
+    in ``SearchBudget``.
     """
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
     total = tp.N1 + tp.N2
     if total > 8 or tp.n > 4:
         raise BudgetExceededError(

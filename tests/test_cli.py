@@ -266,13 +266,11 @@ def test_verify_theorem_budget_skip(capsys):
     assert all(r["brute_T_opt"] == "" for r in skipped)
 
 
-def test_verify_theorem_no_symmetry(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify-theorem", "--max-N", "3", "--no-symmetry"
-    )
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert [r["match"] for r in rows] == ["true"] * len(rows)
+def test_verify_theorem_has_no_plain_search_flag(capsys):
+    # brute_optimum has one search; the plain one is a test reference.
+    code, out, err = run_cli(capsys, "verify-theorem", "--max-N", "3", "--no-symmetry")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --no-symmetry" in err
 
 
 @pytest.mark.parametrize("max_n", ["1", "0", "-3"])

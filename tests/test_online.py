@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import itertools
 import os
 import random
@@ -26,6 +28,7 @@ from faultsched import (
     solve_zero_sum,
     survival_time,
     trivial_schedule,
+    two_pool_brute_optimum,
 )
 from faultsched.online import _best_response, _policy_survival, _scheduler_best_response
 
@@ -338,15 +341,20 @@ class TestOnlineGameValue:
             online_game_value(GameParams(4, 2, 1), "stochastic")
 
 
+def load_script(name):
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 @pytest.mark.parametrize("max_n,code", [(4, 0), (6, 3)])
 def test_online_value_table_exit_code(monkeypatch, capsys, max_n, code):
     """Cells past the size guard are printed as skipped and make the
     script exit 3.  Both columns are the closed form here, which keeps
     the sweep fast and goes through the same guard."""
-    path = Path(__file__).parents[1] / "scripts" / "online_value_table.py"
-    spec = importlib.util.spec_from_file_location("online_value_table", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("online_value_table")
     monkeypatch.setattr(script, "online_game_value",
                         lambda params, mode: online_game_value(params, "deterministic"))
     monkeypatch.setattr(sys, "argv", ["online_value_table.py", "--max-N", str(max_n)])
@@ -357,6 +365,46 @@ def test_online_value_table_exit_code(monkeypatch, capsys, max_n, code):
     skipped = {line.split(" skipped")[0] for line in lines if " skipped " in line}
     assert ("6 5 1" in skipped) == (max_n == 6)
     assert "4 2 1" not in skipped
+
+
+@pytest.mark.parametrize("script_name,argv", [
+    ("online_value_table", ["--max-N", "1"]),
+    ("two_pool_tightness", ["--max-pool", "0"]),
+    ("two_pool_tightness", ["--max-pool", "2", "--max-states", "0"]),
+])
+def test_scripts_reject_out_of_range_arguments(monkeypatch, capsys, script_name, argv):
+    script = load_script(script_name)
+    monkeypatch.setattr(sys, "argv", [f"{script_name}.py", *argv])
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,code,blank", [
+    (["--max-pool", "2"], 0, 0),
+    (["--max-pool", "2", "--max-states", "1"], 3, 2),
+])
+def test_two_pool_tightness_exit_code(monkeypatch, capsys, argv, code, blank):
+    """A cell whose search exceeds --max-states keeps its row, with blank
+    brute and gap columns, and makes the script exit 3."""
+    script = load_script("two_pool_tightness")
+    monkeypatch.setattr(sys, "argv", ["two_pool_tightness.py", *argv])
+    assert script.main() == code
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 19
+    assert sum(r["brute"] == "" for r in rows) == blank
+
+
+def test_two_pool_tightness_bound_above_optimum(monkeypatch, capsys):
+    script = load_script("two_pool_tightness")
+    monkeypatch.setattr(script, "two_pool_best_split",
+                        lambda tp: (two_pool_brute_optimum(tp) + 1, None))
+    monkeypatch.setattr(sys, "argv", ["two_pool_tightness.py", "--max-pool", "2"])
+    assert script.main() == 2
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 19
+    assert {r["gap"] for r in rows} == {"-1"}
 
 
 def replayed_survival(params, sets, policy):

@@ -36,28 +36,27 @@ def classes(prefix, big_n):
     return tuple(sorted(vectors.items()))
 
 
-def plain_search_prefixes(params):
-    """Every prefix the plain search tests: each extension of a prefix
-    whose time graphs all stay below f, up to length N."""
+def plain_search(params):
+    """The plain prefix search, the reference for ``brute_optimum``:
+    yields every prefix it tests, each extension of a live prefix by
+    one of the n-subsets up to length N, with whether it is live (its
+    newest time graph has matching number below f)."""
     candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
-    out = []
 
     def grow(prefix):
         for c in candidates:
-            out.append(prefix + (c,))
-            if (len(prefix) + 1 < params.N
-                    and max_matching(BipartiteGraph.from_rows(prefix, c)).size < params.f):
-                grow(prefix + (c,))
+            live = max_matching(BipartiteGraph.from_rows(prefix, c)).size < params.f
+            yield prefix + (c,), live
+            if live and len(prefix) + 1 < params.N:
+                yield from grow(prefix + (c,))
 
-    grow(())
-    return out
+    return grow(())
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_states=0)
     assert SearchBudget().max_states == 10**8
-    assert SearchBudget().symmetry_pruning
 
 
 class TestBruteAdversaryMin:
@@ -101,11 +100,12 @@ class TestBruteOptimum:
     def test_five_two_one(self):
         assert brute_optimum(GameParams(5, 2, 1)) == 2
 
-    def test_symmetry_pruning_neutral(self):
-        for p in grid(5):
-            with_sym = brute_optimum(p, SearchBudget(symmetry_pruning=True))
-            without = brute_optimum(p, SearchBudget(symmetry_pruning=False))
-            assert with_sym == without == h_value(p.n, p.f, p.N)
+    def test_matches_plain_search_to_six(self):
+        cells = grid(6)
+        assert len(cells) == 35
+        for p in cells:
+            plain = max(len(prefix) for prefix, live in plain_search(p) if live)
+            assert plain == brute_optimum(p) == h_value(p.n, p.f, p.N)
 
     def test_matches_closed_form_to_seven(self):
         cells = grid(7)
@@ -122,7 +122,7 @@ class TestBruteOptimum:
                        for q in itertools.permutations(range(1, params.N + 1))]
         orbits = {min(tuple(tuple(sorted(m[p] for p in row)) for row in prefix)
                       for m in relabelings)
-                  for prefix in plain_search_prefixes(params)}
+                  for prefix, _ in plain_search(params)}
         value = h_value(params.n, params.f, params.N)
         assert brute_optimum(params, SearchBudget(max_states=len(orbits))) == value
         with pytest.raises(BudgetExceededError):

@@ -115,6 +115,12 @@ class TestBruteProbe:
         with pytest.raises(BudgetExceededError):
             two_pool_brute_optimum(TwoPoolParams(N1=4, N2=4, n=5, g1=1, g2=1))
 
+    def test_max_states_must_be_positive(self):
+        tp = TwoPoolParams(N1=2, N2=2, n=2, g1=1, g2=1)
+        for max_states in (0, -5):
+            with pytest.raises(ValueError):
+                two_pool_brute_optimum(tp, max_states)
+
     def test_probe_matches_direct_game_enumeration(self):
         configs = [
             TwoPoolParams(N1=2, N2=2, n=2, g1=1, g2=1),
