@@ -3,11 +3,12 @@
 
 Sweeps small (N1, N2, n, g1, g2) configurations, computes the split
 lower bound, and compares it with an exhaustive search over two-pool
-schedules whenever the search is feasible.  The gap column makes any
-slack visible.  A cell past --max-states or the probe's size guard
-is printed with blank brute and gap columns, and the script then exits
-3; a split bound above the searched optimum (a negative gap) makes it
-exit 2, as the CLI's verify-theorem does on a mismatch.
+schedules.  The gap column makes any slack visible.  Only cells within
+the probe's size guard are swept (N1 + N2 <= PROBE_MAX_POOL and
+n <= PROBE_MAX_N in faultsched.twopool).  A cell past --max-states is
+printed with blank brute and gap columns, and the script then exits 3;
+a split bound above the searched optimum (a negative gap) makes it exit
+2, as the CLI's verify-theorem does on a mismatch.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from faultsched import (
     two_pool_best_split,
     two_pool_brute_optimum,
 )
+from faultsched.twopool import PROBE_MAX_N, PROBE_MAX_POOL
 
 
 def parse_args() -> argparse.Namespace:
@@ -39,8 +41,8 @@ def main() -> int:
     writer.writerow(["N1", "N2", "n", "g1", "g2", "split", "bound", "brute", "gap"])
     above = skipped = False
     for n1_pool in range(1, args.max_pool + 1):
-        for n2_pool in range(1, args.max_pool + 1):
-            for n in range(2, n1_pool + n2_pool + 1):
+        for n2_pool in range(1, min(args.max_pool, PROBE_MAX_POOL - n1_pool) + 1):
+            for n in range(2, min(n1_pool + n2_pool, PROBE_MAX_N) + 1):
                 for g1 in range(1, n):
                     for g2 in range(1, n - g1 + 1):
                         tp = TwoPoolParams(N1=n1_pool, N2=n2_pool, n=n, g1=g1, g2=g2)

@@ -6,6 +6,10 @@ JSON files.  Exit codes: 0 success, 1 invalid input, 2 verification
 mismatch, 3 budget exceeded.  The seed is echoed to stderr on every
 run so captured stdout stays parseable while the invocation remains
 reproducible from its logs.
+
+Each run is a fresh interpreter, so only ``game`` and ``survival`` are
+imported here; a command imports the solver, oracle, two-pool or
+on-line modules it calls when it runs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import sys
 from typing import Callable
 
 from .game import (
+    BudgetExceededError,
     GameParams,
     adversary_to_dict,
     load_adversary,
@@ -26,19 +31,7 @@ from .game import (
     survival_time,
     trivial_schedule,
 )
-from .oracle import BudgetExceededError, SearchBudget, brute_optimum
-from .online import online_game_value
-from .solver import (  # noqa: F401 - perfbench/tracer.py wraps cli.first_killable_time
-    first_killable_time,
-    instance_to_dict,
-    load_instance,
-    membership_in_P,
-    minimal_adversary,
-    reduce_instance,
-    save_instance,
-)
 from .survival import h_value, optimum_survival_time
-from .twopool import TwoPoolParams, two_pool_best_split, two_pool_brute_optimum
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -85,6 +78,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_solve_adversary(ns: argparse.Namespace) -> int:
+    from .solver import minimal_adversary
+
     s = load_schedule(ns.schedule)
     adv = minimal_adversary(s)
     T = survival_time(s, adv)  # the adversary attains the minimum, ending the run at t* - 1
@@ -98,6 +93,8 @@ def _cmd_solve_adversary(ns: argparse.Namespace) -> int:
 
 
 def _cmd_check_p(ns: argparse.Namespace) -> int:
+    from .solver import load_instance, membership_in_P
+
     report = membership_in_P(load_instance(ns.instance))
     if report.member:
         print("member")
@@ -107,6 +104,8 @@ def _cmd_check_p(ns: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(ns: argparse.Namespace) -> int:
+    from .solver import instance_to_dict, load_instance, reduce_instance, save_instance
+
     inst = load_instance(ns.instance)
     reduced = reduce_instance(inst)
     if ns.out:
@@ -119,6 +118,8 @@ def _cmd_reduce(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
+    from .oracle import SearchBudget, brute_optimum
+
     if ns.max_N < 2:
         raise ValueError(f"--max-N must be at least 2, got {ns.max_N}")
     budget = SearchBudget(max_states=ns.max_states)
@@ -146,6 +147,8 @@ def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
 
 
 def _cmd_two_pool(ns: argparse.Namespace) -> int:
+    from .twopool import TwoPoolParams, two_pool_best_split, two_pool_brute_optimum
+
     tp = TwoPoolParams(N1=ns.N1, N2=ns.N2, n=ns.n, g1=ns.g1, g2=ns.g2)
     bound, split = two_pool_best_split(tp)
     print(f"bound={bound}")
@@ -156,6 +159,8 @@ def _cmd_two_pool(ns: argparse.Namespace) -> int:
 
 
 def _cmd_online_value(ns: argparse.Namespace) -> int:
+    from .online import online_game_value
+
     gv = online_game_value(GameParams(N=ns.N, n=ns.n, f=ns.f), ns.mode)
     print(f"value={gv.value}")
     print("support:")
@@ -265,6 +270,16 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+
+
+def __getattr__(name: str) -> object:
+    """perfbench/tracer.py wraps library names as attributes of this
+    module (``cli.first_killable_time``, ``cli.load_instance``, ...);
+    resolve the ones not imported above through the package."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(package, name)
 
 
 if __name__ == "__main__":

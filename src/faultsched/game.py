@@ -18,6 +18,11 @@ from pathlib import Path
 from .survival import h_value
 
 
+class BudgetExceededError(RuntimeError):
+    """A search or construction would pass its budget or size cap; the
+    CLI maps it to exit code 3."""
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Pool size N, operating-set size n, per-set fault tolerance f."""

@@ -23,10 +23,9 @@ from functools import cache
 from math import comb
 from typing import Mapping, Sequence
 
-from .game import GameParams, Schedule, _require_valid, trivial_schedule
+from .game import BudgetExceededError, GameParams, Schedule, _require_valid, trivial_schedule
 from .game import survival_time  # noqa: F401 - perfbench/tracer.py wraps online.survival_time
 from .matrixgame import over_common_denominator, solve_zero_sum
-from .oracle import BudgetExceededError
 from .survival import h_value
 
 Sets = tuple[tuple[int, ...], ...]

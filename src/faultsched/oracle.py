@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, TypeVar
 
-from .game import GameParams, Schedule, _require_valid
+from .game import BudgetExceededError, GameParams, Schedule, _require_valid
 from .matching import BipartiteGraph, DeficiencyWitness
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps oracle.max_matching
 
@@ -36,10 +36,6 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_states <= 0:
             raise ValueError("max_states must be positive")
-
-
-class BudgetExceededError(RuntimeError):
-    """Search would (or did) enumerate more states than the budget allows."""
 
 
 def brute_adversary_min(s: Schedule, budget: SearchBudget | None = None) -> int:

@@ -17,9 +17,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from .game import BudgetExceededError
 from .matching import BipartiteGraph, max_matching
-from .oracle import BudgetExceededError, Prefix, _canonical, prefix_search
+from .oracle import Prefix, _canonical, prefix_search
 from .survival import h_value
+
+# Size guard of two_pool_brute_optimum: N1 + N2 <= PROBE_MAX_POOL, n <= PROBE_MAX_N.
+PROBE_MAX_POOL = 8
+PROBE_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -122,18 +127,19 @@ def _killable(prefix: Prefix, tp: TwoPoolParams) -> bool:
 def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
     """Exact two-pool optimum on tiny instances, by prefix search.
 
-    Experimental probe only: guards reject anything beyond N1 + N2 <= 8
-    or n > 4.  Candidate sets already meeting a quorum with zero faults
-    are the only ones considered; prefixes are deduplicated up to
+    Experimental probe only: N1 + N2 > PROBE_MAX_POOL or n > PROBE_MAX_N
+    raises ``BudgetExceededError``.  Candidate sets already meeting a
+    quorum with zero faults are the only ones considered; prefixes are deduplicated up to
     relabeling within each type.  ``max_states`` must be positive, as
     in ``SearchBudget``.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
     total = tp.N1 + tp.N2
-    if total > 8 or tp.n > 4:
+    if total > PROBE_MAX_POOL or tp.n > PROBE_MAX_N:
         raise BudgetExceededError(
-            f"probe limited to N1+N2 <= 8 and n <= 4, got {total} and {tp.n}"
+            f"probe limited to N1+N2 <= {PROBE_MAX_POOL} and n <= {PROBE_MAX_N}, "
+            f"got {total} and {tp.n}"
         )
     candidates = []
     for c in itertools.combinations(range(1, total + 1), tp.n):

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import faultsched
 from faultsched import (
     GameParams,
     load_adversary,
@@ -373,3 +376,44 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
     assert "seed=0" in proc.stderr
+
+
+LOADED_BY_ALL = ["faultsched", "faultsched.cli", "faultsched.game", "faultsched.survival"]
+SOLVER = ["faultsched.matching", "faultsched.solver"]
+
+
+IMPORT_CASES = [
+    (["opt", "--N", "4", "--n", "2", "--f", "1"], []),
+    (["h-eval", "--n", "4", "--f", "3", "--k", "7"], []),
+    (["sweep", "--n", "2", "--f", "1", "--max-k", "3"], []),
+    (["gen-trivial", "--N", "4", "--n", "2", "--f", "1", "--out", "out.json"], []),
+    (["eval", "--schedule", "s.json", "--adversary", "a.json"], []),
+    (["solve-adversary", "--schedule", "s.json"], SOLVER),
+    (["check-p", "--instance", "inst.json"], SOLVER),
+    (["reduce", "--instance", "inst.json"], SOLVER),
+    (["verify-theorem", "--max-N", "3"], ["faultsched.matching", "faultsched.oracle"]),
+    (["two-pool", "--N1", "2", "--N2", "2", "--n", "2", "--g1", "1", "--g2", "1"],
+     ["faultsched.matching", "faultsched.oracle", "faultsched.twopool"]),
+    (["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "deterministic"],
+     ["faultsched.matrixgame", "faultsched.online"]),
+]
+
+
+@pytest.mark.parametrize("argv,extra", IMPORT_CASES, ids=[argv[0] for argv, _ in IMPORT_CASES])
+def test_command_imports_only_its_modules(tmp_path, argv, extra):
+    """A fresh interpreter running one command loads only the modules
+    that command calls."""
+    save_schedule(trivial_schedule(GameParams(4, 2, 1)), tmp_path / "s.json")
+    (tmp_path / "a.json").write_text('{"kills": [1, 3, 4, 4]}\n')
+    save_instance(surviving_prefix_instance(trivial_schedule(GameParams(4, 2, 1))),
+                  tmp_path / "inst.json")
+    child = ("import contextlib, io, json, sys\n"
+             "from faultsched.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(json.loads(sys.argv[1]))\n"
+             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'faultsched'))\n")
+    src = str(Path(faultsched.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.stdout.split() == ["0", *sorted(LOADED_BY_ALL + extra)], proc.stderr

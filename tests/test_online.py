@@ -384,15 +384,17 @@ def test_scripts_reject_out_of_range_arguments(monkeypatch, capsys, script_name,
 @pytest.mark.parametrize("argv,code,blank", [
     (["--max-pool", "2"], 0, 0),
     (["--max-pool", "2", "--max-states", "1"], 3, 2),
+    (["--max-pool", "3"], 0, 0),
 ])
 def test_two_pool_tightness_exit_code(monkeypatch, capsys, argv, code, blank):
     """A cell whose search exceeds --max-states keeps its row, with blank
-    brute and gap columns, and makes the script exit 3."""
+    brute and gap columns, and makes the script exit 3.  Cells past the
+    probe's size guard (n > 4 at --max-pool 3) are not swept."""
     script = load_script("two_pool_tightness")
     monkeypatch.setattr(sys, "argv", ["two_pool_tightness.py", *argv])
     assert script.main() == code
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == 19
+    assert len(rows) == {"2": 19, "3": 69}[argv[1]]
     assert sum(r["brute"] == "" for r in rows) == blank
 
 

@@ -1,0 +1,66 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import faultsched
+from faultsched import game, online, oracle, twopool
+
+PUBLIC = [
+    "Adversary", "AdversaryPolicy", "BipartiteGraph", "BudgetExceededError",
+    "DeficiencyWitness", "GameParams", "GameValue", "Matching", "MatrixGameSolution",
+    "MembershipReport", "PInstance", "Schedule", "SearchBudget", "TimeGraph",
+    "TwoPoolParams", "Violation", "adversary_best_response", "adversary_to_dict",
+    "apriori_upper_bound", "brute_adversary_min", "brute_deficiency", "brute_optimum",
+    "deficiency_witness", "first_killable_time", "h_value", "instance_to_dict",
+    "load_adversary", "load_instance", "load_schedule", "max_matching", "membership_in_P",
+    "minimal_adversary", "minimal_survival_time", "online_game_value",
+    "optimum_survival_time", "random_schedule", "reduce_instance", "save_adversary",
+    "save_instance", "save_schedule", "schedule_instance", "schedule_to_dict",
+    "solve_zero_sum", "survival_time", "surviving_prefix_instance", "time_graph",
+    "trivial_schedule", "two_pool_best_split", "two_pool_brute_optimum",
+    "two_pool_lower_bound", "validate_adversary", "validate_schedule",
+]
+
+
+def test_all_is_unchanged():
+    assert faultsched.__all__ == PUBLIC
+
+
+def test_each_name_is_its_home_modules_object():
+    for name in PUBLIC:
+        value = getattr(faultsched, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+
+
+def test_dir_and_unknown_name():
+    assert set(PUBLIC) <= set(dir(faultsched))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        faultsched.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from faultsched import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+    assert all(namespace[name] is getattr(faultsched, name) for name in PUBLIC)
+
+
+def test_submodule_attribute_in_fresh_process():
+    code = ("import faultsched, sys\n"
+            "assert 'faultsched.solver' not in sys.modules\n"
+            "print(faultsched.solver.__name__)")
+    src = str(Path(faultsched.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "faultsched.solver\n", "")
+
+
+def test_one_budget_error_class():
+    assert faultsched.BudgetExceededError is game.BudgetExceededError
+    assert oracle.BudgetExceededError is game.BudgetExceededError
+    assert twopool.BudgetExceededError is game.BudgetExceededError
+    assert online.BudgetExceededError is game.BudgetExceededError
