@@ -74,21 +74,17 @@ def brute_adversary_min(s: Schedule, budget: SearchBudget | None = None) -> int:
     return best
 
 
-def _canonical(prefix: Prefix, split: int = 0) -> Prefix:
-    """Relabel ids by order of first appearance, rows scanned ascending:
-    ids up to ``split`` are labelled from 1, the others from
-    ``split + 1``, so with two processor types each keeps its own."""
+def _canonical(prefix: Prefix) -> Prefix:
+    """Relabel ids by order of first appearance, rows scanned ascending.
+
+    No search calls it any more: it stays only as a target that
+    perfbench/tracer.py wraps, and ROADMAP item 1 deletes it.
+    """
     label: dict[int, int] = {}
-    low = 0  # ids up to split labelled so far
     out = []
     for row in prefix:
         for p in row:
-            if p not in label:
-                if p <= split:
-                    low += 1
-                    label[p] = low
-                else:
-                    label[p] = split + len(label) - low + 1
+            label.setdefault(p, len(label) + 1)
         out.append(tuple(sorted(label[p] for p in row)))
     return tuple(out)
 

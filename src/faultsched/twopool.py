@@ -7,19 +7,18 @@ running the two single-pool batch constructions side by side survives
 min(h_{n1,n1-g1}(N1), h_{n2,n2-g2}(N2)) rounds, so the best split gives
 a lower bound on the two-pool optimum.  Whether that bound is tight is
 unknown; ``two_pool_brute_optimum`` probes it by exhaustive search on
-tiny pools and is reported side by side with the bound, never asserted
-equal.
+tiny pools, the class search of ``oracle.brute_optimum`` with the pool
+type in the class key, and is reported side by side with the bound,
+never asserted equal.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .game import BudgetExceededError
-from .matching import BipartiteGraph, max_matching
-from .oracle import Prefix, _canonical, prefix_search
+from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps twopool.max_matching
+from .oracle import Classes, _class_children, _class_matching_number, prefix_search
 from .survival import h_value
 
 # Size guard of two_pool_brute_optimum: N1 + N2 <= PROBE_MAX_POOL, n <= PROBE_MAX_N.
@@ -95,43 +94,41 @@ def two_pool_lower_bound(tp: TwoPoolParams) -> int:
     return two_pool_best_split(tp)[0]
 
 
-def _type_counts(members: tuple[int, ...], n1_pool: int) -> tuple[int, int]:
-    a = sum(1 for p in members if p <= n1_pool)
-    return a, len(members) - a
-
-
-def _killable(prefix: Prefix, tp: TwoPoolParams) -> bool:
-    """Whether some kill sequence breaks a quorum at the last round.
+def _killable(state: Classes, tp: TwoPoolParams) -> bool:
+    """Whether some kill sequence breaks a quorum at the newest row.
 
     Breaking quorum i at round t takes count_i - g_i + 1 dead type-i
     members of S_t.  One kill lands at t itself (a live type-i member
     always remains at that point, since g_i >= 1); the rest must come
     from earlier rounds, one per round, each a member of that round's
-    set, which is a per-type maximum matching question on the last
-    time graph.  A zero quorum demands nothing and cannot break.
+    set, which is a matching of the row's type-i members into the
+    earlier rows: its largest size is the class Ore minimum on the
+    type-i classes with the type bit cleared.  A row at its quorum
+    needs no earlier kill and is dead at once.  A zero quorum demands
+    nothing and cannot break.
     """
-    last = prefix[-1]
-    a, b = _type_counts(last, tp.N1)
-    for is_type1, count, quorum in ((True, a, tp.g1), (False, b, tp.g2)):
+    top = 1 << (state[-1][0].bit_length() - 1)
+    for kind, quorum in ((0, tp.g1), (1, tp.g2)):
         if quorum == 0:
             continue
-        need_earlier = count - quorum
-        if need_earlier <= 0:
-            return True
-        rights = tuple(p for p in last if (p <= tp.N1) == is_type1)
-        if max_matching(BipartiteGraph.from_rows(prefix[:-1], rights)).size >= need_earlier:
+        classes = tuple((v ^ kind, c) for v, c in state if v & 1 == kind)
+        need = sum(c for v, c in classes if v & top) - quorum
+        if _class_matching_number(classes) >= need:
             return True
     return False
 
 
 def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
-    """Exact two-pool optimum on tiny instances, by prefix search.
+    """Exact two-pool optimum on tiny instances, by prefix search up to
+    relabeling within each type.
 
     Experimental probe only: N1 + N2 > PROBE_MAX_POOL or n > PROBE_MAX_N
-    raises ``BudgetExceededError``.  Candidate sets already meeting a
-    quorum with zero faults are the only ones considered; prefixes are deduplicated up to
-    relabeling within each type.  ``max_states`` must be positive, as
-    in ``SearchBudget``.
+    raises ``BudgetExceededError``.  It runs the class search of
+    ``brute_optimum`` with the pool type in the class key: bit 0 of an
+    id's incidence vector is its type, so row bits start at bit 1 and
+    no class mixes the types.  Only rows already meeting both quorums
+    with zero faults are drawn, and a state is dead when ``_killable``
+    says so.  ``max_states`` must be positive, as in ``SearchBudget``.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
@@ -141,21 +138,21 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
             f"probe limited to N1+N2 <= {PROBE_MAX_POOL} and n <= {PROBE_MAX_N}, "
             f"got {total} and {tp.n}"
         )
-    candidates = []
-    for c in itertools.combinations(range(1, total + 1), tp.n):
-        a, b = _type_counts(c, tp.N1)
-        if a >= tp.g1 and b >= tp.g2:
-            candidates.append(c)
 
-    def children(prefix: Prefix) -> Iterator[Prefix]:
-        # Relabeling keeps a child's earlier rows, its parent, so only
-        # siblings can coincide.
-        return iter(dict.fromkeys(_canonical(prefix + (c,), tp.N1) for c in candidates))
+    def children(state: Classes) -> list[Classes]:
+        # Only rows that meet both quorums with zero faults: the sum
+        # counts the new row's type-2 ids.
+        bit = 1 << state[-1][0].bit_length()
+        return [
+            child
+            for child in _class_children(state, tp.n)
+            if tp.g2 <= sum(c for v, c in child if v & bit and v & 1) <= tp.n - tp.g1
+        ]
 
     return prefix_search(
-        (),
+        ((0, tp.N1), (1, tp.N2)),
         children,
-        lambda prefix: _killable(prefix, tp),
+        lambda state: _killable(state, tp),
         total,
         max_states,
         label="two-pool probe",

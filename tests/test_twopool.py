@@ -3,15 +3,67 @@ import itertools
 import pytest
 
 from faultsched import (
+    BipartiteGraph,
     BudgetExceededError,
     GameParams,
     TwoPoolParams,
     brute_optimum,
     h_value,
+    max_matching,
     two_pool_best_split,
     two_pool_brute_optimum,
     two_pool_lower_bound,
 )
+
+
+def guarded_cells():
+    """Every configuration within the probe's size guard,
+    N1 + N2 <= 8 and n <= 4, the degenerate N2 = 0 ones included."""
+    return [
+        TwoPoolParams(N1, N2, n, g1, g2)
+        for N1 in range(1, 9)
+        for N2 in range(0, 9 - N1)
+        for n in range(1, 5)
+        for g1 in range(1, n + 1)
+        for g2 in ([0] if N2 == 0 else range(1, n - g1 + 1))
+    ]
+
+
+def plain_two_pool_search(tp):
+    """The plain two-pool prefix search, the reference for
+    ``two_pool_brute_optimum``: yields every prefix it tests, each
+    extension of a live prefix by one of the n-subsets that meet both
+    quorums with zero faults, up to length N1 + N2, with whether it is
+    live.  No relabeling; the dead test is a maximum matching per type
+    of the newest row's type-i members into the earlier rows, which
+    breaks quorum i when it reaches count_i - g_i."""
+    total = tp.N1 + tp.N2
+    candidates = [
+        c for c in itertools.combinations(range(1, total + 1), tp.n)
+        if sum(p <= tp.N1 for p in c) >= tp.g1 and sum(p > tp.N1 for p in c) >= tp.g2
+    ]
+
+    def live(prefix, c):
+        for is_type1, quorum in ((True, tp.g1), (False, tp.g2)):
+            rights = tuple(p for p in c if (p <= tp.N1) == is_type1)
+            if quorum and max_matching(
+                BipartiteGraph.from_rows(prefix, rights)
+            ).size >= len(rights) - quorum:
+                return False
+        return True
+
+    def grow(prefix):
+        for c in candidates:
+            ok = live(prefix, c)
+            yield prefix + (c,), ok
+            if ok and len(prefix) + 1 < total:
+                yield from grow(prefix + (c,))
+
+    return grow(())
+
+
+def deepest_live(tested):
+    return max((len(prefix) for prefix, ok in tested if ok), default=0)
 
 
 def enumerate_bound(tp: TwoPoolParams) -> int:
@@ -103,11 +155,45 @@ class TestBruteProbe:
         assert two_pool_brute_optimum(tp) == 0
 
     def test_degenerate_matches_single_pool_brute(self):
-        for big_n, n, g1 in ((5, 2, 1), (4, 3, 1), (6, 3, 2), (4, 2, 1)):
-            tp = TwoPoolParams(N1=big_n, N2=0, n=n, g1=g1, g2=0)
+        cells = [tp for tp in guarded_cells() if tp.N2 == 0 and tp.g1 < tp.n <= tp.N1]
+        assert len(cells) == 34
+        for tp in cells:
             assert two_pool_brute_optimum(tp) == brute_optimum(
-                GameParams(N=big_n, n=n, f=n - g1)
+                GameParams(N=tp.N1, n=tp.n, f=tp.n - tp.g1)
             )
+
+    def test_matches_plain_search(self):
+        cells = [tp for tp in guarded_cells() if tp.N2 > 0 or tp.N1 <= 5]
+        assert len(cells) == 280 + 50
+        for tp in cells:
+            assert two_pool_brute_optimum(tp) == deepest_live(plain_two_pool_search(tp))
+
+    @pytest.mark.parametrize(
+        "tp",
+        [tp for tp in guarded_cells() if tp.N1 + tp.N2 <= 5],
+        ids=lambda tp: f"{tp.N1}-{tp.N2}-{tp.n}-{tp.g1}-{tp.g2}",
+    )
+    def test_states_are_orbits(self, tp):
+        # The probe tests one state per orbit of the prefixes the plain
+        # search tests, under every relabeling that keeps each pool's
+        # ids in that pool, the orbit's representative being its least
+        # relabeling.
+        total = tp.N1 + tp.N2
+        relabelings = [
+            dict(zip(range(1, total + 1), q1 + q2))
+            for q1 in itertools.permutations(range(1, tp.N1 + 1))
+            for q2 in itertools.permutations(range(tp.N1 + 1, total + 1))
+        ]
+        tested = list(plain_two_pool_search(tp))
+        orbits = {
+            min(tuple(tuple(sorted(m[p] for p in row)) for row in prefix) for m in relabelings)
+            for prefix, _ in tested
+        }
+        value = deepest_live(tested)
+        assert two_pool_brute_optimum(tp, max_states=max(len(orbits), 1)) == value
+        if len(orbits) > 1:
+            with pytest.raises(BudgetExceededError):
+                two_pool_brute_optimum(tp, max_states=len(orbits) - 1)
 
     def test_guard(self):
         with pytest.raises(BudgetExceededError):
