@@ -25,12 +25,9 @@ _HOMES = {
     ),
     "matrixgame": ("MatrixGameSolution", "solve_zero_sum"),
     "online": ("AdversaryPolicy", "GameValue", "adversary_best_response", "online_game_value"),
-    "oracle": (
-        "SearchBudget", "brute_adversary_min", "brute_deficiency", "brute_optimum",
-        "random_schedule",
-    ),
+    "oracle": ("brute_adversary_min", "brute_deficiency", "brute_optimum", "random_schedule"),
     "solver": (
-        "MembershipReport", "PInstance", "TimeGraph", "first_killable_time",
+        "MembershipReport", "PInstance", "first_killable_time",
         "instance_to_dict", "load_instance", "membership_in_P", "minimal_adversary",
         "minimal_survival_time", "reduce_instance", "save_instance", "schedule_instance",
         "surviving_prefix_instance", "time_graph",

@@ -118,11 +118,12 @@ def _cmd_reduce(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
-    from .oracle import SearchBudget, brute_optimum
+    from .oracle import brute_optimum
 
     if ns.max_N < 2:
         raise ValueError(f"--max-N must be at least 2, got {ns.max_N}")
-    budget = SearchBudget(max_states=ns.max_states)
+    if ns.max_states < 1:
+        raise ValueError("max_states must be positive")
     writer = csv.writer(sys.stdout)
     writer.writerow(["N", "n", "f", "h", "brute_T_opt", "match"])
     mismatched = skipped = False
@@ -131,7 +132,7 @@ def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
             for f in range(1, n):
                 h = h_value(n, f, big_n)
                 try:
-                    brute = brute_optimum(GameParams(N=big_n, n=n, f=f), budget)
+                    brute = brute_optimum(GameParams(N=big_n, n=n, f=f), ns.max_states)
                 except BudgetExceededError:
                     skipped = True
                     writer.writerow([big_n, n, f, h, "", "skipped"])

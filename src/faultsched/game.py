@@ -119,13 +119,6 @@ def _require_valid(s: Schedule) -> None:
         raise ValueError(f"invalid schedule: {v.message}")
 
 
-def _require_valid_pair(s: Schedule, a: Adversary) -> None:
-    _require_valid(s)
-    v = validate_adversary(s, a)
-    if v is not None:
-        raise ValueError(f"invalid adversary: {v.message}")
-
-
 def survival_time(s: Schedule, a: Adversary) -> int:
     """Largest t such that every prefix u <= t leaves at most f distinct
     killed processors inside the set in use at u.
@@ -133,7 +126,10 @@ def survival_time(s: Schedule, a: Adversary) -> int:
     Re-kills of dead processors are legal and harmless: the killed set is
     a set.  The kill at time u participates in the check at time u.
     """
-    _require_valid_pair(s, a)
+    _require_valid(s)
+    v = validate_adversary(s, a)
+    if v is not None:
+        raise ValueError(f"invalid adversary: {v.message}")
     f = s.params.f
     killed: set[int] = set()
     for u, (row, kill) in enumerate(zip(s.sets, a.kills), start=1):

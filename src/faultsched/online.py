@@ -39,22 +39,19 @@ _MAX_PAYOFF_CELLS = 100_000
 
 @dataclass(frozen=True)
 class GameValue:
-    """Exact game value with the scheduler strategy attaining it."""
+    """Exact game value with the scheduler strategy attaining it: a
+    probability distribution over schedules, one schedule with
+    probability 1 in deterministic mode."""
 
     value: Fraction
-    mode: str
     strategy_support: tuple[tuple[Schedule, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if self.mode not in ("deterministic", "randomized"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         probs = [p for _, p in self.strategy_support]
         if any(p < 0 for p in probs):
             raise ValueError("strategy probabilities must be nonnegative")
         if sum(probs) != 1:
             raise ValueError("strategy probabilities must sum to 1")
-        if self.mode == "deterministic" and len(probs) != 1:
-            raise ValueError("deterministic mode carries a singleton support")
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,11 +274,10 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
     if mode == "deterministic":
         return GameValue(
             value=Fraction(h_value(params.n, params.f, params.N)),
-            mode=mode,
             strategy_support=((trivial_schedule(params), Fraction(1)),),
         )
     value, flat = _randomized_value(params)
     support = tuple(
         (Schedule(params=params, sets=sets), p) for sets, p in flat
     )
-    return GameValue(value=value, mode=mode, strategy_support=support)
+    return GameValue(value=value, strategy_support=support)

@@ -12,7 +12,6 @@ hard caps, not hints: exceeding one raises instead of degrading.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, TypeVar
 
@@ -26,32 +25,23 @@ Classes = tuple[tuple[int, int], ...]
 Node = TypeVar("Node")
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Enumeration cap: a search that would test more than
-    ``max_states`` states raises ``BudgetExceededError``."""
-
-    max_states: int = 10**8
-
-    def __post_init__(self) -> None:
-        if self.max_states <= 0:
-            raise ValueError("max_states must be positive")
-
-
-def brute_adversary_min(s: Schedule, budget: SearchBudget | None = None) -> int:
+def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
     """Exact minimum of ``survival_time`` over all kill sequences.
 
     Depth-first over choices s_t in S_t with two cutoffs: a branch stops
     as soon as its kill set overlaps the current set in more than f
     places, and a branch that has already survived past the best known
-    minimum cannot improve it.
+    minimum cannot improve it.  Raises ``ValueError`` when ``max_states``
+    is below 1 and ``BudgetExceededError`` when the n^len(s) kill
+    sequences exceed it.
     """
     _require_valid(s)
-    budget = budget or SearchBudget()
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
     n, f, length = s.params.n, s.params.f, len(s)
-    if n**length > budget.max_states:
+    if n**length > max_states:
         raise BudgetExceededError(
-            f"{n}^{length} kill sequences exceed max_states={budget.max_states}"
+            f"{n}^{length} kill sequences exceed max_states={max_states}"
         )
 
     best = length
@@ -104,9 +94,12 @@ def prefix_search(
     Depth first, in the order ``children`` gives.  Only the open
     iterators of the current path are kept.  Every child that is tested
     counts as a state; more than ``max_states`` of them raises
-    ``BudgetExceededError``.  ``brute_optimum`` and the two-pool probe
-    both run it.
+    ``BudgetExceededError``, and ``max_states`` below 1 raises
+    ``ValueError``.  ``brute_optimum`` and the two-pool probe both run
+    it.
     """
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
     states = 0
     best = 0
     stack = [iter(children(root))]
@@ -159,7 +152,7 @@ def _class_matching_number(state: Classes) -> int:
     return min(map(add, taken, map(int.bit_count, unions))) - taken[-1]
 
 
-def brute_optimum(params: GameParams, budget: SearchBudget | None = None) -> int:
+def brute_optimum(params: GameParams, max_states: int = 10**8) -> int:
     """Exact optimum worst-case survival by prefix search up to
     relabeling of the ids.
 
@@ -169,15 +162,15 @@ def brute_optimum(params: GameParams, budget: SearchBudget | None = None) -> int
     the multiset of the ids' incidence vectors (bit u set iff the id is
     in S_{u+1}), as ``(vector, count)`` pairs sorted by vector; its
     children are ``_class_children`` and it is dead, and pruned, when
-    ``_class_matching_number`` reaches f.
+    ``_class_matching_number`` reaches f.  ``prefix_search`` enforces
+    ``max_states``.
     """
-    budget = budget or SearchBudget()
     return prefix_search(
         ((0, params.N),),
         lambda state: _class_children(state, params.n),
         lambda state: _class_matching_number(state) >= params.f,
         params.N,
-        budget.max_states,
+        max_states,
     )
 
 

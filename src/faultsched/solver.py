@@ -35,17 +35,6 @@ from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps sol
 
 
 @dataclass(frozen=True)
-class TimeGraph:
-    """Bipartite graph of a schedule at time t: left vertices are the
-    times 1..t-1 in order, right vertices re-index ``right_ids`` (the
-    members of S_t, ascending)."""
-
-    t: int
-    graph: BipartiteGraph
-    right_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PInstance:
     """Left-ordered bipartite graph with parameters (n, f): ``rows[i]``
     lists the right ids used by left vertex i + 1.  Right ids are an
@@ -92,14 +81,14 @@ class MembershipReport:
     reason: str
 
 
-def time_graph(s: Schedule, t: int) -> TimeGraph:
-    """Time graph of ``s`` at round t, 1 <= t <= len(s)."""
+def time_graph(s: Schedule, t: int) -> BipartiteGraph:
+    """Time graph of ``s`` at round t, 1 <= t <= len(s): left vertex u is
+    the earlier round u < t, right vertex j is the j-th smallest member
+    of S_t, and (u, j) is an edge iff that member is in S_u."""
     _require_valid(s)
     if not (1 <= t <= len(s)):
         raise ValueError(f"t={t} outside schedule of length {len(s)}")
-    right_ids = s.sets[t - 1]
-    g = BipartiteGraph.from_rows(s.sets[: t - 1], right_ids)
-    return TimeGraph(t=t, graph=g, right_ids=right_ids)
+    return BipartiteGraph.from_rows(s.sets[: t - 1], s.sets[t - 1])
 
 
 def _scan(rows: tuple[tuple[int, ...], ...], n: int, f: int) -> tuple[int, Matching | None]:

@@ -55,36 +55,24 @@ class TwoPoolParams:
             raise ValueError("quorums exceed the operating set size")
 
 
-def _split_value(tp: TwoPoolParams, n1: int) -> int:
-    """min of the two per-type batch survivals for the split (n1, n - n1);
-    a type with zero dedicated processors is admissible only when its
-    quorum is zero, and then constrains nothing."""
-    n2 = tp.n - n1
-    terms = []
-    for n_i, g_i, big_n in ((n1, tp.g1, tp.N1), (n2, tp.g2, tp.N2)):
-        if n_i == 0:
-            continue
-        terms.append(h_value(n_i, n_i - g_i, big_n))
-    return min(terms) if terms else 0
-
-
-def _admissible_splits(tp: TwoPoolParams) -> list[int]:
-    return [
-        n1
-        for n1 in range(tp.n + 1)
-        if tp.g1 <= n1 <= tp.N1 and tp.g2 <= tp.n - n1 <= tp.N2
-    ]
-
-
 def two_pool_best_split(tp: TwoPoolParams) -> tuple[int, tuple[int, int] | None]:
     """Best lower bound and a maximizing split (n1, n2); bound 0 with
-    split None when no split is admissible."""
+    split None when no split is admissible.
+
+    A split is admissible when g_i <= n_i <= N_i for both types.  Its
+    value is the min of the per-type batch survivals; a type with zero
+    dedicated processors (admissible only when its quorum is zero)
+    constrains nothing, and with no terms the value is 0.
+    """
     best = 0
     best_split: tuple[int, int] | None = None
-    for n1 in _admissible_splits(tp):
-        value = _split_value(tp, n1)
+    for n1 in range(max(tp.g1, tp.n - tp.N2), min(tp.N1, tp.n - tp.g2) + 1):
+        n2 = tp.n - n1
+        value = min((h_value(n_i, n_i - g_i, big_n)
+                     for n_i, g_i, big_n in ((n1, tp.g1, tp.N1), (n2, tp.g2, tp.N2))
+                     if n_i), default=0)
         if best_split is None or value > best:
-            best, best_split = value, (n1, tp.n - n1)
+            best, best_split = value, (n1, n2)
     return best, best_split
 
 
@@ -128,10 +116,9 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
     id's incidence vector is its type, so row bits start at bit 1 and
     no class mixes the types.  Only rows already meeting both quorums
     with zero faults are drawn, and a state is dead when ``_killable``
-    says so.  ``max_states`` must be positive, as in ``SearchBudget``.
+    says so.  ``prefix_search`` enforces ``max_states``, which must be
+    positive.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be positive")
     total = tp.N1 + tp.N2
     if total > PROBE_MAX_POOL or tp.n > PROBE_MAX_N:
         raise BudgetExceededError(

@@ -283,6 +283,14 @@ def test_verify_theorem_rejects_small_max_n(capsys, max_n):
     assert "--max-N must be at least 2" in err
 
 
+@pytest.mark.parametrize("max_states", ["0", "-1"])
+def test_verify_theorem_rejects_nonpositive_max_states(capsys, max_states):
+    # Checked before the CSV header is written.
+    code, out, err = run_cli(capsys, "verify-theorem", "--max-N", "4", "--max-states", max_states)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "error: max_states must be positive"
+
+
 def test_two_pool(capsys):
     code, out, _ = run_cli(
         capsys, "two-pool", "--N1", "4", "--N2", "4", "--n", "4", "--g1", "1", "--g2", "1"

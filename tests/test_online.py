@@ -187,7 +187,6 @@ class TestGameValue:
         with pytest.raises(ValueError):
             GameValue(
                 value=Fraction(2),
-                mode="randomized",
                 strategy_support=((s, Fraction(1, 2)),),
             )
 
@@ -196,23 +195,8 @@ class TestGameValue:
         with pytest.raises(ValueError):
             GameValue(
                 value=Fraction(2),
-                mode="randomized",
                 strategy_support=((s, Fraction(2)), (s, Fraction(-1))),
             )
-
-    def test_deterministic_singleton(self):
-        s = trivial_schedule(GameParams(4, 2, 1))
-        with pytest.raises(ValueError):
-            GameValue(
-                value=Fraction(2),
-                mode="deterministic",
-                strategy_support=((s, Fraction(1, 2)), (s, Fraction(1, 2))),
-            )
-
-    def test_unknown_mode(self):
-        s = trivial_schedule(GameParams(4, 2, 1))
-        with pytest.raises(ValueError):
-            GameValue(value=Fraction(2), mode="mixed", strategy_support=((s, Fraction(1)),))
 
 
 class TestAdversaryPolicy:
@@ -263,7 +247,6 @@ class TestOnlineGameValue:
     def test_deterministic_known_value(self):
         gv = online_game_value(GameParams(4, 2, 1), "deterministic")
         assert gv.value == Fraction(2)
-        assert gv.mode == "deterministic"
         assert len(gv.strategy_support) == 1
         sched, p = gv.strategy_support[0]
         assert p == 1

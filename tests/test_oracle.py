@@ -10,7 +10,6 @@ from faultsched import (
     BudgetExceededError,
     GameParams,
     Schedule,
-    SearchBudget,
     brute_adversary_min,
     brute_deficiency,
     brute_optimum,
@@ -54,9 +53,12 @@ def plain_search(params):
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_states=0)
-    assert SearchBudget().max_states == 10**8
+    s = trivial_schedule(GameParams(4, 2, 1))
+    for max_states in (0, -5):
+        with pytest.raises(ValueError, match="max_states must be positive"):
+            brute_optimum(GameParams(4, 2, 1), max_states)
+        with pytest.raises(ValueError, match="max_states must be positive"):
+            brute_adversary_min(s, max_states)
 
 
 class TestBruteAdversaryMin:
@@ -86,7 +88,7 @@ class TestBruteAdversaryMin:
     def test_budget_guard(self):
         s = trivial_schedule(GameParams(4, 2, 1))
         with pytest.raises(BudgetExceededError):
-            brute_adversary_min(s, SearchBudget(max_states=15))
+            brute_adversary_min(s, 15)
 
 
 class TestBruteOptimum:
@@ -124,9 +126,9 @@ class TestBruteOptimum:
                       for m in relabelings)
                   for prefix, _ in plain_search(params)}
         value = h_value(params.n, params.f, params.N)
-        assert brute_optimum(params, SearchBudget(max_states=len(orbits))) == value
+        assert brute_optimum(params, len(orbits)) == value
         with pytest.raises(BudgetExceededError):
-            brute_optimum(params, SearchBudget(max_states=len(orbits) - 1))
+            brute_optimum(params, len(orbits) - 1)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -141,7 +143,7 @@ class TestBruteOptimum:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            brute_optimum(GameParams(5, 2, 1), SearchBudget(max_states=3))
+            brute_optimum(GameParams(5, 2, 1), 3)
 
     def test_memory_is_bounded_by_the_path(self):
         # Only the siblings of the prefixes on the current path are kept,

@@ -1,5 +1,9 @@
+import ast
+import contextlib
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +16,8 @@ from faultsched import game, online, oracle, twopool
 PUBLIC = [
     "Adversary", "AdversaryPolicy", "BipartiteGraph", "BudgetExceededError",
     "DeficiencyWitness", "GameParams", "GameValue", "Matching", "MatrixGameSolution",
-    "MembershipReport", "PInstance", "Schedule", "SearchBudget", "TimeGraph",
-    "TwoPoolParams", "Violation", "adversary_best_response", "adversary_to_dict",
+    "MembershipReport", "PInstance", "Schedule", "TwoPoolParams", "Violation",
+    "adversary_best_response", "adversary_to_dict",
     "apriori_upper_bound", "brute_adversary_min", "brute_deficiency", "brute_optimum",
     "deficiency_witness", "first_killable_time", "h_value", "instance_to_dict",
     "load_adversary", "load_instance", "load_schedule", "max_matching", "membership_in_P",
@@ -64,3 +68,19 @@ def test_one_budget_error_class():
     assert oracle.BudgetExceededError is game.BudgetExceededError
     assert twopool.BudgetExceededError is game.BudgetExceededError
     assert online.BudgetExceededError is game.BudgetExceededError
+
+
+def test_readme_example():
+    """The README's example prints 2, and the sets and kills its comments
+    show are the ones the code returns (which kills is
+    implementation-defined, so a change there must update the README)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(code, namespace)
+    assert out.getvalue() == "2\n"
+    sets = re.search(r"# sets (.*)", code).group(1)
+    kills = re.search(r"# kills (.*)", code).group(1)
+    assert ast.literal_eval(f"({sets},)") == namespace["s"].sets
+    assert ast.literal_eval(kills) == namespace["adv"].kills

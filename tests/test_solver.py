@@ -43,19 +43,17 @@ def random_cases(count, seed, max_pool=8, max_n=3):
 
 def test_time_graph_padded_trivial():
     s = trivial_schedule(GameParams(4, 2, 1))
-    tg = time_graph(s, 3)
-    assert tg.t == 3
-    assert tg.right_ids == (3, 4)
-    assert tg.graph.left_count == 2
-    assert tg.graph.adj == ((), (1, 2))
-    assert max_matching(tg.graph).size == 1
+    g = time_graph(s, 3)
+    assert (g.left_count, g.right_count) == (2, 2)
+    assert g.adj == ((), (1, 2))
+    assert max_matching(g).size == 1
 
 
 def test_time_graph_first_round_has_no_lefts():
     s = trivial_schedule(GameParams(4, 2, 1))
-    tg = time_graph(s, 1)
-    assert tg.graph.left_count == 0
-    assert max_matching(tg.graph).size == 0
+    g = time_graph(s, 1)
+    assert g.left_count == 0
+    assert max_matching(g).size == 0
 
 
 def test_time_graph_bounds():
@@ -101,8 +99,7 @@ def test_minimal_adversary_unkillable_schedule():
 def test_matching_number_can_jump_past_f():
     sets = ((1, 4, 5), (2, 6, 7), (3, 8, 9), (1, 2, 3))
     s = Schedule(params=GameParams(9, 3, 2), sets=sets)
-    tg = time_graph(s, 4)
-    assert max_matching(tg.graph).size == 3
+    assert max_matching(time_graph(s, 4)).size == 3
     adv = minimal_adversary(s)
     assert survival_time(s, adv) == minimal_survival_time(s) == 3
 
@@ -143,7 +140,7 @@ def reference_killable(s):
     its maximum matching, straight from the public ``time_graph`` and
     ``max_matching``: one graph and one maximum matching per step."""
     for t in range(1, len(s) + 1):
-        m = max_matching(time_graph(s, t).graph)
+        m = max_matching(time_graph(s, t))
         if m.size >= s.params.f:
             return t, m
     return 0, None

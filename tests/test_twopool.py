@@ -145,6 +145,36 @@ def test_bound_matches_enumeration_sweep():
         assert two_pool_lower_bound(tp) == enumerate_bound(tp)
 
 
+def per_split_best(tp: TwoPoolParams) -> tuple[int, tuple[int, int] | None]:
+    """The split rule written one split at a time: every n1 in 0..n
+    passes the admissibility test g_i <= n_i <= N_i, its value is the
+    min over the types with n_i > 0 (0 when none), and the first
+    maximizing split wins."""
+    best, best_split = 0, None
+    for n1 in range(tp.n + 1):
+        n2 = tp.n - n1
+        if not (tp.g1 <= n1 <= tp.N1 and tp.g2 <= n2 <= tp.N2):
+            continue
+        terms = [h_value(n_i, n_i - g_i, big_n)
+                 for n_i, g_i, big_n in ((n1, tp.g1, tp.N1), (n2, tp.g2, tp.N2)) if n_i > 0]
+        value = min(terms) if terms else 0
+        if best_split is None or value > best:
+            best, best_split = value, (n1, n2)
+    return best, best_split
+
+
+def test_best_split_matches_per_split_rule():
+    cells = [
+        TwoPoolParams(N1, N2, n, g1, g2)
+        for N1, N2, n in itertools.product(range(1, 9), range(0, 9), range(1, 10))
+        for g1 in range(1, n + 1)
+        for g2 in ([0] if N2 == 0 else range(1, n - g1 + 1))
+    ]
+    assert len(cells) == 8040
+    for tp in cells:
+        assert two_pool_best_split(tp) == per_split_best(tp), tp
+
+
 class TestBruteProbe:
     def test_symmetric_example_is_tight(self):
         tp = TwoPoolParams(N1=4, N2=4, n=4, g1=1, g2=1)
