@@ -123,7 +123,7 @@ def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
     if ns.max_N < 2:
         raise ValueError(f"--max-N must be at least 2, got {ns.max_N}")
     if ns.max_states < 1:
-        raise ValueError("max_states must be positive")
+        raise ValueError(f"--max-states must be at least 1, got {ns.max_states}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["N", "n", "f", "h", "brute_T_opt", "match"])
     mismatched = skipped = False

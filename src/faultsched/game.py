@@ -5,7 +5,9 @@ processors; the adversary kills one member of each set in turn.  The
 system survives time t if no prefix of kills ever leaves more than f
 dead processors inside the set in use.
 
-All value types are immutable; operations are pure.
+All value types are immutable; operations are pure.  A ``Schedule``
+cannot change after construction, so neither can its validity: entry
+points validate each object once and remember a pass, never a failure.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ class Schedule:
 
     Construction normalizes each set to a sorted tuple but does not
     validate; :func:`validate_schedule` reports the first violation so
-    malformed input files can be diagnosed precisely.
+    malformed input files can be diagnosed precisely.  The first library
+    call that needs a valid schedule marks it on a pass, outside the
+    fields, so ``==``, ``hash`` and ``repr`` ignore the mark.
     """
 
     params: GameParams
@@ -114,9 +118,13 @@ def validate_adversary(s: Schedule, a: Adversary) -> Violation | None:
 
 
 def _require_valid(s: Schedule) -> None:
+    """Raise ``ValueError`` unless ``s`` is well formed; a pass is remembered."""
+    if getattr(s, "_valid", False):
+        return
     v = validate_schedule(s)
     if v is not None:
         raise ValueError(f"invalid schedule: {v.message}")
+    object.__setattr__(s, "_valid", True)
 
 
 def survival_time(s: Schedule, a: Adversary) -> int:

@@ -138,15 +138,16 @@ def minimal_adversary(s: Schedule) -> Adversary:
     At the first killable round t* a maximum matching of the time graph
     is truncated to its f earliest-time pairs (the matching number may
     exceed f); each pair (u, p) schedules the kill of p at round u, the
-    remaining rounds default to the least member of their set, and the
-    kill at t* is the least member of S_t* outside the truncated
-    matching, which exists because f < n.  Which maximum matching the
-    scan finds, the one ``max_matching`` finds, is implementation-defined,
-    and so are the kills; any replays to exactly the minimal survival time.
+    remaining rounds default to the first member of their set, which is
+    its least since sets are kept sorted, and the kill at t* is the
+    least member of S_t* outside the truncated matching, which exists
+    because f < n.  Which maximum matching the scan finds, the one
+    ``max_matching`` finds, is implementation-defined, and so are the
+    kills; any replays to exactly the minimal survival time.
     """
     _require_valid(s)
     t_star, m = _scan(s.sets, s.params.n, s.params.f)
-    kills = [min(st) for st in s.sets]
+    kills = [st[0] for st in s.sets]
     if m is None:
         return Adversary(kills=tuple(kills))
     right_ids = s.sets[t_star - 1]

@@ -288,7 +288,7 @@ def test_verify_theorem_rejects_nonpositive_max_states(capsys, max_states):
     # Checked before the CSV header is written.
     code, out, err = run_cli(capsys, "verify-theorem", "--max-N", "4", "--max-states", max_states)
     assert (code, out) == (1, "")
-    assert err.splitlines()[-1] == "error: max_states must be positive"
+    assert err.splitlines()[-1] == f"error: --max-states must be at least 1, got {max_states}"
 
 
 def test_two_pool(capsys):

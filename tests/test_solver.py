@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from faultsched import (
     GameParams,
     PInstance,
     Schedule,
+    adversary_best_response,
     brute_adversary_min,
     first_killable_time,
     h_value,
@@ -116,23 +118,75 @@ def test_minimal_survival_matches_brute_on_random(count=60):
         assert first_killable_time(s) == membership_in_P(schedule_instance(s)).violating_t
 
 
-@pytest.mark.parametrize(
-    "entry", [first_killable_time, minimal_adversary, surviving_prefix_instance]
-)
+TRIVIAL_40 = GameParams(N=40, n=4, f=2)
+
+# Every library entry point that validates its schedule, with the
+# parameters of the trivial schedule it is called on: the brute search
+# needs few kill sequences and the on-line best response a guarded game.
+VALIDATING_ENTRIES = {
+    "first_killable_time": (TRIVIAL_40, first_killable_time),
+    "minimal_adversary": (TRIVIAL_40, minimal_adversary),
+    "minimal_survival_time": (TRIVIAL_40, minimal_survival_time),
+    "surviving_prefix_instance": (TRIVIAL_40, surviving_prefix_instance),
+    "schedule_instance": (TRIVIAL_40, schedule_instance),
+    "time_graph": (TRIVIAL_40, lambda s: time_graph(s, 5)),
+    "survival_time": (
+        TRIVIAL_40, lambda s: survival_time(s, Adversary(tuple(row[0] for row in s.sets)))
+    ),
+    "brute_adversary_min": (GameParams(N=6, n=2, f=1), brute_adversary_min),
+    "adversary_best_response": (
+        GameParams(N=4, n=2, f=1), lambda s: adversary_best_response(s.params, ((s, Fraction(1)),))
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", VALIDATING_ENTRIES)
 def test_schedule_validated_once(validations, entry):
-    s = trivial_schedule(GameParams(N=40, n=4, f=2))
-    assert len(s) == 40 and first_killable_time(s) == 21
-    validations.clear()
-    entry(s)
+    """The first call validates a fresh schedule; no later call on the
+    same object does, and an equal new object is validated again."""
+    params, call = VALIDATING_ENTRIES[entry]
+    s = trivial_schedule(params)
+    call(s)
+    assert len(validations) == 1 and validations[0] is s
+    for other_params, other_call in VALIDATING_ENTRIES.values():
+        if other_params == params:
+            other_call(s)
+            other_call(s)
     assert len(validations) == 1
+    fresh = Schedule(s.params, s.sets)
+    assert fresh is not s
+    assert fresh == s and hash(fresh) == hash(s) and repr(fresh) == repr(s)
+    call(fresh)
+    assert len(validations) == 2 and validations[1] is fresh
 
 
-def test_solve_adversary_validates_at_most_twice(validations, tmp_path, capsys):
+@pytest.mark.parametrize("defect", ["duplicate", "above-N", "wrong-size"])
+@pytest.mark.parametrize("entry", VALIDATING_ENTRIES)
+def test_defect_past_t_star_is_caught(entry, defect):
+    """A bad last row raises from every entry point, on every call,
+    although the killability scan stops long before it."""
+    params, call = VALIDATING_ENTRIES[entry]
+    sets = list(trivial_schedule(params).sets)
+    T, last = len(sets), sets[-1]
+    assert 0 < first_killable_time(Schedule(params, tuple(sets[:-1]))) < T
+    sets[-1], message = {
+        "duplicate": (last[:-1] + last[:1], f"duplicate id at t={T}"),
+        "above-N": (last[:-1] + (params.N + 1,), f"id out of range at t={T}"),
+        "wrong-size": (last[:-1], f"set of size {params.n - 1} at t={T}, expected {params.n}"),
+    }[defect]
+    s = Schedule(params, tuple(sets))
+    for _ in range(2):
+        with pytest.raises(ValueError) as e:
+            call(s)
+        assert str(e.value) == f"invalid schedule: {message}"
+
+
+def test_solve_adversary_validates_once(validations, tmp_path, capsys):
     path = tmp_path / "s.json"
-    save_schedule(trivial_schedule(GameParams(N=40, n=4, f=2)), path)
+    save_schedule(trivial_schedule(TRIVIAL_40), path)
     assert main(["solve-adversary", "--schedule", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["T=20", "t*=21"]
-    assert len(validations) <= 2
+    assert len(validations) == 1
 
 
 def reference_killable(s):
@@ -189,6 +243,23 @@ def test_scan_agrees_with_per_step_reference():
         else:
             assert report.member and report.reason == ""
     assert 100 <= killed < len(cases)
+
+
+def test_default_kills_match_min_reference(monkeypatch):
+    """The reference's default kill is ``min(row)``; it reads t* and the
+    matching from the scan inside ``minimal_adversary``, which the test
+    above checks against the per-step reference."""
+    scans = []
+    real = solver._scan
+    monkeypatch.setattr(solver, "_scan", lambda *args: scans.append(real(*args)) or scans[-1])
+    cases = list(random_cases(300, seed=8, max_pool=60, max_n=8))
+    cases += [
+        trivial_schedule(GameParams(N=N, n=n, f=f))
+        for N in range(2, 41) for n in range(2, N + 1) for f in range(1, n)
+    ]
+    for s in cases:
+        kills = minimal_adversary(s).kills
+        assert kills == reference_kills(s, *scans[-1])
 
 
 @pytest.fixture
