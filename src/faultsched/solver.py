@@ -16,17 +16,18 @@ Otherwise the lists are inverted into the time graph's adjacency and
 the augmenting-path search behind ``max_matching`` runs once; at t* its
 maximum matching is the one returned.
 
-``PInstance`` packages the abstract form of a surviving prefix: a
-left-ordered bipartite graph whose rows all have degree n and whose
-time graphs all have matching number at most f - 1.  ``reduce_instance``
-shrinks such an instance by one row while preserving membership,
-trading rows against right vertices at the rate the survival function
-prescribes.
+``PInstance`` packages the abstract form of a surviving prefix: rows of
+degree n whose time graphs all have matching number at most f - 1.  Its
+constructor is the one check of instance input, one pass per row, and
+``surviving_prefix_instance`` is one scan plus one instance of t* - 1
+rows.  ``reduce_instance`` shrinks a member by one row, trading rows
+against right vertices at the rate the survival function prescribes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import lt
 from pathlib import Path
 
 from .game import Adversary, Schedule, _require_valid, read_document, write_document
@@ -48,18 +49,19 @@ class PInstance:
     def __post_init__(self) -> None:
         if not (1 <= self.f < self.n):
             raise ValueError(f"need 1 <= f < n, got n={self.n} f={self.f}")
-        if list(self.right_ids) != sorted(set(self.right_ids)):
+        object.__setattr__(self, "right_ids", tuple(self.right_ids))
+        if not all(map(lt, self.right_ids, self.right_ids[1:])):
             raise ValueError("right_ids must be strictly ascending")
         if self.right_ids and self.right_ids[0] < 1:
             raise ValueError("right ids must be positive")
         universe = set(self.right_ids)
         norm = []
         for i, row in enumerate(self.rows, start=1):
-            if not set(row) <= universe:
+            if not universe.issuperset(row):
                 raise ValueError(f"row {i} uses ids outside right_ids")
-            if len(set(row)) != len(row):
-                raise ValueError(f"row {i} repeats an id")
             norm.append(tuple(sorted(row)))
+            if not all(map(lt, norm[-1], norm[-1][1:])):
+                raise ValueError(f"row {i} repeats an id")
         object.__setattr__(self, "rows", tuple(norm))
 
     @property
@@ -173,9 +175,9 @@ def schedule_instance(s: Schedule) -> PInstance:
 def surviving_prefix_instance(s: Schedule) -> PInstance:
     """Instance formed by the rounds strictly before the first killable
     one (the whole schedule when none is killable)."""
-    inst = schedule_instance(s)
-    t_star = _scan(inst.rows, inst.n, inst.f)[0]
-    return replace(inst, rows=inst.rows[: t_star - 1]) if t_star else inst
+    end = (first_killable_time(s) or len(s) + 1) - 1
+    p = s.params
+    return PInstance(n=p.n, f=p.f, right_ids=tuple(range(1, p.N + 1)), rows=s.sets[:end])
 
 
 def membership_in_P(inst: PInstance) -> MembershipReport:

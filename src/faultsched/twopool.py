@@ -5,11 +5,11 @@ and must keep at least g1 non-faulty of type 1 and g2 of type 2.
 Dedicating n1 processors to type 1 and n2 = n - n1 to type 2 and
 running the two single-pool batch constructions side by side survives
 min(h_{n1,n1-g1}(N1), h_{n2,n2-g2}(N2)) rounds, so the best split gives
-a lower bound on the two-pool optimum.  Whether that bound is tight is
-unknown; ``two_pool_brute_optimum`` probes it by exhaustive search on
-tiny pools, the class search of ``oracle.brute_optimum`` with the pool
-type in the class key, and is reported side by side with the bound,
-never asserted equal.
+a lower bound on the two-pool optimum.  It is not tight: at N1 = N2 = 5,
+n = 5, g1 = g2 = 1 (pool 1 is ids 1-5) it is 2, and (1,2,3,6,7),
+(1,2,3,8,9), (4,5,6,7,10) survives 3 rounds.  ``two_pool_brute_optimum``
+searches tiny pools by the class search of ``oracle.brute_optimum`` with
+the pool type in the class key, reported beside the bound, never equated.
 """
 
 from __future__ import annotations

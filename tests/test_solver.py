@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -313,21 +314,75 @@ def test_surviving_prefix_instance_is_member():
     assert membership_in_P(inst).member
 
 
+def test_surviving_prefix_builds_one_instance(monkeypatch):
+    """One checked instance of the t* - 1 surviving rows, never one of the
+    whole schedule: the result is ``schedule_instance`` cut to them."""
+    built = []
+    check = PInstance.__post_init__
+    monkeypatch.setattr(PInstance, "__post_init__", lambda inst: (built.append(inst), check(inst)))
+    unkillable = Schedule(params=GameParams(6, 3, 2), sets=((1, 2, 3), (4, 5, 6), (1, 2, 3)))
+    assert first_killable_time(unkillable) == 0
+    cases = [unkillable, *random_cases(150, seed=5, max_pool=16, max_n=6)]
+    cases += perturbed_trivial_cases(150, seed=6)
+    for s in cases:
+        built.clear()
+        inst = surviving_prefix_instance(s)
+        assert built == [inst]
+        full = schedule_instance(s)
+        t_star = first_killable_time(s)
+        assert inst == replace(full, rows=full.rows[: t_star - 1] if t_star else full.rows)
+
+
 def test_membership_degree_check():
     inst = PInstance(n=3, f=1, right_ids=(1, 2, 3), rows=((1, 2),))
     report = membership_in_P(inst)
     assert not report.member and report.violating_t == 1 and "degree" in report.reason
 
 
+# Malformed instances, as the fields of an instance file, with the one
+# message each must raise.  A row that both repeats an id and leaves
+# right_ids reports the ids outside first.
+MALFORMED_INSTANCES = {
+    "f-equals-n": ({"n": 2, "f": 2, "right_ids": [1, 2], "rows": []}, "need 1 <= f < n, got n=2 f=2"),
+    "f-zero": ({"n": 3, "f": 0, "right_ids": [1, 2], "rows": []}, "need 1 <= f < n, got n=3 f=0"),
+    "ids-descending": (
+        {"n": 2, "f": 1, "right_ids": [1, 3, 2], "rows": []}, "right_ids must be strictly ascending"
+    ),
+    "ids-repeated": (
+        {"n": 2, "f": 1, "right_ids": [1, 1], "rows": []}, "right_ids must be strictly ascending"
+    ),
+    "id-not-positive": ({"n": 2, "f": 1, "right_ids": [0, 1, 2], "rows": []}, "right ids must be positive"),
+    "row-outside": (
+        {"n": 2, "f": 1, "right_ids": [1, 2, 4], "rows": [[1, 2], [4, 3]]},
+        "row 2 uses ids outside right_ids",
+    ),
+    "row-repeats": (
+        {"n": 2, "f": 1, "right_ids": [1, 2, 3], "rows": [[1, 2], [3, 3]]}, "row 2 repeats an id"
+    ),
+    "row-repeats-and-outside": (
+        {"n": 3, "f": 1, "right_ids": [1, 2, 3], "rows": [[2, 1, 3], [1, 1, 5]]},
+        "row 2 uses ids outside right_ids",
+    ),
+}
+
+
 def test_pinstance_validation():
-    with pytest.raises(ValueError):
-        PInstance(n=2, f=1, right_ids=(1, 1), rows=())
-    with pytest.raises(ValueError):
-        PInstance(n=2, f=1, right_ids=(1, 2), rows=((1, 3),))
-    with pytest.raises(ValueError):
-        PInstance(n=2, f=2, right_ids=(1, 2), rows=())
-    with pytest.raises(ValueError):
-        PInstance(n=2, f=1, right_ids=(1, 2), rows=((1, 1),))
+    for fields, message in MALFORMED_INSTANCES.values():
+        with pytest.raises(ValueError) as e:
+            PInstance(**fields)
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("command", ["check-p", "reduce"])
+@pytest.mark.parametrize("case", MALFORMED_INSTANCES)
+def test_malformed_instance_cli_message(case, command, tmp_path, capsys):
+    fields, message = MALFORMED_INSTANCES[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(fields))
+    assert main([command, "--instance", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
 
 
 def test_pinstance_rows_sorted():
@@ -370,7 +425,11 @@ def test_reduce_rejects_empty():
 
 
 def test_instance_json_round_trip(tmp_path):
-    inst = PInstance(n=2, f=1, right_ids=(1, 2, 4), rows=((1, 2),))
+    # List input is stored as tuples, so the instance hashes and equals
+    # the one loaded back.
+    inst = PInstance(n=2, f=1, right_ids=[1, 2, 4], rows=[[2, 1]])
+    assert inst.right_ids == (1, 2, 4) and inst.rows == ((1, 2),)
+    assert hash(inst) == hash(PInstance(n=2, f=1, right_ids=(1, 2, 4), rows=((1, 2),)))
     doc = instance_to_dict(inst)
     assert doc == {"n": 2, "f": 1, "right_ids": [1, 2, 4], "rows": [[1, 2]]}
     path = tmp_path / "inst.json"

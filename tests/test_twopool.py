@@ -88,6 +88,28 @@ def test_symmetric_example():
     assert enumerate_bound(tp) == 2
 
 
+def test_split_bound_is_not_tight():
+    """At N1 = N2 = 5, n = 5, g1 = g2 = 1 the best split (2 + 3) gives 2,
+    but a schedule whose split changes from row to row (3 + 2, 3 + 2,
+    2 + 3) survives 3 rounds against each of its 125 kill sequences,
+    replayed here with no matching or class code.  Pool 1 is ids 1-5."""
+    tp = TwoPoolParams(N1=5, N2=5, n=5, g1=1, g2=1)
+    assert two_pool_best_split(tp) == (2, (2, 3)) and enumerate_bound(tp) == 2
+    sets = ((1, 2, 3, 6, 7), (1, 2, 3, 8, 9), (4, 5, 6, 7, 10))
+    survivals = []
+    for kills in itertools.product(*sets):
+        dead: set[int] = set()
+        for t, (row, kill) in enumerate(zip(sets, kills), start=1):
+            dead.add(kill)
+            alive = [p for p in row if p not in dead]
+            if sum(p <= tp.N1 for p in alive) < tp.g1 or sum(p > tp.N1 for p in alive) < tp.g2:
+                survivals.append(t - 1)
+                break
+        else:
+            survivals.append(len(sets))
+    assert len(survivals) == 125 and min(survivals) == 3
+
+
 def test_quorums_fill_the_set():
     tp = TwoPoolParams(N1=3, N2=3, n=2, g1=1, g2=1)
     assert two_pool_lower_bound(tp) == 0
