@@ -9,13 +9,12 @@ reproducible from its logs.
 
 Each run is a fresh interpreter, so only ``game`` and ``survival`` are
 imported here; a command imports the solver, oracle, two-pool or
-on-line modules it calls when it runs.
+on-line modules it calls, and ``csv`` when it writes CSV, when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Callable
@@ -118,6 +117,8 @@ def _cmd_reduce(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify_theorem(ns: argparse.Namespace) -> int:
+    import csv
+
     from .oracle import brute_optimum
 
     if ns.max_N < 2:
@@ -172,6 +173,8 @@ def _cmd_online_value(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
+    import csv
+
     h_value(ns.n, ns.f, ns.max_k)  # rejects bad n, f or max-k before the header
     writer = csv.writer(sys.stdout)
     writer.writerow(["k", "h"])

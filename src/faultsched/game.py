@@ -13,7 +13,7 @@ points validate each object once and remember a pass, never a failure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import lt
 from pathlib import Path
 
@@ -25,24 +25,67 @@ class BudgetExceededError(RuntimeError):
     CLI maps it to exit code 3."""
 
 
-@dataclass(frozen=True)
-class GameParams:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value types, built without ``dataclasses`` so
+    that importing them loads neither it nor ``inspect``.  A subclass lists
+    its fields in order as ``__match_args__``, holds them in ``__slots__``
+    and sets them in its own ``__init__`` through ``_set``; checks that
+    read the stored fields run in ``__post_init__``, called through the
+    class so that it can be wrapped there.  Equality and hash go by the
+    exact class and the field tuple, ``repr`` is ``Name(field=value, ...)``,
+    and copies and pickles are rebuilt through the constructor."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class GameParams(_Frozen):
     """Pool size N, operating-set size n, per-set fault tolerance f."""
 
+    __slots__ = __match_args__ = ("N", "n", "f")
     N: int
     n: int
     f: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.f < self.n <= self.N:
+    def __init__(self, N: int, n: int, f: int) -> None:
+        if not 1 <= f < n <= N:
             raise ValueError(
                 f"parameters must satisfy 1 <= f < n <= N, "
-                f"got N={self.N}, n={self.n}, f={self.f}"
+                f"got N={N}, n={n}, f={f}"
             )
+        _set(self, "N", N)
+        _set(self, "n", n)
+        _set(self, "f", f)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(_Frozen):
     """Ordered operating sets; processor ids are 1-based, sets kept sorted.
 
     Construction normalizes each set to a sorted tuple but does not
@@ -52,39 +95,46 @@ class Schedule:
     fields, so ``==``, ``hash`` and ``repr`` ignore the mark.
     """
 
+    __match_args__ = ("params", "sets")
+    __slots__ = __match_args__ + ("_valid",)
     params: GameParams
     sets: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sets", tuple(tuple(sorted(s)) for s in self.sets)
-        )
+    def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
+        _set(self, "params", params)
+        _set(self, "sets", tuple(tuple(sorted(s)) for s in sets))
+        _set(self, "_valid", False)
 
     def __len__(self) -> int:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class Adversary:
+class Adversary(_Frozen):
     """Kill sequence; kills[t-1] must be a member of the schedule's set t."""
 
+    __slots__ = __match_args__ = ("kills",)
     kills: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kills", tuple(self.kills))
+    def __init__(self, kills: Iterable[int]) -> None:
+        _set(self, "kills", tuple(kills))
 
     def __len__(self) -> int:
         return len(self.kills)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """First invariant breach found; index is the 1-based time (0 when the
     problem is schedule-wide, such as an empty schedule)."""
 
+    __slots__ = __match_args__ = ("index", "kind", "message")
     index: int
     kind: str
     message: str
+
+    def __init__(self, index: int, kind: str, message: str) -> None:
+        _set(self, "index", index)
+        _set(self, "kind", kind)
+        _set(self, "message", message)
 
 
 def validate_schedule(s: Schedule) -> Violation | None:
@@ -119,12 +169,12 @@ def validate_adversary(s: Schedule, a: Adversary) -> Violation | None:
 
 def _require_valid(s: Schedule) -> None:
     """Raise ``ValueError`` unless ``s`` is well formed; a pass is remembered."""
-    if getattr(s, "_valid", False):
+    if s._valid:
         return
     v = validate_schedule(s)
     if v is not None:
         raise ValueError(f"invalid schedule: {v.message}")
-    object.__setattr__(s, "_valid", True)
+    _set(s, "_valid", True)
 
 
 def survival_time(s: Schedule, a: Adversary) -> int:

@@ -19,20 +19,29 @@ are pure and deterministic (searches visit vertices in ascending order).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import lt
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from .game import _Frozen, _set
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(_Frozen):
     """Left-ordered bipartite graph; ``adj[i - 1]`` lists the sorted right
     neighbors of left vertex i.  Left indices carry the total order of
     their labels."""
 
+    __slots__ = __match_args__ = ("left_count", "right_count", "adj")
     left_count: int
     right_count: int
     adj: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self, left_count: int, right_count: int, adj: tuple[tuple[int, ...], ...]
+    ) -> None:
+        _set(self, "left_count", left_count)
+        _set(self, "right_count", right_count)
+        _set(self, "adj", adj)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.left_count < 0 or self.right_count < 0:
@@ -66,16 +75,17 @@ class BipartiteGraph:
         return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Frozen):
     """Vertex-disjoint edge set of a host graph; ``size`` is nu."""
 
+    __slots__ = __match_args__ = ("pairs",)
     pairs: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        lefts = [l for l, _ in self.pairs]
-        rights = [r for _, r in self.pairs]
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = frozenset(pairs)
+        _set(self, "pairs", pairs)
+        lefts = [l for l, _ in pairs]
+        rights = [r for _, r in pairs]
         if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
             raise ValueError("matching pairs must be vertex-disjoint")
 
@@ -84,15 +94,20 @@ class Matching:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class DeficiencyWitness:
+class DeficiencyWitness(_Frozen):
     """Subset C of the right side B attaining the deficiency minimum
     |B - C| + |gamma(C)|, with gamma(C) its left neighbourhood; the
     attained value equals the matching size."""
 
+    __slots__ = __match_args__ = ("C", "gamma", "value")
     C: frozenset[int]
     gamma: frozenset[int]
     value: int
+
+    def __init__(self, C: frozenset[int], gamma: frozenset[int], value: int) -> None:
+        _set(self, "C", C)
+        _set(self, "gamma", gamma)
+        _set(self, "value", value)
 
 
 def _grow_matching(adj: Sequence[Sequence[int]], target: int) -> dict[int, int]:

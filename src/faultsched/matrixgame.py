@@ -13,20 +13,27 @@ No floats enter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Sequence
 
+from .game import _Frozen, _set
 
-@dataclass(frozen=True)
-class MatrixGameSolution:
+
+class MatrixGameSolution(_Frozen):
     """Value and optimal mixed strategies; rows maximize, columns minimize."""
 
+    __slots__ = __match_args__ = ("value", "row_strategy", "col_strategy")
     value: Fraction
     row_strategy: tuple[Fraction, ...]
     col_strategy: tuple[Fraction, ...]
+
+    def __init__(self, value: Fraction, row_strategy: tuple[Fraction, ...],
+                 col_strategy: tuple[Fraction, ...]) -> None:
+        _set(self, "value", value)
+        _set(self, "row_strategy", row_strategy)
+        _set(self, "col_strategy", col_strategy)
 
 
 def _simplex_max(a: list[list[int]], k: int) -> tuple[list[Fraction], list[Fraction]]:

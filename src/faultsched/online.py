@@ -17,13 +17,13 @@ rationals, with integer pivots and integer weights inside.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb
 from typing import Mapping, Sequence
 
 from .game import BudgetExceededError, GameParams, Schedule, _require_valid, trivial_schedule
+from .game import _Frozen, _set
 from .game import survival_time  # noqa: F401 - perfbench/tracer.py wraps online.survival_time
 from .matrixgame import over_common_denominator, solve_zero_sum
 from .survival import h_value
@@ -37,34 +37,44 @@ _MAX_POOL = 5
 _MAX_PAYOFF_CELLS = 100_000
 
 
-@dataclass(frozen=True)
-class GameValue:
+class GameValue(_Frozen):
     """Exact game value with the scheduler strategy attaining it: a
     probability distribution over schedules, one schedule with
     probability 1 in deterministic mode."""
 
+    __slots__ = __match_args__ = ("value", "strategy_support")
     value: Fraction
     strategy_support: tuple[tuple[Schedule, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        probs = [p for _, p in self.strategy_support]
+    def __init__(
+        self, value: Fraction, strategy_support: tuple[tuple[Schedule, Fraction], ...]
+    ) -> None:
+        probs = [p for _, p in strategy_support]
         if any(p < 0 for p in probs):
             raise ValueError("strategy probabilities must be nonnegative")
         if sum(probs) != 1:
             raise ValueError("strategy probabilities must sum to 1")
+        _set(self, "value", value)
+        _set(self, "strategy_support", strategy_support)
 
 
-@dataclass(frozen=True, eq=False)
-class AdversaryPolicy:
-    """Deterministic on-line kill rule.
+class AdversaryPolicy(_Frozen):
+    """Deterministic on-line kill rule, equal only to itself.
 
     ``table`` maps an observation (sets revealed through the current
     round, set of past kills) to the kill; observations outside the
     table fall back to the lowest-id not-yet-killed member of the
-    current set, or its minimum when all members are dead.
+    current set, or its minimum when all members are dead.  Each policy
+    built without a table gets an empty one of its own.
     """
 
-    table: Mapping[tuple[Sets, frozenset[int]], int] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("table",)
+    table: Mapping[tuple[Sets, frozenset[int]], int]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, table: Mapping[tuple[Sets, frozenset[int]], int] | None = None) -> None:
+        _set(self, "table", {} if table is None else table)
 
     def kill(self, revealed: Sets, killed: frozenset[int]) -> int:
         current = revealed[-1]

@@ -26,30 +26,39 @@ against right vertices at the rate the survival function prescribes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import lt
 from pathlib import Path
 
-from .game import Adversary, Schedule, _require_valid, read_document, write_document
+from .game import Adversary, Schedule, _Frozen, _require_valid, _set, read_document, write_document
 from .matching import BipartiteGraph, Matching, _grow_matching, deficiency_witness
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps solver.max_matching
 
 
-@dataclass(frozen=True)
-class PInstance:
+class PInstance(_Frozen):
     """Left-ordered bipartite graph with parameters (n, f): ``rows[i]``
     lists the right ids used by left vertex i + 1.  Right ids are an
     arbitrary ascending subset of the positive integers."""
 
+    __slots__ = __match_args__ = ("n", "f", "right_ids", "rows")
     n: int
     f: int
     right_ids: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
+    def __init__(
+        self, n: int, f: int, right_ids: Iterable[int], rows: Iterable[Iterable[int]]
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "f", f)
+        _set(self, "right_ids", right_ids)
+        _set(self, "rows", rows)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if not (1 <= self.f < self.n):
             raise ValueError(f"need 1 <= f < n, got n={self.n} f={self.f}")
-        object.__setattr__(self, "right_ids", tuple(self.right_ids))
+        _set(self, "right_ids", tuple(self.right_ids))
         if not all(map(lt, self.right_ids, self.right_ids[1:])):
             raise ValueError("right_ids must be strictly ascending")
         if self.right_ids and self.right_ids[0] < 1:
@@ -62,7 +71,7 @@ class PInstance:
             norm.append(tuple(sorted(row)))
             if not all(map(lt, norm[-1], norm[-1][1:])):
                 raise ValueError(f"row {i} repeats an id")
-        object.__setattr__(self, "rows", tuple(norm))
+        _set(self, "rows", tuple(norm))
 
     @property
     def left_count(self) -> int:
@@ -73,14 +82,19 @@ class PInstance:
         return len(self.right_ids)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(_Frozen):
     """Outcome of the degree-and-matching membership test; ``violating_t``
     is the first left index that fails, 0 when the instance belongs."""
 
+    __slots__ = __match_args__ = ("member", "violating_t", "reason")
     member: bool
     violating_t: int
     reason: str
+
+    def __init__(self, member: bool, violating_t: int, reason: str) -> None:
+        _set(self, "member", member)
+        _set(self, "violating_t", violating_t)
+        _set(self, "reason", reason)
 
 
 def time_graph(s: Schedule, t: int) -> BipartiteGraph:

@@ -14,9 +14,7 @@ the pool type in the class key, reported beside the bound, never equated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .game import BudgetExceededError
+from .game import BudgetExceededError, _Frozen, _set
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps twopool.max_matching
 from .oracle import Classes, _class_children, _class_matching_number, prefix_search
 from .survival import h_value
@@ -26,8 +24,7 @@ PROBE_MAX_POOL = 8
 PROBE_MAX_N = 4
 
 
-@dataclass(frozen=True)
-class TwoPoolParams:
+class TwoPoolParams(_Frozen):
     """Pool sizes N1, N2, per-round set size n, quorums g1, g2.
 
     The degenerate configuration N2 = 0, g2 = 0 is accepted and makes
@@ -35,24 +32,30 @@ class TwoPoolParams:
     from that case both pools and both quorums must be positive.
     """
 
+    __slots__ = __match_args__ = ("N1", "N2", "n", "g1", "g2")
     N1: int
     N2: int
     n: int
     g1: int
     g2: int
 
-    def __post_init__(self) -> None:
-        if self.N1 < 1 or self.g1 < 1:
+    def __init__(self, N1: int, N2: int, n: int, g1: int, g2: int) -> None:
+        if N1 < 1 or g1 < 1:
             raise ValueError("pool 1 needs N1 >= 1 and g1 >= 1")
-        if self.N2 == 0:
-            if self.g2 != 0:
+        if N2 == 0:
+            if g2 != 0:
                 raise ValueError("empty pool 2 requires g2 = 0")
-        elif self.N2 < 0 or self.g2 < 1:
+        elif N2 < 0 or g2 < 1:
             raise ValueError("pool 2 needs N2 >= 1 and g2 >= 1, or N2 = g2 = 0")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be positive")
-        if self.g1 + self.g2 > self.n:
+        if g1 + g2 > n:
             raise ValueError("quorums exceed the operating set size")
+        _set(self, "N1", N1)
+        _set(self, "N2", N2)
+        _set(self, "n", n)
+        _set(self, "g1", g1)
+        _set(self, "g2", g2)
 
 
 def two_pool_best_split(tp: TwoPoolParams) -> tuple[int, tuple[int, int] | None]:

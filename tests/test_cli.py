@@ -407,10 +407,19 @@ IMPORT_CASES = [
 ]
 
 
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare interpreter has loaded, as for ``python -c pass``."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, timeout=60)
+    return set(proc.stdout.split())
+
+
 @pytest.mark.parametrize("argv,extra", IMPORT_CASES, ids=[argv[0] for argv, _ in IMPORT_CASES])
-def test_command_imports_only_its_modules(tmp_path, argv, extra):
+def test_command_imports_only_its_modules(tmp_path, argv, extra, bare_modules):
     """A fresh interpreter running one command loads only the modules
-    that command calls."""
+    that command calls.  No command loads ``dataclasses`` or ``inspect``,
+    and only the two that write CSV load ``csv``."""
     save_schedule(trivial_schedule(GameParams(4, 2, 1)), tmp_path / "s.json")
     (tmp_path / "a.json").write_text('{"kills": [1, 3, 4, 4]}\n')
     save_instance(surviving_prefix_instance(trivial_schedule(GameParams(4, 2, 1))),
@@ -419,9 +428,14 @@ def test_command_imports_only_its_modules(tmp_path, argv, extra):
              "from faultsched.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(json.loads(sys.argv[1]))\n"
-             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'faultsched'))\n")
+             "print(code, *sorted(sys.modules))\n")
     src = str(Path(faultsched.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)], cwd=tmp_path,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert proc.stdout.split() == ["0", *sorted(LOADED_BY_ALL + extra)], proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert [m for m in loaded if m.split(".")[0] == "faultsched"] == sorted(LOADED_BY_ALL + extra)
+    added = set(loaded) - bare_modules
+    assert not added & {"dataclasses", "inspect"}
+    assert ("csv" in added) == (argv[0] in ("verify-theorem", "sweep"))
