@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Probe where the two-pool split bound is tight.
+"""Compare the two-pool split bound with the searched optimum, cell by cell.
 
 Sweeps small (N1, N2, n, g1, g2) configurations, computes the split
 lower bound, and compares it with an exhaustive search over two-pool
-schedules.  The gap column makes any slack visible.  Only cells within
-the probe's size guard are swept (N1 + N2 <= PROBE_MAX_POOL and
-n <= PROBE_MAX_N in faultsched.twopool).  A cell past --max-states is
-printed with blank brute and gap columns, and the script then exits 3;
-a split bound above the searched optimum (a negative gap) makes it exit
-2, as the CLI's verify-theorem does on a mismatch.
+schedules; the gap column is the searched optimum minus the bound.  The
+bound is not tight in general (faultsched.twopool gives a cell where it
+falls one round short), but only cells within the probe's size guard
+are swept (N1 + N2 <= PROBE_MAX_POOL and n <= PROBE_MAX_N in
+faultsched.twopool), and every gap found so far lies outside it.  A
+cell past --max-states is printed with blank brute and gap columns, and
+the script then exits 3; a split bound above the searched optimum (a
+negative gap) makes it exit 2, as the CLI's verify-theorem does on a
+mismatch.
 """
 
 import argparse

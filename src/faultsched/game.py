@@ -12,7 +12,6 @@ points validate each object once and remember a pass, never a failure.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from operator import lt
 from pathlib import Path
@@ -246,6 +245,7 @@ def read_document(path: str | Path, **depths: int) -> dict:
     never coerced.  Lists come back as tuples.  Errors are ValueErrors
     that name the field, such as ``sets[1][1] must be an integer``.
     """
+    import json  # here, so that CLI commands without JSON files never load it
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
@@ -274,6 +274,7 @@ def _strict(x: object, depth: int, where: str) -> object:
 
 def write_document(doc: dict, path: str | Path) -> None:
     """The one writer: ``doc`` as a single line of JSON."""
+    import json
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -20,8 +23,22 @@ from faultsched import (
     surviving_prefix_instance,
     trivial_schedule,
 )
-from faultsched import online
-from faultsched.cli import main
+from faultsched import cli, online
+from faultsched.cli import (
+    EXIT_INVALID,
+    _cmd_check_p,
+    _cmd_eval,
+    _cmd_gen_trivial,
+    _cmd_h_eval,
+    _cmd_online_value,
+    _cmd_opt,
+    _cmd_reduce,
+    _cmd_solve_adversary,
+    _cmd_sweep,
+    _cmd_two_pool,
+    _cmd_verify_theorem,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -409,33 +426,281 @@ IMPORT_CASES = [
 
 @pytest.fixture(scope="module")
 def bare_modules():
-    """The modules a bare interpreter has loaded, as for ``python -c pass``."""
-    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+    """The modules a bare interpreter has loaded, as for ``python -S -c pass``.
+
+    ``-S`` here and in the child keeps ``.pth`` files in site-packages from
+    preloading modules (``typing``, ``re``, ``pathlib``, ...) that would hide
+    an import of the command from the comparison."""
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys; print(*sys.modules)"],
                           capture_output=True, text=True, timeout=60)
     return set(proc.stdout.split())
+
+
+JSON_COMMANDS = ("gen-trivial", "eval", "solve-adversary", "check-p", "reduce", "online-value")
 
 
 @pytest.mark.parametrize("argv,extra", IMPORT_CASES, ids=[argv[0] for argv, _ in IMPORT_CASES])
 def test_command_imports_only_its_modules(tmp_path, argv, extra, bare_modules):
     """A fresh interpreter running one command loads only the modules
-    that command calls.  No command loads ``dataclasses`` or ``inspect``,
-    and only the two that write CSV load ``csv``."""
+    that command calls.  No command loads ``dataclasses``, ``inspect`` or
+    an argument parser's ``argparse``, ``gettext`` and ``locale``; only the
+    two that write CSV load ``csv``, and only those that read or write
+    JSON load ``json``."""
     save_schedule(trivial_schedule(GameParams(4, 2, 1)), tmp_path / "s.json")
     (tmp_path / "a.json").write_text('{"kills": [1, 3, 4, 4]}\n')
     save_instance(surviving_prefix_instance(trivial_schedule(GameParams(4, 2, 1))),
                   tmp_path / "inst.json")
-    child = ("import contextlib, io, json, sys\n"
+    child = ("import io, sys\n"
              "from faultsched.cli import main\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = main(json.loads(sys.argv[1]))\n"
+             "sys.stdout = io.StringIO()\n"
+             "code = main(sys.argv[1:])\n"
+             "sys.stdout = sys.__stdout__\n"
              "print(code, *sorted(sys.modules))\n")
     src = str(Path(faultsched.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-S", "-c", child, *argv], cwd=tmp_path,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     code, *loaded = proc.stdout.split()
     assert code == "0", proc.stderr
     assert [m for m in loaded if m.split(".")[0] == "faultsched"] == sorted(LOADED_BY_ALL + extra)
     added = set(loaded) - bare_modules
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     assert ("csv" in added) == (argv[0] in ("verify-theorem", "sweep"))
+    assert ("json" in added) == (argv[0] in JSON_COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# The argument parser, against the argparse parser it replaced.
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on bad usage; the exit-code contract reserves 2
+    for verification mismatches, so usage errors exit 1 instead."""
+
+    def error(self, message: str) -> None:  # type: ignore[override]
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> _Parser:
+    """The argparse parser the command table replaced, kept verbatim as the
+    reference of ``test_parser_matches_argparse``."""
+    parser = _Parser(
+        prog="faultsched",
+        description="Fault-tolerant schedule optimization and verification tools.",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed echoed to stderr (default 0)"
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    def command(
+        name: str, func: Callable[[argparse.Namespace], int], text: str
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
+
+    def game_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--N", type=int, required=True, help="pool size")
+        p.add_argument("--n", type=int, required=True, help="set size")
+        p.add_argument("--f", type=int, required=True, help="fault tolerance")
+
+    p = command("h-eval", _cmd_h_eval, "evaluate the survival function")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+
+    game_flags(command("opt", _cmd_opt, "optimum worst-case survival time"))
+
+    p = command("gen-trivial", _cmd_gen_trivial, "write the batch schedule as JSON")
+    game_flags(p)
+    p.add_argument("--out", required=True, help="output schedule path")
+
+    p = command("eval", _cmd_eval, "survival time of a schedule against an adversary")
+    p.add_argument("--schedule", required=True)
+    p.add_argument("--adversary", required=True)
+
+    p = command("solve-adversary", _cmd_solve_adversary, "minimal adversary for a schedule")
+    p.add_argument("--schedule", required=True)
+    p.add_argument("--out", help="adversary output path; prints JSON when omitted")
+
+    p = command("check-p", _cmd_check_p, "degree and matching membership test")
+    p.add_argument("--instance", required=True)
+
+    p = command("reduce", _cmd_reduce, "one-row membership-preserving reduction")
+    p.add_argument("--instance", required=True)
+    p.add_argument("--out", help="reduced instance path; prints JSON when omitted")
+
+    p = command("verify-theorem", _cmd_verify_theorem, "closed form vs brute force as CSV")
+    p.add_argument("--max-N", dest="max_N", type=int, required=True, help="largest N, at least 2")
+    p.add_argument("--max-states", dest="max_states", type=int, default=10**8,
+                   help="states a cell may test before it is skipped; a state is a prefix "
+                   "up to relabeling of the ids")
+
+    p = command("two-pool", _cmd_two_pool, "two-type quorum lower bound")
+    p.add_argument("--N1", type=int, required=True)
+    p.add_argument("--N2", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--g1", type=int, required=True)
+    p.add_argument("--g2", type=int, required=True)
+    p.add_argument("--brute", action="store_true", help="also probe the exact optimum")
+
+    p = command("online-value", _cmd_online_value, "exact on-line game value")
+    game_flags(p)
+    p.add_argument("--mode", choices=["deterministic", "randomized"], required=True)
+
+    p = command("sweep", _cmd_sweep, "survival function table as CSV")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--max-k", dest="max_k", type=int, required=True)
+
+    return parser
+
+
+def parse_outcome(parser, argv):
+    """``("exit", code)`` when parsing exits, else the namespace's fields."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return ("exit", exc.code)
+
+
+GAME = ["--N", "7", "--n", "4", "--f", "3"]
+POOLS = ["--N1", "4", "--N2", "4", "--n", "4", "--g1", "1", "--g2", "1"]
+DETERMINISTIC = ["--N", "3", "--n", "2", "--f", "1", "--mode", "deterministic"]
+PARSER_CASES = [
+    # Every command shape the benchmark's cli-roundtrip runs.
+    ["opt", "--N", "4000", "--n", "40", "--f", "10"],
+    ["h-eval", "--n", "4", "--f", "3", "--k", "7"],
+    ["sweep", "--n", "2", "--f", "1", "--max-k", "30"],
+    ["gen-trivial", *GAME, "--out", "s.json"],
+    ["eval", "--schedule", "s.json", "--adversary", "a.json"],
+    ["solve-adversary", "--schedule", "s.json"],
+    ["check-p", "--instance", "inst.json"],
+    ["reduce", "--instance", "inst.json"],
+    ["verify-theorem", "--max-N", "4"],
+    ["two-pool", *POOLS, "--brute"],
+    ["two-pool", "--N1", "7", "--N2", "0", "--n", "4", "--g1", "1", "--g2", "0"],
+    ["online-value", *DETERMINISTIC],
+    ["--seed", "123456", "opt", *GAME],
+    # Optional flags given, and their defaults.
+    ["solve-adversary", "--schedule", "s.json", "--out", "a.json"],
+    ["reduce", "--out", "r.json", "--instance", "inst.json"],
+    ["verify-theorem", "--max-N", "4", "--max-states", "2"],
+    # --flag=value, and a repeated flag, where the last one wins.
+    ["opt", "--N=7", "--n=4", "--f=3"],
+    ["--seed=5", "online-value", "--N", "3", "--n", "2", "--f", "1", "--mode=randomized"],
+    ["gen-trivial", *GAME, "--out=x.json"],
+    ["reduce", "--instance", "inst.json", "--out="],
+    ["opt", "--N", "4", "--N", "9", "--n", "2", "--f", "1"],
+    ["--seed", "1", "--seed", "2", "h-eval", "--n", "2", "--f", "1", "--k", "4"],
+    ["two-pool", "--brute", *POOLS, "--brute"],
+    # Values int() reads, negative ones included.
+    ["opt", "--N", " 7", "--n", "+4", "--f", "3"],
+    ["opt", "--N", "1_000", "--n", "-4", "--f", "3"],
+    ["--seed", "3", "sweep", "--n", "2", "--f", "1", "--max-k", "5"],
+    ["--seed=-1", "opt", *GAME],
+    ["--seed", "-1", "opt", *GAME],
+    # --seed after the command is not a flag of the command.
+    ["opt", *GAME, "--seed", "3"],
+    ["opt", "--seed=3", *GAME],
+    # Missing flags and values.
+    ["h-eval", "--n", "4", "--f", "1"],
+    ["gen-trivial", *GAME],
+    ["eval", "--schedule", "s.json"],
+    ["online-value", "--N", "3", "--n", "2", "--f", "1"],
+    ["opt", "--N", "4", "--n", "2", "--f"],
+    ["opt", "--N", "--n", "2", "--f", "1"],
+    ["solve-adversary", "--schedule", "--out", "a.json"],
+    ["gen-trivial", *GAME, "--out", "-x"],
+    ["gen-trivial", *GAME, "--out=-x"],
+    # Unknown flags, a flag of another command, an ambiguous prefix.
+    ["verify-theorem", "--max-N", "3", "--no-symmetry"],
+    ["opt", *GAME, "--k", "3"],
+    ["--verbose", "opt", *GAME],
+    ["verify-theorem", "--max", "4"],
+    # Bad ints and bad choices.
+    ["opt", "--N", "x", "--n", "2", "--f", "1"],
+    ["opt", "--N", "4.0", "--n", "2", "--f", "1"],
+    ["h-eval", "--n", "", "--f", "1", "--k", "3"],
+    ["--seed", "abc", "opt", *GAME],
+    ["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "random"],
+    ["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "Deterministic"],
+    ["two-pool", *POOLS, "--brute=yes"],
+    # Stray positionals, unknown commands, no command.
+    ["opt", *GAME, "extra"],
+    ["opt", "4", *GAME],
+    ["no-such-command"],
+    ["-5", "opt", *GAME],
+    [],
+    ["--seed", "3"],
+    # Help, at either level and after other flags.
+    ["--help"],
+    ["-h", "opt"],
+    ["opt", "-h"],
+    ["opt", "--N", "4", "--help"],
+    ["opt", "--bad", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=[" ".join(a) or "<empty>" for a in PARSER_CASES])
+def test_parser_matches_argparse(argv):
+    """The command table's parser exits 1 or 0 where argparse did, and
+    otherwise fills the same namespace fields with the same values."""
+    want = parse_outcome(build_parser(), argv)
+    assert parse_outcome(cli.build_parser(), argv) == want
+    assert want != ("exit", 2)
+
+
+def test_parser_takes_no_abbreviations():
+    """The one intended difference: argparse took a unique prefix of a flag."""
+    argv = ["verify-theorem", "--max-N", "4", "--max-st", "5"]
+    assert parse_outcome(build_parser(), argv)["max_states"] == 5
+    assert parse_outcome(cli.build_parser(), argv) == ("exit", 1)
+
+
+def test_help_names_every_command_and_flag(capsys):
+    """``--help`` lists every command row of the table, and ``<command>
+    --help`` that command's row and the row of each of its flags, so every
+    command, flag and help string shows; help exits 0 with stdout only."""
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: faultsched [-h] [--seed INT] <command> ...\n")
+    assert cli.COMMANDS in out and cli._row(cli.FLAGS, "--seed") in out
+    shown = set()
+    for row in cli.COMMANDS.splitlines():
+        name, *words = row.split()
+        code, out, err = run_cli(capsys, name, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: faultsched {name} [-h] --") and row in out.splitlines()
+        for flag in (word.strip("[]") for word in words if "--" in word):
+            assert f"\n{cli._row(cli.FLAGS, flag)}\n" in out
+            shown.add(flag)
+    assert shown | {"--seed"} == {row.split()[0] for row in cli.FLAGS.splitlines()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["opt", "--N", "3"],
+    ["opt", "--N", "x", "--n", "2", "--f", "1"],
+    ["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "random"],
+    ["verify-theorem", "--max-N", "4", "--max-st", "5"],
+    ["two-pool", *POOLS, "--brute=1"],
+    ["sweep", "--n", "2", "--f", "1", "--max-k"],
+])
+def test_usage_error_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: faultsched {argv[0]} ")
+    assert lines[-1].startswith(f"faultsched {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("argv", [[], ["no-such-command"], ["--seed", "-1", "opt", *GAME]])
+def test_top_level_usage_error_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0].startswith("usage: faultsched [-h]")
+    assert err.splitlines()[-1].startswith("faultsched: error: ")
