@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from operator import lt
-from pathlib import Path
+from os import PathLike
 
 from .survival import h_value
 
@@ -101,7 +101,7 @@ class Schedule(_Frozen):
 
     def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
         _set(self, "params", params)
-        _set(self, "sets", tuple(tuple(sorted(s)) for s in sets))
+        _set(self, "sets", tuple(map(tuple, map(sorted, sets))))
         _set(self, "_valid", False)
 
     def __len__(self) -> int:
@@ -236,7 +236,7 @@ def trivial_schedule(params: GameParams) -> Schedule:
 # ---------------------------------------------------------------------------
 
 
-def read_document(path: str | Path, **depths: int) -> dict:
+def read_document(path: str | PathLike[str], **depths: int) -> dict:
     """Strict reader behind every wire format.
 
     The file must hold a JSON object with each named field; depth 0 asks
@@ -247,7 +247,8 @@ def read_document(path: str | Path, **depths: int) -> dict:
     """
     import json  # here, so that CLI commands without JSON files never load it
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     except ValueError as e:  # bad syntax, bytes that are not UTF-8, an overlong integer
@@ -272,10 +273,11 @@ def _strict(x: object, depth: int, where: str) -> object:
     return tuple(_strict(y, depth - 1, f"{where}[{i}]") for i, y in enumerate(x))
 
 
-def write_document(doc: dict, path: str | Path) -> None:
+def write_document(doc: dict, path: str | PathLike[str]) -> None:
     """The one writer: ``doc`` as a single line of JSON."""
     import json
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")  # dumps, not dump: only the one-shot encoder is in C
 
 
 def schedule_to_dict(s: Schedule) -> dict:
@@ -291,18 +293,18 @@ def adversary_to_dict(a: Adversary) -> dict:
     return {"kills": list(a.kills)}
 
 
-def load_schedule(path: str | Path) -> Schedule:
+def load_schedule(path: str | PathLike[str]) -> Schedule:
     d = read_document(path, N=0, n=0, f=0, sets=2)
     return Schedule(GameParams(N=d["N"], n=d["n"], f=d["f"]), d["sets"])
 
 
-def save_schedule(s: Schedule, path: str | Path) -> None:
+def save_schedule(s: Schedule, path: str | PathLike[str]) -> None:
     write_document(schedule_to_dict(s), path)
 
 
-def load_adversary(path: str | Path) -> Adversary:
+def load_adversary(path: str | PathLike[str]) -> Adversary:
     return Adversary(read_document(path, kills=1)["kills"])
 
 
-def save_adversary(a: Adversary, path: str | Path) -> None:
+def save_adversary(a: Adversary, path: str | PathLike[str]) -> None:
     write_document(adversary_to_dict(a), path)

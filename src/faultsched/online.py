@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
 from math import comb
-from typing import Mapping, Sequence
 
-from .game import BudgetExceededError, GameParams, Schedule, _require_valid, trivial_schedule
-from .game import _Frozen, _set
+from .game import (BudgetExceededError, GameParams, Schedule, _Frozen, _require_valid, _set,
+                   trivial_schedule)
 from .game import survival_time  # noqa: F401 - perfbench/tracer.py wraps online.survival_time
 from .matrixgame import over_common_denominator, solve_zero_sum
 from .survival import h_value
 
 Sets = tuple[tuple[int, ...], ...]
+# What an on-line adversary has seen: the sets revealed so far, its kills.
+Observation = tuple[Sets, frozenset[int]]
 
 _MAX_DISTINCT_SETS = 6
 _MAX_POOL = 5
@@ -49,10 +49,10 @@ class GameValue(_Frozen):
     def __init__(
         self, value: Fraction, strategy_support: tuple[tuple[Schedule, Fraction], ...]
     ) -> None:
-        probs = [p for _, p in strategy_support]
-        if any(p < 0 for p in probs):
+        probs, scale = over_common_denominator([p for _, p in strategy_support])
+        if min(probs, default=0) < 0:
             raise ValueError("strategy probabilities must be nonnegative")
-        if sum(probs) != 1:
+        if sum(probs) != scale:
             raise ValueError("strategy probabilities must sum to 1")
         _set(self, "value", value)
         _set(self, "strategy_support", strategy_support)
@@ -69,11 +69,11 @@ class AdversaryPolicy(_Frozen):
     """
 
     __slots__ = __match_args__ = ("table",)
-    table: Mapping[tuple[Sets, frozenset[int]], int]
+    table: dict[Observation, int]
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, table: Mapping[tuple[Sets, frozenset[int]], int] | None = None) -> None:
+    def __init__(self, table: dict[Observation, int] | None = None) -> None:
         _set(self, "table", {} if table is None else table)
 
     def kill(self, revealed: Sets, killed: frozenset[int]) -> int:
@@ -92,69 +92,79 @@ def _policy_survival(params: GameParams, sets: Sets, policy: AdversaryPolicy) ->
     killed: frozenset[int] = frozenset()
     for t, row in enumerate(sets, start=1):
         killed |= {policy.kill(sets[:t], killed)}
-        if sum(1 for p in row if p in killed) > params.f:
+        if len(killed.intersection(row)) > params.f:
             return t - 1
     return len(sets)
 
 
 def _best_response(
-    params: GameParams, support: Sequence[tuple[Sets, Fraction]]
+    params: GameParams, support: list[tuple[Sets, Fraction]]
 ) -> tuple[Fraction, AdversaryPolicy]:
     """Exact on-line best response to a schedule distribution.
 
     States are (revealed prefix, kill set); the posterior over the next
     revealed set is the support conditioned on the prefix.  Ties in the
     kill choice break toward the smallest id, so the policy and value
-    are deterministic.
+    are deterministic.  The prefixes form a tree, built once per call;
+    each node keeps the values of its states by kill set, so a state's
+    lookup hashes the kill set alone.
     """
     f, length = params.f, params.N
     masses, _ = over_common_denominator([w for _, w in support])
     weighted = [(sets, w) for (sets, _), w in zip(support, masses)]
-    table: dict[tuple[Sets, frozenset[int]], int] = {}
-    memo: dict[tuple[Sets, frozenset[int]], int] = {}
+    table: dict[Observation, int] = {}
 
-    @cache  # a state's continuations depend on its prefix alone
-    def continuations(prefix: Sets) -> list[tuple[Sets, int]]:
+    def children(prefix: Sets) -> list[tuple]:
+        """Nodes (prefix, mass, memo, children) one round below ``prefix``,
+        in order of the revealed set."""
         t = len(prefix)
+        if t == length:
+            return []
         agg: dict[tuple[int, ...], int] = {}
         for sets, w in weighted:
             if sets[:t] == prefix:
                 agg[sets[t]] = agg.get(sets[t], 0) + w
-        return [(prefix + (a,), w) for a, w in sorted(agg.items())]
+        return [(prefix + (a,), w, {}, children(prefix + (a,))) for a, w in sorted(agg.items())]
 
-    def decide(prefix: Sets, killed: frozenset[int], mass: int) -> int:
+    def decide(prefix: Sets, mass: int, memo: dict, nodes: list, killed: frozenset[int]) -> int:
         """``mass``, the weight of the support behind ``prefix``, times the
         least expected survival time; a positive factor leaves the choice
         of kill as it is, and every term stays an int."""
-        key = (prefix, killed)
-        if key in memo:
-            return memo[key]
+        best = memo.get(killed)
+        if best is not None:
+            return best
         t = len(prefix)
         current = prefix[-1]
-        conts = continuations(prefix) if t < length else []
-        best: int | None = None
-        best_kill = current[0]
+        dead = len(killed.intersection(current))
+        rekilled = False
         for s in current:
-            nxt = killed | {s}
-            if len(nxt & set(current)) > f:
+            fresh = s not in killed
+            if not fresh:
+                if rekilled:  # a re-kill leaves the kill set as it is, as the first did
+                    continue
+                rekilled = True
+            if dead + fresh > f:
                 val = mass * (t - 1)
             elif t == length:
                 val = mass * length
             else:
-                val = sum(decide(child, nxt, w) for child, w in conts)
+                nxt = killed | {s}
+                val = 0
+                for node in nodes:
+                    val += decide(*node, nxt)
             if best is None or val < best:
                 best, best_kill = val, s
-        table[key] = best_kill
-        memo[key] = best
+        table[prefix, killed] = best_kill
+        memo[killed] = best
         return best
 
-    total = sum(decide(child, frozenset(), w) for child, w in continuations(()))
+    total = sum(decide(*node, frozenset()) for node in children(()))
     value = Fraction(total, sum(masses))
     return value, AdversaryPolicy(table=table)
 
 
 def adversary_best_response(
-    params: GameParams, support: Sequence[tuple[Schedule, Fraction]]
+    params: GameParams, support: tuple[tuple[Schedule, Fraction], ...]
 ) -> Fraction:
     """Value of the exact on-line best response against ``support``;
     recomputing this against a solver's output certifies its value."""
@@ -162,18 +172,17 @@ def adversary_best_response(
     weights = [w for _, w in support]
     if not support or any(w <= 0 for w in weights) or sum(weights) != 1:
         raise ValueError("support must carry positive weights summing to 1")
-    flat = [(s.sets, w) for s, w in support]
     for s, _ in support:
         if s.params != params:
             raise ValueError("support schedule parameters disagree")
         if len(s) != params.N:
             raise ValueError("support schedules must have full length N")
         _require_valid(s)
-    return _best_response(params, flat)[0]
+    return _best_response(params, [(s.sets, w) for s, w in support])[0]
 
 
 def _scheduler_best_response(
-    params: GameParams, policies: Sequence[tuple[AdversaryPolicy, Fraction]]
+    params: GameParams, policies: list[tuple[AdversaryPolicy, Fraction]]
 ) -> tuple[Fraction, Sets]:
     """Best pure schedule against a policy mix: the first maximizer of the
     expected survival time in ``itertools.product`` order.
@@ -198,7 +207,7 @@ def _scheduler_best_response(
             gain, weight, still = fixed, live_weight, []
             for policy, w, killed in live:
                 killed = killed | {policy.kill(revealed, killed)}
-                if sum(1 for p in row if p in killed) > f:
+                if len(killed.intersection(row)) > f:
                     gain += w * t
                     weight -= w
                 else:
@@ -245,12 +254,8 @@ def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, F
             )
         sol = solve_zero_sum(matrix)
         v = sol.value
-        x_support = [
-            (rows[i], p) for i, p in enumerate(sol.row_strategy) if p > 0
-        ]
-        y_support = [
-            (cols[j], p) for j, p in enumerate(sol.col_strategy) if p > 0
-        ]
+        x_support = [(sets, p) for sets, p in zip(rows, sol.row_strategy) if p > 0]
+        y_support = [(policy, p) for policy, p in zip(cols, sol.col_strategy) if p > 0]
         br_adv, br_policy = _best_response(params, x_support)
         br_sch, br_sets = _scheduler_best_response(params, y_support)
 
@@ -287,7 +292,5 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
             strategy_support=((trivial_schedule(params), Fraction(1)),),
         )
     value, flat = _randomized_value(params)
-    support = tuple(
-        (Schedule(params=params, sets=sets), p) for sets, p in flat
-    )
+    support = tuple((Schedule(params, sets), p) for sets, p in flat)
     return GameValue(value=value, strategy_support=support)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from operator import lt
-from pathlib import Path
+from os import PathLike
 
 from .game import Adversary, Schedule, _Frozen, _require_valid, _set, read_document, write_document
 from .matching import BipartiteGraph, Matching, _grow_matching, deficiency_witness
@@ -220,11 +220,11 @@ def instance_to_dict(inst: PInstance) -> dict:
     }
 
 
-def load_instance(path: str | Path) -> PInstance:
+def load_instance(path: str | PathLike[str]) -> PInstance:
     return PInstance(**read_document(path, n=0, f=0, right_ids=1, rows=2))
 
 
-def save_instance(inst: PInstance, path: str | Path) -> None:
+def save_instance(inst: PInstance, path: str | PathLike[str]) -> None:
     write_document(instance_to_dict(inst), path)
 
 

@@ -11,8 +11,9 @@ floating point, safe for concurrent callers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+# Stands in for typing.TYPE_CHECKING, so that importing this module does not
+# load ``typing``; type checkers recognize the name and read it as true.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .game import GameParams
 

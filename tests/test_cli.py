@@ -442,10 +442,11 @@ JSON_COMMANDS = ("gen-trivial", "eval", "solve-adversary", "check-p", "reduce", 
 @pytest.mark.parametrize("argv,extra", IMPORT_CASES, ids=[argv[0] for argv, _ in IMPORT_CASES])
 def test_command_imports_only_its_modules(tmp_path, argv, extra, bare_modules):
     """A fresh interpreter running one command loads only the modules
-    that command calls.  No command loads ``dataclasses``, ``inspect`` or
-    an argument parser's ``argparse``, ``gettext`` and ``locale``; only the
-    two that write CSV load ``csv``, and only those that read or write
-    JSON load ``json``."""
+    that command calls.  No command loads ``dataclasses``, ``inspect``,
+    ``pathlib`` or an argument parser's ``argparse``, ``gettext`` and
+    ``locale``; the commands that need neither the solver nor the game
+    solvers do not load ``typing``; only the two that write CSV load
+    ``csv``, and only those that read or write JSON load ``json``."""
     save_schedule(trivial_schedule(GameParams(4, 2, 1)), tmp_path / "s.json")
     (tmp_path / "a.json").write_text('{"kills": [1, 3, 4, 4]}\n')
     save_instance(surviving_prefix_instance(trivial_schedule(GameParams(4, 2, 1))),
@@ -464,7 +465,8 @@ def test_command_imports_only_its_modules(tmp_path, argv, extra, bare_modules):
     assert code == "0", proc.stderr
     assert [m for m in loaded if m.split(".")[0] == "faultsched"] == sorted(LOADED_BY_ALL + extra)
     added = set(loaded) - bare_modules
-    assert not added & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    assert not added & {"dataclasses", "inspect", "pathlib", "argparse", "gettext", "locale"}
+    assert "typing" not in added or extra
     assert ("csv" in added) == (argv[0] in ("verify-theorem", "sweep"))
     assert ("json" in added) == (argv[0] in JSON_COMMANDS)
 

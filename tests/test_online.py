@@ -198,6 +198,10 @@ class TestGameValue:
                 strategy_support=((s, Fraction(2)), (s, Fraction(-1))),
             )
 
+    def test_empty_support_does_not_sum_to_one(self):
+        with pytest.raises(ValueError, match="must sum to 1"):
+            GameValue(value=Fraction(2), strategy_support=())
+
 
 class TestAdversaryPolicy:
     def test_default_rule(self):
@@ -469,10 +473,13 @@ def fraction_best_response(params, support):
 
 
 @pytest.mark.parametrize("params", [GameParams(3, 2, 1), GameParams(4, 3, 1),
-                                    GameParams(4, 2, 1), GameParams(5, 4, 2)])
+                                    GameParams(4, 2, 1), GameParams(5, 4, 2),
+                                    GameParams(5, 5, 3)])
 def test_best_response_matches_fraction_dp(params):
     """Integer masses pick the same kill in every state as normalized
-    Fraction posteriors, and give the same value."""
+    Fraction posteriors, and give the same value; the table holds the
+    same states in the same order.  With a single set every state after
+    the first kill offers re-kills of dead members."""
     candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
     rng = random.Random(params.N * 100 + params.n * 10 + params.f)
     for _ in range(25):

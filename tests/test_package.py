@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,17 @@ def test_readme_example():
     kills = re.search(r"# kills (.*)", code).group(1)
     assert ast.literal_eval(f"({sets},)") == namespace["s"].sets
     assert ast.literal_eval(kills) == namespace["adv"].kills
+
+
+def test_modules_stay_below_the_parser_token_threshold():
+    """Each module has fewer than 2,048 tokens, comments and blank-line NL
+    tokens aside.  Past about that count CPython 3.11's parser doubles a
+    token buffer, and the compile peak of the module jumps by about
+    110 KB; without bytecode caches every process that imports the module
+    pays it, and the benchmark's ``peak_rss_mb`` showed it when the CLI
+    module once crossed the line."""
+    for path in sorted(Path(faultsched.__file__).parent.glob("*.py")):
+        with tokenize.open(path) as fh:
+            count = sum(1 for tok in tokenize.generate_tokens(fh.readline)
+                        if tok.type not in (tokenize.COMMENT, tokenize.NL))
+        assert count < 2048, f"{path.name} has {count} tokens"
