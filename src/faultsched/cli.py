@@ -126,15 +126,13 @@ def _cmd_two_pool(ns: Namespace) -> None:
 
 
 def _cmd_online_value(ns: Namespace) -> None:
-    import json
-
     from .online import online_game_value
 
     gv = online_game_value(GameParams(N=ns.N, n=ns.n, f=ns.f), ns.mode)
     print(f"value={gv.value}")
     print("support:")
     for sched, p in gv.strategy_support:
-        sets = json.dumps([list(row) for row in sched.sets], separators=(",", ":"))
+        sets = repr([list(row) for row in sched.sets]).replace(" ", "")
         print(f"p={p} sets={sets}")
 
 

@@ -30,10 +30,10 @@ _set = object.__setattr__
 class _Frozen:
     """Base of the immutable value types, built without ``dataclasses`` so
     that importing them loads neither it nor ``inspect``.  A subclass lists
-    its fields in order as ``__match_args__``, holds them in ``__slots__``
-    and sets them in its own ``__init__`` through ``_set``; checks that
-    read the stored fields run in ``__post_init__``, called through the
-    class so that it can be wrapped there.  Equality and hash go by the
+    its fields in order as ``__match_args__``, holds them in ``__slots__``,
+    and checks and sets them in its own ``__init__`` through ``_set``; only
+    ``BipartiteGraph`` checks in a ``__post_init__``, called through the
+    class, for perfbench/tracer.py to wrap.  Equality and hash go by the
     exact class and the field tuple, ``repr`` is ``Name(field=value, ...)``,
     and copies and pickles are rebuilt through the constructor."""
 
@@ -74,6 +74,8 @@ class GameParams(_Frozen):
     f: int
 
     def __init__(self, N: int, n: int, f: int) -> None:
+        if not (type(N) is type(n) is type(f) is int):
+            raise ValueError(f"parameters must be integers, got N={N!r}, n={n!r}, f={f!r}")
         if not 1 <= f < n <= N:
             raise ValueError(
                 f"parameters must satisfy 1 <= f < n <= N, "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from operator import lt
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .game import _Frozen, _set
 
@@ -84,9 +84,7 @@ class Matching(_Frozen):
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         pairs = frozenset(pairs)
         _set(self, "pairs", pairs)
-        lefts = [l for l, _ in pairs]
-        rights = [r for _, r in pairs]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+        if len({l for l, _ in pairs}) != len(pairs) or len({r for _, r in pairs}) != len(pairs):
             raise ValueError("matching pairs must be vertex-disjoint")
 
     @property

@@ -4,19 +4,19 @@ Small supports only: the solver is a dense primal simplex with Bland's
 rule, run on the standard reformulation max sum(z) s.t. M'z <= 1 over a
 positively shifted payoff matrix M'.  The pivots are fraction-free
 (Edmonds' integer-preserving elimination): the tableau holds integers
-over one common denominator, and Fractions appear only once, for the
-primal solution and the duals.  The column strategy is read off the
-primal solution, the row strategy off the duals, and both are checked
-against the value before returning, so a returned solution is a proof.
-No floats enter.
+over one common denominator, the last pivot.  The column strategy is
+the primal solution and the row strategy the duals, both over their
+common sum; the certificate that they attain the value is checked on
+those integer numerators, and Fractions appear only once, in the
+returned solution, so a returned solution is a proof.  No floats enter.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
 
 from .game import _Frozen, _set
 
@@ -36,10 +36,11 @@ class MatrixGameSolution(_Frozen):
         _set(self, "col_strategy", col_strategy)
 
 
-def _simplex_max(a: list[list[int]], k: int) -> tuple[list[Fraction], list[Fraction]]:
+def _simplex_max(a: list[list[int]], k: int) -> tuple[list[int], list[int], int]:
     """Maximize sum of the first k variables subject to the integer rows
     of ``a`` read as [coeffs | slack identity | rhs], all variables
-    nonnegative.  Returns (primal z, duals u).  The objective row
+    nonnegative.  Returns the numerators of the primal z and of the duals
+    u over the last pivot d, and d.  The objective row
     (negated reduced costs) is appended to ``a`` and pivoted with the
     other rows; entering on its first negative entry is Bland's rule, so
     the simplex terminates, and its final slack entries are the duals.
@@ -88,11 +89,11 @@ def _simplex_max(a: list[list[int]], k: int) -> tuple[list[Fraction], list[Fract
         objective = a[m]
         basis[leave] = enter
 
-    z = [Fraction(0)] * k
+    z = [0] * k
     for i, b in enumerate(basis):
         if b < k:
-            z[b] = Fraction(a[i][width], d)
-    return z, [Fraction(u, d) for u in objective[k:width]]
+            z[b] = a[i][width]
+    return z, objective[k:width], d
 
 
 def over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -123,23 +124,19 @@ def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolu
         [x + shift for x in row] + [int(i == r) for r in range(m)] + [1]
         for i, row in enumerate(scaled)
     ]
-    z, duals = _simplex_max(tableau, k)
+    z, u, d = _simplex_max(tableau, k)
+    # Over the one denominator total, z is the column strategy, u the row
+    # strategy and d - shift * total the value of the scaled game.  The
+    # certificate checks them in integers on the scaled matrix; sum(u) =
+    # sum(z) is strong duality.
     total = sum(z)
-    if total <= 0:
-        raise ArithmeticError("degenerate optimum; shift failed")
-    inv = Fraction(1) / total
-    value = (inv - shift) / scale
-    col = tuple(zj * inv for zj in z)
-    row = tuple(ui * inv for ui in duals)
-
-    # The certificate runs in integers too: each strategy over its common
-    # denominator, against the scaled matrix.
-    (cnum, cden), (rnum, rden) = over_common_denominator(col), over_common_denominator(row)
-    for name, strategy, num, den in (("column", col, cnum, cden), ("row", row, rnum, rden)):
-        if sum(num) != den or min(num) < 0:
-            raise ArithmeticError(f"{name} strategy is not a distribution: {strategy}")
-    floor = Fraction(min(sum(map(mul, rnum, column)) for column in zip(*scaled)), rden * scale)
-    ceil = Fraction(max(sum(map(mul, srow, cnum)) for srow in scaled), cden * scale)
+    if total <= 0 or min(z) < 0 or min(u) < 0 or sum(u) != total:
+        raise ArithmeticError(f"strategies are not distributions: z={z} u={u}")
+    value = d - shift * total
+    floor = min(sum(map(mul, u, column)) for column in zip(*scaled))
+    ceil = max(sum(map(mul, row, z)) for row in scaled)
     if not floor == value == ceil:
         raise ArithmeticError(f"certificate failed: floor={floor} value={value} ceil={ceil}")
-    return MatrixGameSolution(value=value, row_strategy=row, col_strategy=col)
+    return MatrixGameSolution(Fraction(value, total * scale),
+                              tuple(Fraction(x, total) for x in u),
+                              tuple(Fraction(x, total) for x in z))

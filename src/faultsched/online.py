@@ -81,8 +81,7 @@ class AdversaryPolicy(_Frozen):
         choice = self.table.get((revealed, killed))
         if choice is not None:
             return choice
-        alive = [p for p in current if p not in killed]
-        return min(alive) if alive else min(current)
+        return min((p for p in current if p not in killed), default=min(current))
 
 
 def _policy_survival(params: GameParams, sets: Sets, policy: AdversaryPolicy) -> int:
@@ -227,15 +226,16 @@ def _scheduler_best_response(
 
 
 def _check_guard(params: GameParams) -> None:
-    distinct = comb(params.N, params.n)
-    if distinct > _MAX_DISTINCT_SETS or params.N > _MAX_POOL:
+    # N first, so that a huge N never computes its binomial.
+    if params.N > _MAX_POOL or comb(params.N, params.n) > _MAX_DISTINCT_SETS:
+        got = f"C={comb(params.N, params.n)}, " if params.N <= _MAX_POOL else ""
         raise BudgetExceededError(
             f"online game guard: need C(N,n) <= {_MAX_DISTINCT_SETS} and "
-            f"N <= {_MAX_POOL}, got C={distinct}, N={params.N}"
+            f"N <= {_MAX_POOL}, got {got}N={params.N}"
         )
 
 
-def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, Fraction], ...]]:
+def _randomized_value(params: GameParams) -> GameValue:
     start = trivial_schedule(params).sets
     rows: list[Sets] = [start]
     _, first_policy = _best_response(params, [(start, Fraction(1))])
@@ -270,7 +270,8 @@ def _randomized_value(params: GameParams) -> tuple[Fraction, tuple[tuple[Sets, F
             matrix.append([_policy_survival(params, br_sets, pol) for pol in cols])
             improved = True
         if not improved:
-            return v, tuple(x_support)
+            return GameValue(value=v, strategy_support=tuple(
+                (Schedule(params, sets), p) for sets, p in x_support))
 
 
 def online_game_value(params: GameParams, mode: str) -> GameValue:
@@ -291,6 +292,4 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
             value=Fraction(h_value(params.n, params.f, params.N)),
             strategy_support=((trivial_schedule(params), Fraction(1)),),
         )
-    value, flat = _randomized_value(params)
-    support = tuple((Schedule(params, sets), p) for sets, p in flat)
-    return GameValue(value=value, strategy_support=support)
+    return _randomized_value(params)

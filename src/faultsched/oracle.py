@@ -11,9 +11,7 @@ hard caps, not hints: exceeding one raises instead of degrading.
 
 from __future__ import annotations
 
-import random
 from operator import add
-from typing import Callable, Iterable, TypeVar
 
 from .game import BudgetExceededError, GameParams, Schedule, _require_valid
 from .matching import BipartiteGraph, DeficiencyWitness
@@ -22,7 +20,11 @@ from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps ora
 Prefix = tuple[tuple[int, ...], ...]
 # (incidence vector, number of ids with it), sorted by vector
 Classes = tuple[tuple[int, int], ...]
-Node = TypeVar("Node")
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing (see survival.py)
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+    from typing import TypeVar
+    Node = TypeVar("Node")
 
 
 def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
@@ -206,6 +208,7 @@ def random_schedule(params: GameParams, length: int, seed: int) -> Schedule:
     """Schedule of independent uniform size-n subsets, reproducible by seed."""
     if not (1 <= length <= params.N):
         raise ValueError(f"length must be in 1..{params.N}, got {length}")
+    import random  # here, so that the searches above never load it
     rng = random.Random(seed)
     pool = range(1, params.N + 1)
     sets = tuple(

@@ -14,7 +14,7 @@ lists of the members of S_t alone: fewer than f members seen before, or
 fewer than f distinct earlier steps among them, settles the step.
 Otherwise the lists are inverted into the time graph's adjacency and
 the augmenting-path search behind ``max_matching`` runs once; at t* its
-maximum matching is the one returned.
+maximum matching is returned as sorted (step, member index) pairs.
 
 ``PInstance`` packages the abstract form of a surviving prefix: rows of
 degree n whose time graphs all have matching number at most f - 1.  Its
@@ -31,7 +31,7 @@ from operator import lt
 from os import PathLike
 
 from .game import Adversary, Schedule, _Frozen, _require_valid, _set, read_document, write_document
-from .matching import BipartiteGraph, Matching, _grow_matching, deficiency_witness
+from .matching import BipartiteGraph, _grow_matching, deficiency_witness
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps solver.max_matching
 
 
@@ -49,28 +49,24 @@ class PInstance(_Frozen):
     def __init__(
         self, n: int, f: int, right_ids: Iterable[int], rows: Iterable[Iterable[int]]
     ) -> None:
-        _set(self, "n", n)
-        _set(self, "f", f)
-        _set(self, "right_ids", right_ids)
-        _set(self, "rows", rows)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.f < self.n):
-            raise ValueError(f"need 1 <= f < n, got n={self.n} f={self.f}")
-        _set(self, "right_ids", tuple(self.right_ids))
-        if not all(map(lt, self.right_ids, self.right_ids[1:])):
+        if not (1 <= f < n):
+            raise ValueError(f"need 1 <= f < n, got n={n} f={f}")
+        right_ids = tuple(right_ids)
+        if not all(map(lt, right_ids, right_ids[1:])):
             raise ValueError("right_ids must be strictly ascending")
-        if self.right_ids and self.right_ids[0] < 1:
+        if right_ids and right_ids[0] < 1:
             raise ValueError("right ids must be positive")
-        universe = set(self.right_ids)
+        universe = set(right_ids)
         norm = []
-        for i, row in enumerate(self.rows, start=1):
+        for i, row in enumerate(rows, start=1):
             if not universe.issuperset(row):
                 raise ValueError(f"row {i} uses ids outside right_ids")
             norm.append(tuple(sorted(row)))
             if not all(map(lt, norm[-1], norm[-1][1:])):
                 raise ValueError(f"row {i} repeats an id")
+        _set(self, "n", n)
+        _set(self, "f", f)
+        _set(self, "right_ids", right_ids)
         _set(self, "rows", tuple(norm))
 
     @property
@@ -107,13 +103,16 @@ def time_graph(s: Schedule, t: int) -> BipartiteGraph:
     return BipartiteGraph.from_rows(s.sets[: t - 1], s.sets[t - 1])
 
 
-def _scan(rows: tuple[tuple[int, ...], ...], n: int, f: int) -> tuple[int, Matching | None]:
+def _scan(
+    rows: tuple[tuple[int, ...], ...], n: int, f: int
+) -> tuple[int, list[tuple[int, int]] | None]:
     """First t at which row t has a degree other than n, or its time
     graph over the earlier rows has matching number at least f.  Returns
-    t with that maximum matching (None on a degree failure), or (0, None)
-    when every row passes.  Callers validate their input first.  A
-    searched step's adjacency lists the earlier steps ascending, each with
-    the ascending indices of its members there: the search runs as in
+    t with that maximum matching as sorted (step, member index) pairs
+    (None on a degree failure), or (0, None) when every row passes.
+    Callers validate their input first.  A searched step's adjacency
+    lists the earlier steps ascending, each with the ascending indices of
+    its members there: the search runs as in
     ``max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))``."""
     steps: dict[int, list[int]] = {}
     for t, row in enumerate(rows, start=1):
@@ -128,7 +127,7 @@ def _scan(rows: tuple[tuple[int, ...], ...], n: int, f: int) -> tuple[int, Match
             order = sorted(adj)
             mate = _grow_matching([adj[u] for u in order], n)
             if len(mate) >= f:
-                return t, Matching(frozenset((order[k], j) for j, k in mate.items()))
+                return t, sorted((order[k], j) for j, k in mate.items())
         for p in row:
             steps.setdefault(p, []).append(t)
     return 0, None
@@ -162,13 +161,13 @@ def minimal_adversary(s: Schedule) -> Adversary:
     kills; any replays to exactly the minimal survival time.
     """
     _require_valid(s)
-    t_star, m = _scan(s.sets, s.params.n, s.params.f)
+    t_star, pairs = _scan(s.sets, s.params.n, s.params.f)
     kills = [st[0] for st in s.sets]
-    if m is None:
+    if pairs is None:
         return Adversary(kills=tuple(kills))
     right_ids = s.sets[t_star - 1]
     hit = set()
-    for u, j in sorted(m.pairs)[: s.params.f]:
+    for u, j in pairs[: s.params.f]:
         kills[u - 1] = right_ids[j - 1]
         hit.add(right_ids[j - 1])
     kills[t_star - 1] = min(p for p in right_ids if p not in hit)
@@ -178,12 +177,8 @@ def minimal_adversary(s: Schedule) -> Adversary:
 def schedule_instance(s: Schedule) -> PInstance:
     """The schedule itself as a left-ordered instance over pool {1..N}."""
     _require_valid(s)
-    return PInstance(
-        n=s.params.n,
-        f=s.params.f,
-        right_ids=tuple(range(1, s.params.N + 1)),
-        rows=s.sets,
-    )
+    p = s.params
+    return PInstance(n=p.n, f=p.f, right_ids=range(1, p.N + 1), rows=s.sets)
 
 
 def surviving_prefix_instance(s: Schedule) -> PInstance:
@@ -191,7 +186,7 @@ def surviving_prefix_instance(s: Schedule) -> PInstance:
     one (the whole schedule when none is killable)."""
     end = (first_killable_time(s) or len(s) + 1) - 1
     p = s.params
-    return PInstance(n=p.n, f=p.f, right_ids=tuple(range(1, p.N + 1)), rows=s.sets[:end])
+    return PInstance(n=p.n, f=p.f, right_ids=range(1, p.N + 1), rows=s.sets[:end])
 
 
 def membership_in_P(inst: PInstance) -> MembershipReport:
@@ -201,13 +196,13 @@ def membership_in_P(inst: PInstance) -> MembershipReport:
     time graph has matching number at most f - 1.  The report names the
     first left index violating either condition.
     """
-    t, m = _scan(inst.rows, inst.n, inst.f)
+    t, pairs = _scan(inst.rows, inst.n, inst.f)
     if t == 0:
         return MembershipReport(member=True, violating_t=0, reason="")
-    if m is None:
+    if pairs is None:
         reason = f"row {t} has degree {len(inst.rows[t - 1])}, expected {inst.n}"
     else:
-        reason = f"time graph at t={t} has matching number {m.size} >= f={inst.f}"
+        reason = f"time graph at t={t} has matching number {len(pairs)} >= f={inst.f}"
     return MembershipReport(member=False, violating_t=t, reason=reason)
 
 

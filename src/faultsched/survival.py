@@ -31,6 +31,8 @@ def h_value(n: int, f: int, k: int) -> int:
     the leftover k mod n processors add value only once they can be
     topped up into a full set with enough slack.
     """
+    if not (type(n) is type(f) is type(k) is int):
+        raise ValueError(f"n, f and k must be integers, got n={n!r}, f={f!r}, k={k!r}")
     if n <= 0:
         raise ValueError(f"set size n must be positive, got n={n}")
     if not 0 <= f < n:

@@ -40,6 +40,9 @@ class TwoPoolParams(_Frozen):
     g2: int
 
     def __init__(self, N1: int, N2: int, n: int, g1: int, g2: int) -> None:
+        if not (type(N1) is type(N2) is type(n) is type(g1) is type(g2) is int):
+            raise ValueError(f"parameters must be integers, got N1={N1!r}, N2={N2!r}, "
+                             f"n={n!r}, g1={g1!r}, g2={g2!r}")
         if N1 < 1 or g1 < 1:
             raise ValueError("pool 1 needs N1 >= 1 and g1 >= 1")
         if N2 == 0:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Callable
 
@@ -370,6 +371,20 @@ def test_online_value_guard(capsys):
     assert code == 3
 
 
+def test_online_value_guard_huge_pool(capsys):
+    """The guard tests N before it computes C(N, n), which here has about
+    30,000 digits, more than ``str`` converts by default."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "online-value", "--N", "100000", "--n", "50000", "--f", "1", "--mode",
+        "deterministic"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1] == (
+        "error: online game guard: need C(N,n) <= 6 and N <= 5, got N=100000")
+
+
 def test_online_value_cell_budget(capsys, monkeypatch):
     """(3,2,1) solves payoff matrices of 143 cells in all; a smaller
     budget on that work exits 3 before the next LP."""
@@ -436,17 +451,17 @@ def bare_modules():
     return set(proc.stdout.split())
 
 
-JSON_COMMANDS = ("gen-trivial", "eval", "solve-adversary", "check-p", "reduce", "online-value")
+JSON_COMMANDS = ("gen-trivial", "eval", "solve-adversary", "check-p", "reduce")
 
 
 @pytest.mark.parametrize("argv,extra", IMPORT_CASES, ids=[argv[0] for argv, _ in IMPORT_CASES])
 def test_command_imports_only_its_modules(tmp_path, argv, extra, bare_modules):
     """A fresh interpreter running one command loads only the modules
     that command calls.  No command loads ``dataclasses``, ``inspect``,
-    ``pathlib`` or an argument parser's ``argparse``, ``gettext`` and
-    ``locale``; the commands that need neither the solver nor the game
-    solvers do not load ``typing``; only the two that write CSV load
-    ``csv``, and only those that read or write JSON load ``json``."""
+    ``pathlib``, ``typing``, ``random`` or an argument parser's
+    ``argparse``, ``gettext`` and ``locale``; only the two that write CSV
+    load ``csv``, and only the five that read or write JSON files load
+    ``json``."""
     save_schedule(trivial_schedule(GameParams(4, 2, 1)), tmp_path / "s.json")
     (tmp_path / "a.json").write_text('{"kills": [1, 3, 4, 4]}\n')
     save_instance(surviving_prefix_instance(trivial_schedule(GameParams(4, 2, 1))),
@@ -465,8 +480,8 @@ def test_command_imports_only_its_modules(tmp_path, argv, extra, bare_modules):
     assert code == "0", proc.stderr
     assert [m for m in loaded if m.split(".")[0] == "faultsched"] == sorted(LOADED_BY_ALL + extra)
     added = set(loaded) - bare_modules
-    assert not added & {"dataclasses", "inspect", "pathlib", "argparse", "gettext", "locale"}
-    assert "typing" not in added or extra
+    assert not added & {"dataclasses", "inspect", "pathlib", "typing", "random", "argparse",
+                        "gettext", "locale"}
     assert ("csv" in added) == (argv[0] in ("verify-theorem", "sweep"))
     assert ("json" in added) == (argv[0] in JSON_COMMANDS)
 

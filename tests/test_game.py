@@ -28,6 +28,15 @@ def test_invalid_params(N, n, f):
         GameParams(N=N, n=n, f=f)
 
 
+@pytest.mark.parametrize("N,n,f", [(4.0, 2, 1), (4, 2.0, 1), (4, 2, 1.0), (5, 2, True),
+                                   (True, True, True), ("4", 2, 1)])
+def test_non_int_params_rejected(N, n, f):
+    """Floats and bools would pass the range check and turn exact
+    arithmetic into floats downstream."""
+    with pytest.raises(ValueError, match="must be integers"):
+        GameParams(N=N, n=n, f=f)
+
+
 def test_schedule_normalizes_sets():
     s = Schedule(params=GameParams(4, 2, 1), sets=((2, 1), (4, 3)))
     assert s.sets == ((1, 2), (3, 4))

@@ -30,6 +30,7 @@ from faultsched import (
     trivial_schedule,
     two_pool_brute_optimum,
 )
+from faultsched import matrixgame
 from faultsched.online import _best_response, _policy_survival, _scheduler_best_response
 
 
@@ -101,8 +102,8 @@ class TestMatrixGame:
             simplex = matrixgame._simplex_max
 
             def doubled(a, k):
-                z, duals = simplex(a, k)
-                return [2 * x for x in z], duals
+                z, u, d = simplex(a, k)
+                return [2 * x for x in z], u, d
 
             matrixgame._simplex_max = doubled
             try:
@@ -115,6 +116,33 @@ class TestMatrixGame:
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda z, u, d: (z, u, d + 1),
+        lambda z, u, d: (z, u[::-1], d),
+        lambda z, u, d: (z[::-1], u, d),
+    ], ids=["pivot", "duals", "primal"])
+    def test_certificate_rejects_wrong_value(self, monkeypatch, corrupt):
+        """Distributions that do not attain the value fail the integer
+        certificate: here a pivot off by one, or either strategy reversed
+        on a game whose optimal strategies are not symmetric."""
+        simplex = matrixgame._simplex_max
+        monkeypatch.setattr(matrixgame, "_simplex_max", lambda a, k: corrupt(*simplex(a, k)))
+        with pytest.raises(ArithmeticError, match="certificate failed"):
+            solve_zero_sum([[3, 0], [0, 1]])
+
+    def test_certificate_checks_strong_duality(self, monkeypatch):
+        """On a game of value 0 doubled duals still attain the value, so only
+        sum(u) = sum(z) rejects them."""
+        simplex = matrixgame._simplex_max
+
+        def doubled_duals(a, k):
+            z, u, d = simplex(a, k)
+            return z, [2 * x for x in u], d
+
+        monkeypatch.setattr(matrixgame, "_simplex_max", doubled_duals)
+        with pytest.raises(ArithmeticError, match="not distributions"):
+            solve_zero_sum([[1, -1], [-1, 1]])
 
     def test_matches_fraction_simplex(self):
         """The integer pivots make every pivot the Fraction simplex made,
@@ -209,6 +237,16 @@ class TestAdversaryPolicy:
         assert pol.kill(((1, 2),), frozenset()) == 1
         assert pol.kill(((1, 2),), frozenset({1})) == 2
         assert pol.kill(((1, 2),), frozenset({1, 2})) == 1
+
+    def test_default_rule_ignores_row_order(self):
+        """The fallback is the least live member, else the least member,
+        however the current row is ordered."""
+        pol = AdversaryPolicy()
+        for row in itertools.permutations((3, 1, 4, 2)):
+            for killed in ((), (1,), (1, 2), (2, 3, 4), (1, 2, 3, 4)):
+                alive = sorted(set(row) - set(killed))
+                expected = alive[0] if alive else 1
+                assert pol.kill(((5, 6), row), frozenset(killed)) == expected
 
     def test_table_lookup(self):
         key = (((1, 2),), frozenset())
@@ -322,6 +360,19 @@ class TestOnlineGameValue:
     def test_guard_pool_too_large(self):
         with pytest.raises(BudgetExceededError):
             online_game_value(GameParams(6, 5, 1), "deterministic")
+
+    def test_guard_tests_pool_before_binomial(self):
+        """C(100000, 50000) has about 30,000 digits; the guard rejects N
+        first and never computes or prints it."""
+        params = GameParams(100_000, 50_000, 1)
+        with pytest.raises(BudgetExceededError, match=r"got N=100000$"):
+            online_game_value(params, "deterministic")
+        with pytest.raises(BudgetExceededError, match=r"got N=100000$"):
+            adversary_best_response(params, ())
+
+    def test_guard_names_binomial_within_pool(self):
+        with pytest.raises(BudgetExceededError, match=r"got C=10, N=5$"):
+            online_game_value(GameParams(5, 2, 1), "deterministic")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

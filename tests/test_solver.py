@@ -200,12 +200,13 @@ def reference_killable(s):
     return 0, None
 
 
-def reference_kills(s, t_star, m):
+def reference_kills(s, t_star, pairs):
+    """Kills read off the t* matching, given as sorted (step, index) pairs."""
     kills = [min(st) for st in s.sets]
     if t_star:
         right_ids = s.sets[t_star - 1]
         hit = set()
-        for u, j in sorted(m.pairs)[: s.params.f]:
+        for u, j in pairs[: s.params.f]:
             kills[u - 1] = right_ids[j - 1]
             hit.add(right_ids[j - 1])
         kills[t_star - 1] = min(p for p in right_ids if p not in hit)
@@ -231,10 +232,11 @@ def test_scan_agrees_with_per_step_reference():
     killed = 0
     for s in cases:
         t_star, m = reference_killable(s)
+        pairs = sorted(m.pairs) if m else None
         killed += t_star > 0
         assert first_killable_time(s) == t_star
-        assert solver._scan(s.sets, s.params.n, s.params.f)[1] == m
-        assert minimal_adversary(s).kills == reference_kills(s, t_star, m)
+        assert solver._scan(s.sets, s.params.n, s.params.f)[1] == pairs
+        assert minimal_adversary(s).kills == reference_kills(s, t_star, pairs)
         report = membership_in_P(schedule_instance(s))
         assert report.violating_t == t_star
         if t_star:
@@ -317,8 +319,9 @@ def test_surviving_prefix_builds_one_instance(monkeypatch):
     """One checked instance of the t* - 1 surviving rows, never one of the
     whole schedule: the result is ``schedule_instance`` cut to them."""
     built = []
-    check = PInstance.__post_init__
-    monkeypatch.setattr(PInstance, "__post_init__", lambda inst: (built.append(inst), check(inst)))
+    init = PInstance.__init__
+    monkeypatch.setattr(PInstance, "__init__",
+                        lambda inst, *args, **kw: built.append(inst) or init(inst, *args, **kw))
     unkillable = Schedule(params=GameParams(6, 3, 2), sets=((1, 2, 3), (4, 5, 6), (1, 2, 3)))
     assert first_killable_time(unkillable) == 0
     cases = [unkillable, *random_cases(150, seed=5, max_pool=16, max_n=6)]

@@ -34,6 +34,13 @@ def test_invalid_arguments(n, f, k):
         h_value(n=n, f=f, k=k)
 
 
+@pytest.mark.parametrize("n,f,k", [(2, 1, 4.5), (2, 1, 4.0), (2.0, 1, 4), (2, 1.0, 4),
+                                   (2, True, 4), (2, 1, "4")])
+def test_non_int_arguments_rejected(n, f, k):
+    with pytest.raises(ValueError, match="must be integers"):
+        h_value(n, f, k)
+
+
 def test_optimum_survival_time():
     assert optimum_survival_time(GameParams(N=4, n=2, f=1)) == 2
     assert optimum_survival_time(GameParams(N=7, n=4, f=3)) == 5

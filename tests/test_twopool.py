@@ -144,6 +144,18 @@ def test_invalid_params(kwargs):
         TwoPoolParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["N1", "N2", "n", "g1", "g2"])
+@pytest.mark.parametrize("convert", [float, bool])
+def test_non_int_params_rejected(field, convert):
+    """The type check runs first, so a float or a bool is rejected for its
+    type, even where it equals a valid value."""
+    kwargs = dict(N1=1, N2=1, n=2, g1=1, g2=1)
+    TwoPoolParams(**kwargs)
+    kwargs[field] = convert(kwargs[field])
+    with pytest.raises(ValueError, match="must be integers"):
+        TwoPoolParams(**kwargs)
+
+
 def test_min_dominance_large_second_pool():
     for n1_cap in (2, 3, 4):
         tp = TwoPoolParams(N1=4, N2=10**6, n=n1_cap + 1, g1=1, g2=1)
