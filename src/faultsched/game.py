@@ -30,15 +30,27 @@ _set = object.__setattr__
 class _Frozen:
     """Base of the immutable value types, built without ``dataclasses`` so
     that importing them loads neither it nor ``inspect``.  A subclass lists
-    its fields in order as ``__match_args__``, holds them in ``__slots__``,
-    and checks and sets them in its own ``__init__`` through ``_set``; only
-    ``BipartiteGraph`` checks in a ``__post_init__``, called through the
-    class, for perfbench/tracer.py to wrap.  Equality and hash go by the
-    exact class and the field tuple, ``repr`` is ``Name(field=value, ...)``,
-    and copies and pickles are rebuilt through the constructor."""
+    its fields in order as ``__match_args__`` and holds them in
+    ``__slots__``; ``__init__`` binds arguments to them as a signature of
+    those names would.  A type that checks its input keeps a named
+    ``__init__`` that checks, then passes its fields to this one; only
+    ``BipartiteGraph`` checks in a ``__post_init__``, for perfbench/tracer.py
+    to wrap.  Equality and hash go by the exact class and the field tuple,
+    ``repr`` is ``Name(field=value, ...)``, and copies and pickles are
+    rebuilt through the constructor."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):  # the named constructors pass fields by position
+            rest = names[len(args):]
+            args += tuple(map(kwargs.get, rest))
+            if {*kwargs} != {*rest} or len(args) != len(names):
+                raise TypeError(f"{self.__class__.__name__}() takes each of {names} once")
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -81,9 +93,7 @@ class GameParams(_Frozen):
                 f"parameters must satisfy 1 <= f < n <= N, "
                 f"got N={N}, n={n}, f={f}"
             )
-        _set(self, "N", N)
-        _set(self, "n", n)
-        _set(self, "f", f)
+        _Frozen.__init__(self, N, n, f)
 
 
 class Schedule(_Frozen):
@@ -102,8 +112,7 @@ class Schedule(_Frozen):
     sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
-        _set(self, "params", params)
-        _set(self, "sets", tuple(map(tuple, map(sorted, sets))))
+        _Frozen.__init__(self, params, tuple(map(tuple, map(sorted, sets))))
         _set(self, "_valid", False)
 
     def __len__(self) -> int:
@@ -117,7 +126,7 @@ class Adversary(_Frozen):
     kills: tuple[int, ...]
 
     def __init__(self, kills: Iterable[int]) -> None:
-        _set(self, "kills", tuple(kills))
+        _Frozen.__init__(self, tuple(kills))
 
     def __len__(self) -> int:
         return len(self.kills)
@@ -132,22 +141,19 @@ class Violation(_Frozen):
     kind: str
     message: str
 
-    def __init__(self, index: int, kind: str, message: str) -> None:
-        _set(self, "index", index)
-        _set(self, "kind", kind)
-        _set(self, "message", message)
-
 
 def validate_schedule(s: Schedule) -> Violation | None:
     """Return None if the schedule is well formed, else the first violation."""
     N, n = s.params.N, s.params.n
-    if len(s.sets) == 0:
+    if not s.sets:
         return Violation(0, "empty", "empty schedule")
     if len(s.sets) > N:
         return Violation(0, "too-long", f"schedule length {len(s.sets)} exceeds pool size {N}")
     for t, row in enumerate(s.sets, start=1):
         if len(row) != n:
             return Violation(t, "wrong-cardinality", f"set of size {len(row)} at t={t}, expected {n}")
+        if {*map(type, row)} - {int}:  # before any comparison of an id with an int
+            return Violation(t, "non-integer-id", f"non-integer id at t={t}")
         if not all(map(lt, row, row[1:])):  # rows are sorted on construction
             return Violation(t, "duplicate-id", f"duplicate id at t={t}")
         if row[0] < 1 or row[-1] > N:
@@ -193,8 +199,7 @@ def survival_time(s: Schedule, a: Adversary) -> int:
     killed: set[int] = set()
     for u, (row, kill) in enumerate(zip(s.sets, a.kills), start=1):
         killed.add(kill)
-        hit = sum(1 for p in row if p in killed)
-        if hit > f:
+        if len(killed.intersection(row)) > f:
             return u - 1
     return len(s.sets)
 
@@ -215,17 +220,14 @@ def trivial_schedule(params: GameParams) -> Schedule:
     for i in range(q):
         batch = tuple(range(i * n + 1, (i + 1) * n + 1))
         sets.extend([batch] * f)
-    if p > 0:
-        last_batch_start = (q - 1) * n + 1
-        fill = tuple(range(last_batch_start, last_batch_start + (n - p)))
+    if f + p > n:  # batch is the last full batch, as q >= 1
         tail = tuple(range(N - p + 1, N + 1))
-        final = tuple(sorted(fill + tail))
-        sets.extend([final] * max(f + p - n, 0))
+        sets.extend([batch[:n - p] + tail] * (f + p - n))
     h = h_value(n, f, N)
     if len(sets) != h:
         raise RuntimeError(f"batch prefix has {len(sets)} sets, expected h = {h}")
     sets.extend([sets[-1]] * (N - len(sets)))
-    return Schedule(params, tuple(sets))
+    return Schedule(params, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,7 @@ def adversary_to_dict(a: Adversary) -> dict:
 
 def load_schedule(path: str | PathLike[str]) -> Schedule:
     d = read_document(path, N=0, n=0, f=0, sets=2)
-    return Schedule(GameParams(N=d["N"], n=d["n"], f=d["f"]), d["sets"])
+    return Schedule(GameParams(d["N"], d["n"], d["f"]), d["sets"])
 
 
 def save_schedule(s: Schedule, path: str | PathLike[str]) -> None:

@@ -22,7 +22,7 @@ from collections import deque
 from operator import lt
 from collections.abc import Iterable, Sequence
 
-from .game import _Frozen, _set
+from .game import _Frozen
 
 
 class BipartiteGraph(_Frozen):
@@ -38,9 +38,7 @@ class BipartiteGraph(_Frozen):
     def __init__(
         self, left_count: int, right_count: int, adj: tuple[tuple[int, ...], ...]
     ) -> None:
-        _set(self, "left_count", left_count)
-        _set(self, "right_count", right_count)
-        _set(self, "adj", adj)
+        _Frozen.__init__(self, left_count, right_count, adj)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -83,9 +81,9 @@ class Matching(_Frozen):
 
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         pairs = frozenset(pairs)
-        _set(self, "pairs", pairs)
         if len({l for l, _ in pairs}) != len(pairs) or len({r for _, r in pairs}) != len(pairs):
             raise ValueError("matching pairs must be vertex-disjoint")
+        _Frozen.__init__(self, pairs)
 
     @property
     def size(self) -> int:
@@ -101,11 +99,6 @@ class DeficiencyWitness(_Frozen):
     C: frozenset[int]
     gamma: frozenset[int]
     value: int
-
-    def __init__(self, C: frozenset[int], gamma: frozenset[int], value: int) -> None:
-        _set(self, "C", C)
-        _set(self, "gamma", gamma)
-        _set(self, "value", value)
 
 
 def _grow_matching(adj: Sequence[Sequence[int]], target: int) -> dict[int, int]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .game import _Frozen, _set
+from .game import _Frozen
 
 
 class MatrixGameSolution(_Frozen):
@@ -28,12 +28,6 @@ class MatrixGameSolution(_Frozen):
     value: Fraction
     row_strategy: tuple[Fraction, ...]
     col_strategy: tuple[Fraction, ...]
-
-    def __init__(self, value: Fraction, row_strategy: tuple[Fraction, ...],
-                 col_strategy: tuple[Fraction, ...]) -> None:
-        _set(self, "value", value)
-        _set(self, "row_strategy", row_strategy)
-        _set(self, "col_strategy", col_strategy)
 
 
 def _simplex_max(a: list[list[int]], k: int) -> tuple[list[int], list[int], int]:

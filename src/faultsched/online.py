@@ -20,8 +20,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .game import (BudgetExceededError, GameParams, Schedule, _Frozen, _require_valid, _set,
-                   trivial_schedule)
+from .game import BudgetExceededError, GameParams, Schedule, _Frozen, _require_valid, trivial_schedule
 from .game import survival_time  # noqa: F401 - perfbench/tracer.py wraps online.survival_time
 from .matrixgame import over_common_denominator, solve_zero_sum
 from .survival import h_value
@@ -54,8 +53,7 @@ class GameValue(_Frozen):
             raise ValueError("strategy probabilities must be nonnegative")
         if sum(probs) != scale:
             raise ValueError("strategy probabilities must sum to 1")
-        _set(self, "value", value)
-        _set(self, "strategy_support", strategy_support)
+        _Frozen.__init__(self, value, strategy_support)
 
 
 class AdversaryPolicy(_Frozen):
@@ -74,7 +72,7 @@ class AdversaryPolicy(_Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, table: dict[Observation, int] | None = None) -> None:
-        _set(self, "table", {} if table is None else table)
+        _Frozen.__init__(self, {} if table is None else table)
 
     def kill(self, revealed: Sets, killed: frozenset[int]) -> int:
         current = revealed[-1]

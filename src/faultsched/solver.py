@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from operator import lt
 from os import PathLike
 
-from .game import Adversary, Schedule, _Frozen, _require_valid, _set, read_document, write_document
+from .game import Adversary, Schedule, _Frozen, _require_valid, read_document, write_document
 from .matching import BipartiteGraph, _grow_matching, deficiency_witness
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps solver.max_matching
 
@@ -49,9 +49,13 @@ class PInstance(_Frozen):
     def __init__(
         self, n: int, f: int, right_ids: Iterable[int], rows: Iterable[Iterable[int]]
     ) -> None:
+        if not (type(n) is type(f) is int):
+            raise ValueError(f"parameters must be integers, got n={n!r}, f={f!r}")
         if not (1 <= f < n):
             raise ValueError(f"need 1 <= f < n, got n={n} f={f}")
         right_ids = tuple(right_ids)
+        if {*map(type, right_ids)} - {int}:
+            raise ValueError("right ids must be integers")
         if not all(map(lt, right_ids, right_ids[1:])):
             raise ValueError("right_ids must be strictly ascending")
         if right_ids and right_ids[0] < 1:
@@ -59,15 +63,12 @@ class PInstance(_Frozen):
         universe = set(right_ids)
         norm = []
         for i, row in enumerate(rows, start=1):
-            if not universe.issuperset(row):
+            if {*map(type, row)} - {int} or not universe.issuperset(row):  # True and 1.0 hash as 1
                 raise ValueError(f"row {i} uses ids outside right_ids")
             norm.append(tuple(sorted(row)))
             if not all(map(lt, norm[-1], norm[-1][1:])):
                 raise ValueError(f"row {i} repeats an id")
-        _set(self, "n", n)
-        _set(self, "f", f)
-        _set(self, "right_ids", right_ids)
-        _set(self, "rows", tuple(norm))
+        _Frozen.__init__(self, n, f, right_ids, tuple(norm))
 
     @property
     def left_count(self) -> int:
@@ -86,11 +87,6 @@ class MembershipReport(_Frozen):
     member: bool
     violating_t: int
     reason: str
-
-    def __init__(self, member: bool, violating_t: int, reason: str) -> None:
-        _set(self, "member", member)
-        _set(self, "violating_t", violating_t)
-        _set(self, "reason", reason)
 
 
 def time_graph(s: Schedule, t: int) -> BipartiteGraph:

@@ -14,7 +14,7 @@ the pool type in the class key, reported beside the bound, never equated.
 
 from __future__ import annotations
 
-from .game import BudgetExceededError, _Frozen, _set
+from .game import BudgetExceededError, _Frozen
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps twopool.max_matching
 from .oracle import Classes, _class_children, _class_matching_number, prefix_search
 from .survival import h_value
@@ -54,11 +54,7 @@ class TwoPoolParams(_Frozen):
             raise ValueError("n must be positive")
         if g1 + g2 > n:
             raise ValueError("quorums exceed the operating set size")
-        _set(self, "N1", N1)
-        _set(self, "N2", N2)
-        _set(self, "n", n)
-        _set(self, "g1", g1)
-        _set(self, "g2", g2)
+        _Frozen.__init__(self, N1, N2, n, g1, g2)
 
 
 def two_pool_best_split(tp: TwoPoolParams) -> tuple[int, tuple[int, int] | None]:

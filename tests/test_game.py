@@ -7,10 +7,12 @@ from faultsched import (
     Adversary,
     GameParams,
     Schedule,
+    Violation,
     adversary_to_dict,
     h_value,
     load_adversary,
     load_schedule,
+    minimal_adversary,
     random_schedule,
     save_adversary,
     save_schedule,
@@ -74,6 +76,16 @@ class TestValidation:
         s = Schedule(params=self.params, sets=((1, 2), (4, 5)))
         v = validate_schedule(s)
         assert v is not None and v.index == 2
+
+    @pytest.mark.parametrize("sets", [((1.5, 2), (2.5, 4), (True, 3)), ((1, 2.0), (3, 4)),
+                                      (("a", "b"), (1, 2))], ids=["floats-and-bool", "float", "str"])
+    def test_non_integer_id(self, sets):
+        """Floats and bools compare and hash like ints, and strings would
+        raise TypeError on the range check; each is reported at its row."""
+        s = Schedule(params=self.params, sets=sets)
+        assert validate_schedule(s) == Violation(1, "non-integer-id", "non-integer id at t=1")
+        with pytest.raises(ValueError, match="non-integer id at t=1"):
+            minimal_adversary(s)
 
     def test_adversary_length(self):
         s = Schedule(params=self.params, sets=((1, 2), (3, 4)))

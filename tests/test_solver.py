@@ -376,6 +376,22 @@ def test_pinstance_validation():
         assert str(e.value) == message
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"n": 2.0, "f": True, "right_ids": [1, 2, 3], "rows": [[1, 2]]},
+     "parameters must be integers, got n=2.0, f=True"),
+    ({"n": 2, "f": 1, "right_ids": (1.5, 2), "rows": []}, "right ids must be integers"),
+    ({"n": 2, "f": 1, "right_ids": (1, 2, 3), "rows": [[2, 3], [1.0, 2]]},
+     "row 2 uses ids outside right_ids"),
+], ids=["params", "right-ids", "row-id"])
+def test_pinstance_rejects_non_int(fields, message):
+    """Library input that the instance reader would never let through:
+    a float or bool passes the range checks, and a row id 1.0 passes
+    the superset test over int right ids by hash."""
+    with pytest.raises(ValueError) as e:
+        PInstance(**fields)
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("command", ["check-p", "reduce"])
 @pytest.mark.parametrize("case", MALFORMED_INSTANCES)
 def test_malformed_instance_cli_message(case, command, tmp_path, capsys):

@@ -94,6 +94,26 @@ def test_positional_and_keyword_construction(case):
     assert same(obj, by_keyword)
 
 
+@pytest.mark.parametrize("bad", ["missing", "extra", "unknown", "twice"])
+def test_bad_arguments_raise_type_error(case, bad):
+    """Every type binds its arguments as a signature of its fields would:
+    each field once, by position or keyword, and nothing else."""
+    cls, args, _, _ = case
+    if bad == "missing" and cls is AdversaryPolicy:
+        assert cls().table == {}  # the one field with a default
+        return
+    # "unknown" and, past one field, "twice" keep the argument count right.
+    first, kept = cls.__match_args__[0], args[:max(len(args) - 1, 1)]
+    call = {
+        "missing": lambda: cls(*args[:-1]),
+        "extra": lambda: cls(*args, None),
+        "unknown": lambda: cls(*args[:-1], other=args[-1]),
+        "twice": lambda: cls(*kept, **{first: args[0]}),
+    }[bad]
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_equality_and_hash_by_class_and_fields(case):
     cls, args, _, obj = case
     if cls is AdversaryPolicy:
