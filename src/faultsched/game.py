@@ -55,11 +55,10 @@ class _Frozen:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -101,9 +100,11 @@ class Schedule(_Frozen):
 
     Construction normalizes each set to a sorted tuple but does not
     validate; :func:`validate_schedule` reports the first violation so
-    malformed input files can be diagnosed precisely.  The first library
-    call that needs a valid schedule marks it on a pass, outside the
-    fields, so ``==``, ``hash`` and ``repr`` ignore the mark.
+    malformed input files can be diagnosed precisely.  Sets from the
+    first one whose ids do not compare on stay unsorted; validation
+    reports that set, or an earlier one.  The first library call that
+    needs a valid schedule marks it on a pass, outside the fields, so
+    ``==``, ``hash`` and ``repr`` ignore the mark.
     """
 
     __match_args__ = ("params", "sets")
@@ -112,7 +113,13 @@ class Schedule(_Frozen):
     sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
-        _Frozen.__init__(self, params, tuple(map(tuple, map(sorted, sets))))
+        rows = [*map(list, sets)]
+        try:
+            for row in rows:
+                row.sort()
+        except TypeError:  # ids that do not compare: validate_schedule reports them
+            pass
+        _Frozen.__init__(self, params, tuple(map(tuple, rows)))
         _set(self, "_valid", False)
 
     def __len__(self) -> int:
@@ -127,9 +134,6 @@ class Adversary(_Frozen):
 
     def __init__(self, kills: Iterable[int]) -> None:
         _Frozen.__init__(self, tuple(kills))
-
-    def __len__(self) -> int:
-        return len(self.kills)
 
 
 class Violation(_Frozen):
@@ -169,7 +173,7 @@ def validate_adversary(s: Schedule, a: Adversary) -> Violation | None:
             f"adversary length {len(a.kills)} != schedule length {len(s.sets)}",
         )
     for t, (kill, row) in enumerate(zip(a.kills, s.sets), start=1):
-        if kill not in row:
+        if type(kill) is not int or kill not in row:
             return Violation(t, "kill-not-in-set", f"kill {kill} not in set at t={t}")
     return None
 

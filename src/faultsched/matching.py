@@ -13,12 +13,11 @@ alternating-reachability argument) and checks that the attained value
 equals the matching size, a same-size certificate of optimality.
 
 Vertices are 1-based on both sides.  Graphs are immutable; all functions
-are pure and deterministic (searches visit vertices in ascending order).
+are pure and deterministic (the matcher tries vertices in order).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from operator import lt
 from collections.abc import Iterable, Sequence
 
@@ -28,7 +27,7 @@ from .game import _Frozen
 class BipartiteGraph(_Frozen):
     """Left-ordered bipartite graph; ``adj[i - 1]`` lists the sorted right
     neighbors of left vertex i.  Left indices carry the total order of
-    their labels."""
+    their labels.  Counts and neighbours are ``int`` only."""
 
     __slots__ = __match_args__ = ("left_count", "right_count", "adj")
     left_count: int
@@ -42,6 +41,8 @@ class BipartiteGraph(_Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        if not (type(self.left_count) is type(self.right_count) is int):
+            raise ValueError("vertex counts must be integers")
         if self.left_count < 0 or self.right_count < 0:
             raise ValueError("vertex counts must be nonnegative")
         if len(self.adj) != self.left_count:
@@ -49,6 +50,8 @@ class BipartiteGraph(_Frozen):
                 f"adjacency has {len(self.adj)} rows for {self.left_count} left vertices"
             )
         for i, nbrs in enumerate(self.adj, start=1):
+            if {*map(type, nbrs)} - {int}:  # before any comparison of a neighbour with an int
+                raise ValueError(f"neighbors of left vertex {i} must be integers")
             if not all(map(lt, nbrs, nbrs[1:])):
                 raise ValueError(f"neighbors of left vertex {i} must be sorted and duplicate-free")
             if nbrs and (nbrs[0] < 1 or nbrs[-1] > self.right_count):
@@ -151,7 +154,8 @@ def deficiency_witness(g: BipartiteGraph) -> DeficiencyWitness:
 
     Construction: from a maximum matching, grow alternating-path
     reachability from the unmatched right vertices (non-matching edges
-    to the left, matching edges back); C is the reached part of B.
+    to the left, matching edges back); C is the reached part of B and
+    gamma(C) the reached left vertices, as every neighbour of C is.
     Raises ArithmeticError unless the attained value equals the size of
     the matching, the certificate that both are optimal.
     """
@@ -159,22 +163,19 @@ def deficiency_witness(g: BipartiteGraph) -> DeficiencyWitness:
     right_adj = g.right_adj()
     mate_of_left = dict(m.pairs)
     reached = set(range(1, g.right_count + 1)).difference(mate_of_left.values())
-    reached_left: set[int] = set()
-    q = deque(sorted(reached))
-    while q:
-        for l in right_adj[q.popleft() - 1]:
-            if l in reached_left:
-                continue
-            reached_left.add(l)
-            r2 = mate_of_left.get(l)
-            if r2 is not None and r2 not in reached:
-                reached.add(r2)
-                q.append(r2)
+    gamma: set[int] = set()
+    stack = list(reached)
+    while stack:
+        for l in right_adj[stack.pop() - 1]:
+            if l not in gamma:
+                gamma.add(l)
+                if l in mate_of_left:  # its mate is reached through l alone
+                    reached.add(mate_of_left[l])
+                    stack.append(mate_of_left[l])
 
-    gamma = frozenset(l for r in reached for l in right_adj[r - 1])
     value = (g.right_count - len(reached)) + len(gamma)
     if value != m.size:
         raise ArithmeticError(
             f"deficiency value {value} differs from the matching size {m.size}"
         )
-    return DeficiencyWitness(C=frozenset(reached), gamma=gamma, value=value)
+    return DeficiencyWitness(C=frozenset(reached), gamma=frozenset(gamma), value=value)

@@ -102,28 +102,24 @@ def _best_response(
     States are (revealed prefix, kill set); the posterior over the next
     revealed set is the support conditioned on the prefix.  Ties in the
     kill choice break toward the smallest id, so the policy and value
-    are deterministic.  The prefixes form a tree, built once per call;
-    each node keeps the values of its states by kill set, so a state's
-    lookup hashes the kill set alone.
+    are deterministic.  The prefixes form a tree, built in one pass over
+    the sorted support; each node keeps the values of its states by kill
+    set, so a state's lookup hashes the kill set alone.
     """
     f, length = params.f, params.N
     masses, _ = over_common_denominator([w for _, w in support])
-    weighted = [(sets, w) for (sets, _), w in zip(support, masses)]
     table: dict[Observation, int] = {}
+    # Node: [prefix, mass, memo, children by the next revealed set].  The
+    # support is sorted, so each node's children arrive in set order.
+    root: dict = {}
+    for sets, w in sorted(zip([sets for sets, _ in support], masses)):
+        nodes = root
+        for t, row in enumerate(sets, start=1):
+            node = nodes.setdefault(row, [sets[:t], 0, {}, {}])
+            node[1] += w
+            nodes = node[3]
 
-    def children(prefix: Sets) -> list[tuple]:
-        """Nodes (prefix, mass, memo, children) one round below ``prefix``,
-        in order of the revealed set."""
-        t = len(prefix)
-        if t == length:
-            return []
-        agg: dict[tuple[int, ...], int] = {}
-        for sets, w in weighted:
-            if sets[:t] == prefix:
-                agg[sets[t]] = agg.get(sets[t], 0) + w
-        return [(prefix + (a,), w, {}, children(prefix + (a,))) for a, w in sorted(agg.items())]
-
-    def decide(prefix: Sets, mass: int, memo: dict, nodes: list, killed: frozenset[int]) -> int:
+    def decide(prefix: Sets, mass: int, memo: dict, nodes: dict, killed: frozenset[int]) -> int:
         """``mass``, the weight of the support behind ``prefix``, times the
         least expected survival time; a positive factor leaves the choice
         of kill as it is, and every term stays an int."""
@@ -147,7 +143,7 @@ def _best_response(
             else:
                 nxt = killed | {s}
                 val = 0
-                for node in nodes:
+                for node in nodes.values():
                     val += decide(*node, nxt)
             if best is None or val < best:
                 best, best_kill = val, s
@@ -155,7 +151,7 @@ def _best_response(
         memo[killed] = best
         return best
 
-    total = sum(decide(*node, frozenset()) for node in children(()))
+    total = sum(decide(*node, frozenset()) for node in root.values())
     value = Fraction(total, sum(masses))
     return value, AdversaryPolicy(table=table)
 

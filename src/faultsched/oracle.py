@@ -30,12 +30,14 @@ if TYPE_CHECKING:
 def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
     """Exact minimum of ``survival_time`` over all kill sequences.
 
-    Depth-first over choices s_t in S_t with two cutoffs: a branch stops
-    as soon as its kill set overlaps the current set in more than f
-    places, and a branch that has already survived past the best known
-    minimum cannot improve it.  Raises ``ValueError`` when ``max_states``
-    is below 1 and ``BudgetExceededError`` when the n^len(s) kill
-    sequences exceed it.
+    Depth first over choices s_t in S_t, one loop over an explicit stack
+    of (rounds survived, kill set), so a long schedule needs no deep
+    recursion.  Two cutoffs: a state that has already survived the best
+    known minimum cannot improve it, and a kill that leaves more than f
+    dead members in the current set makes the rounds survived the new
+    minimum and ends that state's other kills.  Raises ``ValueError``
+    when ``max_states`` is below 1 and ``BudgetExceededError`` when the
+    n^len(s) kill sequences exceed it.
     """
     _require_valid(s)
     if max_states < 1:
@@ -47,22 +49,18 @@ def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
         )
 
     best = length
-
-    def descend(u: int, killed: frozenset[int]) -> None:
-        nonlocal best
-        if u - 1 >= best:
-            return
-        if u > length:
-            return
-        current = set(s.sets[u - 1])
-        for p in s.sets[u - 1]:
+    stack = [(0, frozenset())]  # (rounds survived, kill set)
+    while stack:
+        survived, killed = stack.pop()
+        if survived >= best:
+            continue
+        row = s.sets[survived]
+        for p in row:
             nxt = killed | {p}
-            if len(nxt & current) > f:
-                best = u - 1
-                return
-            descend(u + 1, nxt)
-
-    descend(1, frozenset())
+            if len(nxt.intersection(row)) > f:
+                best = survived
+                break
+            stack.append((survived + 1, nxt))
     return best
 
 

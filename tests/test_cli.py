@@ -287,6 +287,22 @@ def test_verify_theorem_budget_skip(capsys):
     assert all(r["brute_T_opt"] == "" for r in skipped)
 
 
+def test_verify_theorem_mismatch_exits_two(capsys, monkeypatch):
+    """A cell where the brute force disagrees with h prints ``false`` and
+    the run exits 2, the code that marks a failed check."""
+    from faultsched import oracle
+
+    real = oracle.brute_optimum
+    monkeypatch.setattr(oracle, "brute_optimum",
+                        lambda p, max_states: real(p, max_states) + (p == GameParams(3, 2, 1)))
+    code, out, _ = run_cli(capsys, "verify-theorem", "--max-N", "3")
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert [r for r in rows if r["match"] != "true"] == [
+        {"N": "3", "n": "2", "f": "1", "h": "1", "brute_T_opt": "2", "match": "false"}]
+
+
 def test_verify_theorem_has_no_plain_search_flag(capsys):
     # brute_optimum has one search; the plain one is a test reference.
     code, out, err = run_cli(capsys, "verify-theorem", "--max-N", "3", "--no-symmetry")

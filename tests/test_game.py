@@ -120,6 +120,29 @@ def test_survival_time_rejects_invalid():
         survival_time(s, Adversary(kills=(1, 1)))
 
 
+@pytest.mark.parametrize("kills", [(True, 3, 1.0), (1.0, 4.0, 3)])
+def test_survival_time_rejects_non_int_kills(kills):
+    """A bool or a float equal to a member is not a member: the kill is
+    rejected for its type, never replayed as the id it equals."""
+    s = Schedule(GameParams(4, 2, 1), ((1, 2), (3, 4), (1, 3)))
+    v = validate_adversary(s, Adversary(kills))
+    assert (v.index, v.kind) == (1, "kill-not-in-set")
+    with pytest.raises(ValueError) as e:
+        survival_time(s, Adversary(kills))
+    assert str(e.value) == f"invalid adversary: kill {kills[0]} not in set at t=1"
+
+
+def test_schedule_with_ids_that_do_not_compare():
+    """Construction does not raise on ids that cannot be sorted;
+    validation names the first set that holds one, and the sets before
+    it are sorted as usual."""
+    s = Schedule(GameParams(4, 2, 1), (("a", 1), (3, 4)))
+    assert validate_schedule(s) == Violation(1, "non-integer-id", "non-integer id at t=1")
+    s = Schedule(GameParams(4, 2, 1), ((4, 3), (1, None)))
+    assert s.sets[0] == (3, 4)
+    assert validate_schedule(s) == Violation(2, "non-integer-id", "non-integer id at t=2")
+
+
 def test_repeat_kill_wastes_round():
     s = Schedule(params=GameParams(4, 2, 1), sets=((1, 2), (1, 2), (1, 2), (1, 2)))
     assert survival_time(s, Adversary(kills=(1, 1, 1, 1))) == 4

@@ -59,6 +59,17 @@ def test_adjacency_validation():
         BipartiteGraph(left_count=-1, right_count=2, adj=())
 
 
+def test_non_int_counts_rejected():
+    with pytest.raises(ValueError, match="vertex counts must be integers"):
+        BipartiteGraph(2, 2.0, ((1.5,), (True,)))
+
+
+def test_non_int_neighbours_rejected():
+    # Once built, this graph made deficiency_witness index a list by 1.5.
+    with pytest.raises(ValueError, match="neighbors of left vertex 1 must be integers"):
+        BipartiteGraph(2, 3, ((1.5,), (True, 2)))
+
+
 def test_from_edges_validation():
     """An edge to a right vertex out of range, or a repeated edge, is rejected."""
     with pytest.raises(ValueError):

@@ -90,6 +90,13 @@ class TestBruteAdversaryMin:
         with pytest.raises(BudgetExceededError):
             brute_adversary_min(s, 15)
 
+    def test_long_chain_needs_no_recursion(self):
+        """1,500 rounds, far past the interpreter's recursion limit: every
+        set pairs processor 1 with a new one, so killing 1 and then the
+        new member of round 2 ends the run after one round."""
+        s = Schedule(GameParams(1501, 2, 1), tuple((1, t + 1) for t in range(1, 1501)))
+        assert brute_adversary_min(s, max_states=2**1500) == minimal_survival_time(s) == 1
+
 
 class TestBruteOptimum:
     def test_known_value(self):

@@ -144,6 +144,12 @@ def test_invalid_params(kwargs):
         TwoPoolParams(**kwargs)
 
 
+def test_empty_operating_set_rejected():
+    # Both quorums valid on their own (pool 2 empty), so the size check fires.
+    with pytest.raises(ValueError, match="n must be positive"):
+        TwoPoolParams(1, 0, 0, 1, 0)
+
+
 @pytest.mark.parametrize("field", ["N1", "N2", "n", "g1", "g2"])
 @pytest.mark.parametrize("convert", [float, bool])
 def test_non_int_params_rejected(field, convert):
