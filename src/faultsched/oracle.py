@@ -36,12 +36,12 @@ def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
     known minimum cannot improve it, and a kill that leaves more than f
     dead members in the current set makes the rounds survived the new
     minimum and ends that state's other kills.  Raises ``ValueError``
-    when ``max_states`` is below 1 and ``BudgetExceededError`` when the
-    n^len(s) kill sequences exceed it.
+    when ``max_states`` is not an int of at least 1, and
+    ``BudgetExceededError`` when the n^len(s) kill sequences exceed it.
     """
     _require_valid(s)
-    if max_states < 1:
-        raise ValueError("max_states must be positive")
+    if type(max_states) is not int or max_states < 1:
+        raise ValueError(f"max_states must be positive and an int, got {max_states!r}")
     n, f, length = s.params.n, s.params.f, len(s)
     if n**length > max_states:
         raise BudgetExceededError(
@@ -94,12 +94,12 @@ def prefix_search(
     Depth first, in the order ``children`` gives.  Only the open
     iterators of the current path are kept.  Every child that is tested
     counts as a state; more than ``max_states`` of them raises
-    ``BudgetExceededError``, and ``max_states`` below 1 raises
-    ``ValueError``.  ``brute_optimum`` and the two-pool probe both run
-    it.
+    ``BudgetExceededError``; a ``max_states`` that is not an int of at
+    least 1 raises ``ValueError``.  ``brute_optimum`` and the two-pool
+    probe both run it.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be positive")
+    if type(max_states) is not int or max_states < 1:
+        raise ValueError(f"max_states must be positive and an int, got {max_states!r}")
     states = 0
     best = 0
     stack = [iter(children(root))]

@@ -11,9 +11,10 @@ truncated matching converts into an explicit kill sequence.
 The scan for t* never builds a time graph.  It keeps, for each
 processor, the steps where it appeared so far, and tests step t on the
 lists of the members of S_t alone: fewer than f members seen before, or
-fewer than f distinct earlier steps among them, settles the step.
-Otherwise the lists are inverted into the time graph's adjacency and
-the augmenting-path search behind ``max_matching`` runs once; at t* its
+fewer than f distinct earlier steps among them (one list's length when
+all are equal, as in the batch schedule), settles the step.  Otherwise
+the lists are inverted into the time graph's adjacency and the
+augmenting-path search behind ``max_matching`` runs once; at t* its
 maximum matching is returned as sorted (step, member index) pairs.
 
 ``PInstance`` packages the abstract form of a surviving prefix: rows of
@@ -94,8 +95,8 @@ def time_graph(s: Schedule, t: int) -> BipartiteGraph:
     the earlier round u < t, right vertex j is the j-th smallest member
     of S_t, and (u, j) is an edge iff that member is in S_u."""
     _require_valid(s)
-    if not (1 <= t <= len(s)):
-        raise ValueError(f"t={t} outside schedule of length {len(s)}")
+    if type(t) is not int or not (1 <= t <= len(s)):
+        raise ValueError(f"t={t!r} outside schedule of length {len(s)}")
     return BipartiteGraph.from_rows(s.sets[: t - 1], s.sets[t - 1])
 
 
@@ -106,16 +107,19 @@ def _scan(
     graph over the earlier rows has matching number at least f.  Returns
     t with that maximum matching as sorted (step, member index) pairs
     (None on a degree failure), or (0, None) when every row passes.
-    Callers validate their input first.  A searched step's adjacency
-    lists the earlier steps ascending, each with the ascending indices of
-    its members there: the search runs as in
+    Callers validate their input first.  The distinct earlier steps are
+    one list's length when the members' step lists are all equal, and a
+    set union's size otherwise.  A searched step's adjacency lists the
+    earlier steps ascending, each with the ascending indices of its
+    members there: the search runs as in
     ``max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))``."""
     steps: dict[int, list[int]] = {}
     for t, row in enumerate(rows, start=1):
         if len(row) != n:
             return t, None
-        lists = [steps.get(p, ()) for p in row]
-        if n - lists.count(()) >= f and len(set().union(*lists)) >= f:
+        lists = [steps.get(p) or steps.setdefault(p, []) for p in row]
+        if (len(lists[0]) if lists.count(lists[0]) == n
+                else n - lists.count([]) >= f and len(set().union(*lists))) >= f:
             adj: dict[int, list[int]] = {}
             for j, seen in enumerate(lists, start=1):
                 for u in seen:
@@ -124,8 +128,8 @@ def _scan(
             mate = _grow_matching([adj[u] for u in order], n)
             if len(mate) >= f:
                 return t, sorted((order[k], j) for j, k in mate.items())
-        for p in row:
-            steps.setdefault(p, []).append(t)
+        for seen in lists:
+            seen.append(t)
     return 0, None
 
 

@@ -119,7 +119,7 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
     no class mixes the types.  Only rows already meeting both quorums
     with zero faults are drawn, and a state is dead when ``_killable``
     says so.  ``prefix_search`` enforces ``max_states``, which must be
-    positive.
+    an int of at least 1.
     """
     total = tp.N1 + tp.N2
     if total > PROBE_MAX_POOL or tp.n > PROBE_MAX_N:

@@ -61,6 +61,19 @@ def test_budget_validation():
             brute_adversary_min(s, max_states)
 
 
+@pytest.mark.parametrize("max_states", [20.5, 1e9, True, "100"])
+def test_brute_optimum_rejects_non_int_budget(max_states):
+    with pytest.raises(ValueError, match=f"must be positive and an int, got {max_states!r}"):
+        brute_optimum(GameParams(4, 2, 1), max_states=max_states)
+
+
+@pytest.mark.parametrize("max_states", [20.5, 1e9, True, "100"])
+def test_brute_adversary_min_rejects_non_int_budget(max_states):
+    s = trivial_schedule(GameParams(4, 2, 1))
+    with pytest.raises(ValueError, match=f"must be positive and an int, got {max_states!r}"):
+        brute_adversary_min(s, max_states=max_states)
+
+
 class TestBruteAdversaryMin:
     def test_constant_schedule(self):
         s = Schedule(params=GameParams(4, 2, 1), sets=((1, 2),) * 4)

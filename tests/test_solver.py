@@ -66,6 +66,13 @@ def test_time_graph_bounds():
         time_graph(s, 5)
 
 
+@pytest.mark.parametrize("t", [True, 2.0, "2", None])
+def test_time_graph_rejects_non_int_t(t):
+    s = trivial_schedule(GameParams(4, 2, 1))
+    with pytest.raises(ValueError, match=f"^t={t!r} outside schedule of length 4$"):
+        time_graph(s, t)
+
+
 def test_first_killable_time_trivial():
     s = trivial_schedule(GameParams(4, 2, 1))
     assert first_killable_time(s) == 3
@@ -279,9 +286,70 @@ def matching_calls(monkeypatch):
 
 
 def test_scan_searches_once_on_trivial(matching_calls):
-    s = trivial_schedule(GameParams(N=40, n=4, f=2))
-    assert first_killable_time(s) == 21
-    assert len(matching_calls) == 1
+    """Every row of the batch schedule shares one history among its
+    members, so only t* = h + 1 gets past the count of earlier steps."""
+    for N, n, f in ((40, 4, 2), (800, 40, 10), (200, 8, 7)):
+        matching_calls.clear()
+        s = trivial_schedule(GameParams(N=N, n=n, f=f))
+        assert first_killable_time(s) == h_value(n, f, N) + 1
+        assert len(matching_calls) == 1
+
+
+def assert_scan_matches_reference(s):
+    t_star, m = reference_killable(s)
+    pairs = sorted(m.pairs) if m else None
+    assert solver._scan(s.sets, s.params.n, s.params.f) == (t_star, pairs)
+    assert minimal_adversary(s).kills == reference_kills(s, t_star, pairs)
+    return t_star
+
+
+def member_swaps(params):
+    """Every schedule made from the batch schedule of ``params`` by
+    replacing one member of one row with one id outside that row, so
+    that one member's history differs from the others' by one step."""
+    sets = trivial_schedule(params).sets
+    for t, row in enumerate(sets):
+        for old in row:
+            for new in range(1, params.N + 1):
+                if new not in row:
+                    swapped = tuple(sorted({*row, new} - {old}))
+                    yield Schedule(params=params, sets=(*sets[:t], swapped, *sets[t + 1:]))
+
+
+def test_scan_on_single_member_swaps():
+    params = [GameParams(6, 3, 2), GameParams(8, 4, 2), GameParams(9, 3, 2), GameParams(10, 4, 3)]
+    cases = [s for p in params for s in member_swaps(p)]
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        p = GameParams(N=rng.randint(n + 1, 40), n=n, f=rng.randint(1, n - 1))
+        sets = list(trivial_schedule(p).sets)
+        t = rng.randrange(len(sets))
+        row = set(sets[t])
+        row.remove(rng.choice(sets[t]))
+        row.add(rng.choice([q for q in range(1, p.N + 1) if q not in sets[t]]))
+        sets[t] = tuple(sorted(row))
+        cases.append(Schedule(params=p, sets=tuple(sets)))
+    moved = sum(assert_scan_matches_reference(s) != h_value(s.params.n, s.params.f, s.params.N) + 1
+                for s in cases)
+    assert 0 < moved < len(cases)
+
+
+@pytest.mark.parametrize("n,f", [(2, 1), (3, 2), (5, 2), (8, 7)])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_scan_on_shared_histories(matching_calls, n, f, extra):
+    """The last row's members share one history of f - 1, f or f + 1
+    steps: in a constant schedule, and after a disjoint row."""
+    k = f + extra
+    a, b = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))
+    params = GameParams(N=2 * n, n=n, f=f)
+    # With k > f the leading run of a is killable at f + 1 already.
+    for sets, t_star in (((a,) * (k + 1), f + 1), ((a,) * k + (b, a), f + 2 - (k > f))):
+        s = Schedule(params=params, sets=sets)
+        matching_calls.clear()
+        assert first_killable_time(s) == (t_star if k >= f else 0)
+        assert len(matching_calls) == (k >= f)
+        assert_scan_matches_reference(s)
 
 
 def test_scan_without_killable_step_runs_no_matching(matching_calls):

@@ -277,6 +277,12 @@ class TestBruteProbe:
             with pytest.raises(ValueError):
                 two_pool_brute_optimum(tp, max_states)
 
+    @pytest.mark.parametrize("max_states", [1e6, 2.5, True])
+    def test_max_states_must_be_an_int(self, max_states):
+        tp = TwoPoolParams(N1=4, N2=4, n=4, g1=1, g2=1)
+        with pytest.raises(ValueError, match=f"must be positive and an int, got {max_states!r}"):
+            two_pool_brute_optimum(tp, max_states=max_states)
+
     def test_probe_matches_direct_game_enumeration(self):
         configs = [
             TwoPoolParams(N1=2, N2=2, n=2, g1=1, g2=1),
