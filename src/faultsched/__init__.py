@@ -29,7 +29,7 @@ _HOMES = {
     "solver": (
         "MembershipReport", "PInstance", "first_killable_time",
         "instance_to_dict", "load_instance", "membership_in_P", "minimal_adversary",
-        "minimal_survival_time", "reduce_instance", "save_instance", "schedule_instance",
+        "minimal_survival_time", "reduce_instance", "save_instance",
         "surviving_prefix_instance", "time_graph",
     ),
     "survival": ("apriori_upper_bound", "h_value", "optimum_survival_time"),

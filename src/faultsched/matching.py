@@ -7,10 +7,11 @@ killability scan on the same adjacency inverted from its step lists.
 The matching size nu of a bipartite graph equals, by Ore's deficiency
 formula, the minimum over subsets C of the right side B of
 |B - C| + |gamma(C)|, where gamma(C) is the set of left neighbours of C.
-``deficiency_witness`` returns a minimizing C and its gamma(C)
-constructively from a maximum matching (the Koenig-style
-alternating-reachability argument) and checks that the attained value
-equals the matching size, a same-size certificate of optimality.
+``_ore_witness``, over right vertices that are any ids, returns a
+minimizing C and its gamma(C) constructively from a maximum matching
+(the Koenig-style alternating-reachability argument) and checks that
+the attained value equals the matching size, a same-size certificate of
+optimality; ``deficiency_witness`` and ``reduce_instance`` both run it.
 
 Vertices are 1-based on both sides.  Graphs are immutable; all functions
 are pure and deterministic (the matcher tries vertices in order).
@@ -67,13 +68,6 @@ class BipartiteGraph(_Frozen):
         col = {p: j for j, p in enumerate(right, start=1)}
         adj = tuple(tuple(col[p] for p in row if p in col) for row in rows)
         return cls(left_count=len(rows), right_count=len(right), adj=adj)
-
-    def right_adj(self) -> tuple[tuple[int, ...], ...]:
-        rows: list[list[int]] = [[] for _ in range(self.right_count)]
-        for l, nbrs in enumerate(self.adj, start=1):
-            for r in nbrs:
-                rows[r - 1].append(l)
-        return tuple(tuple(row) for row in rows)
 
 
 class Matching(_Frozen):
@@ -150,32 +144,40 @@ def max_matching(g: BipartiteGraph) -> Matching:
 
 
 def deficiency_witness(g: BipartiteGraph) -> DeficiencyWitness:
-    """Minimizing subset C of the right side B for |B - C| + |gamma(C)|.
+    """Minimizing subset C of the right side B for |B - C| + |gamma(C)|,
+    from the matching that ``max_matching`` finds."""
+    return _ore_witness(g.adj, range(1, g.right_count + 1))
 
-    Construction: from a maximum matching, grow alternating-path
-    reachability from the unmatched right vertices (non-matching edges
-    to the left, matching edges back); C is the reached part of B and
-    gamma(C) the reached left vertices, as every neighbour of C is.
-    Raises ArithmeticError unless the attained value equals the size of
-    the matching, the certificate that both are optimal.
+
+def _ore_witness(adj: Sequence[Sequence[int]], right: Sequence[int]) -> DeficiencyWitness:
+    """Ore witness of the graph whose left vertex i is adjacent to the
+    members of ``right`` that ``adj[i - 1]`` lists in ``right``'s order.
+
+    Construction: from the maximum matching of ``_grow_matching``, grow
+    alternating-path reachability from the unmatched members of
+    ``right`` (non-matching edges to the left, matching edges back); C
+    is the reached members and gamma(C) the reached left vertices, as
+    every neighbour of C is.  Raises ArithmeticError unless the attained
+    value equals the matching size, the certificate that both are optimal.
     """
-    m = max_matching(g)
-    right_adj = g.right_adj()
-    mate_of_left = dict(m.pairs)
-    reached = set(range(1, g.right_count + 1)).difference(mate_of_left.values())
+    mate = _grow_matching(adj, min(len(adj), len(right)))
+    lefts: dict[int, list[int]] = {p: [] for p in right}
+    for l, nbrs in enumerate(adj, start=1):
+        for p in nbrs:
+            lefts[p].append(l)
+    mate_of_left = {l + 1: p for p, l in mate.items()}
+    reached = set(right).difference(mate)
     gamma: set[int] = set()
     stack = list(reached)
     while stack:
-        for l in right_adj[stack.pop() - 1]:
+        for l in lefts[stack.pop()]:
             if l not in gamma:
                 gamma.add(l)
                 if l in mate_of_left:  # its mate is reached through l alone
                     reached.add(mate_of_left[l])
                     stack.append(mate_of_left[l])
 
-    value = (g.right_count - len(reached)) + len(gamma)
-    if value != m.size:
-        raise ArithmeticError(
-            f"deficiency value {value} differs from the matching size {m.size}"
-        )
+    value = (len(right) - len(reached)) + len(gamma)
+    if value != len(mate):
+        raise ArithmeticError(f"deficiency value {value} is not the matching size {len(mate)}")
     return DeficiencyWitness(C=frozenset(reached), gamma=frozenset(gamma), value=value)

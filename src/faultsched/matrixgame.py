@@ -91,7 +91,11 @@ def _simplex_max(a: list[list[int]], k: int) -> tuple[list[int], list[int], int]
 
 
 def over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """Numerators of ``xs`` over their least common denominator, and it."""
+    """Numerators of ``xs`` over their least common denominator, and it.
+    The one type check of weights and payoffs: a value that is not an
+    ``int`` or a ``Fraction`` (a float or a bool too) raises ValueError."""
+    if bad := {*map(type, xs)} - {int, Fraction}:
+        raise ValueError(f"values must be int or Fraction, got {min(t.__name__ for t in bad)}")
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
 
@@ -105,8 +109,6 @@ def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolu
     k = len(matrix[0])
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix rows must have equal length")
-    if not all(type(x) is int or isinstance(x, Fraction) for row in matrix for x in row):
-        raise ValueError("matrix entries must be int or Fraction")
 
     # The game on scale * matrix has the same strategies and scale times
     # the value; scaling by the lcm of the denominators makes it integral.

@@ -162,8 +162,8 @@ def adversary_best_response(
     """Value of the exact on-line best response against ``support``;
     recomputing this against a solver's output certifies its value."""
     _check_guard(params)
-    weights = [w for _, w in support]
-    if not support or any(w <= 0 for w in weights) or sum(weights) != 1:
+    masses, scale = over_common_denominator([w for _, w in support])
+    if not support or min(masses) <= 0 or sum(masses) != scale:
         raise ValueError("support must carry positive weights summing to 1")
     for s, _ in support:
         if s.params != params:

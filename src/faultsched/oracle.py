@@ -183,9 +183,9 @@ def brute_deficiency(g: BipartiteGraph) -> DeficiencyWitness:
     then lexicographically.
     """
     b_count = g.right_count
-    rows = g.right_adj()
     if b_count > 20:
         raise BudgetExceededError(f"right side of size {b_count} exceeds the 2^20 subset cap")
+    rows = [[l for l, nbrs in enumerate(g.adj, 1) if b in nbrs] for b in range(1, b_count + 1)]
 
     best_value = b_count + 1 + sum(len(r) for r in rows)
     best_c: tuple[int, ...] = ()
@@ -204,8 +204,9 @@ def brute_deficiency(g: BipartiteGraph) -> DeficiencyWitness:
 
 def random_schedule(params: GameParams, length: int, seed: int) -> Schedule:
     """Schedule of independent uniform size-n subsets, reproducible by seed."""
-    if not (1 <= length <= params.N):
-        raise ValueError(f"length must be in 1..{params.N}, got {length}")
+    if not (type(length) is type(seed) is int and 1 <= length <= params.N):
+        raise ValueError(f"length must be an int in 1..{params.N} and seed an int, "
+                         f"got length={length!r}, seed={seed!r}")
     import random  # here, so that the searches above never load it
     rng = random.Random(seed)
     pool = range(1, params.N + 1)

@@ -22,7 +22,9 @@ degree n whose time graphs all have matching number at most f - 1.  Its
 constructor is the one check of instance input, one pass per row, and
 ``surviving_prefix_instance`` is one scan plus one instance of t* - 1
 rows.  ``reduce_instance`` shrinks a member by one row, trading rows
-against right vertices at the rate the survival function prescribes.
+against right vertices at the rate the survival function prescribes;
+its Ore witness comes from the earlier rows cut to the last row's
+members, the scan's layout, by the one witness routine of ``matching``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from operator import lt
 from os import PathLike
 
 from .game import Adversary, Schedule, _Frozen, _require_valid, read_document, write_document
-from .matching import BipartiteGraph, _grow_matching, deficiency_witness
-from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps solver.max_matching
+from .matching import BipartiteGraph, _grow_matching, _ore_witness
+from .matching import deficiency_witness, max_matching  # noqa: F401 - perfbench's tracer wraps them
 
 
 class PInstance(_Frozen):
@@ -174,19 +176,11 @@ def minimal_adversary(s: Schedule) -> Adversary:
     return Adversary(kills=tuple(kills))
 
 
-def schedule_instance(s: Schedule) -> PInstance:
-    """The schedule itself as a left-ordered instance over pool {1..N}."""
-    _require_valid(s)
-    p = s.params
-    return PInstance(n=p.n, f=p.f, right_ids=range(1, p.N + 1), rows=s.sets)
-
-
 def surviving_prefix_instance(s: Schedule) -> PInstance:
     """Instance formed by the rounds strictly before the first killable
     one (the whole schedule when none is killable)."""
-    end = (first_killable_time(s) or len(s) + 1) - 1
     p = s.params
-    return PInstance(n=p.n, f=p.f, right_ids=range(1, p.N + 1), rows=s.sets[:end])
+    return PInstance(p.n, p.f, range(1, p.N + 1), s.sets[: minimal_survival_time(s)])
 
 
 def membership_in_P(inst: PInstance) -> MembershipReport:
@@ -227,7 +221,8 @@ def reduce_instance(inst: PInstance) -> PInstance:
     """One-row reduction preserving membership.
 
     Let L be the row count and B the last row.  A deficiency witness C
-    of the time graph at L (over its right side B) satisfies
+    of the time graph at L, over its right side B, read off the earlier
+    rows by ``_ore_witness`` with C as ids and no graph built, satisfies
     |B - C| + |gamma(C)| = nu <= f - 1.  Dropping row L, every earlier
     row meeting C, and the right vertices of C yields an instance with
     L' = L - 1 - |gamma_{I_L}(C)| rows over |R| - |C| right ids that
@@ -239,19 +234,16 @@ def reduce_instance(inst: PInstance) -> PInstance:
     if inst.left_count == 0:
         raise ValueError("cannot reduce an instance with no rows")
 
-    big_l = inst.left_count
-    last_row = inst.rows[big_l - 1]
-    g = BipartiteGraph.from_rows(inst.rows[:-1], last_row)
-    wit = deficiency_witness(g)
-    c_ids = frozenset(last_row[j - 1] for j in wit.C)
-    gamma = wit.gamma
-    keep_rows = tuple(row for u, row in enumerate(inst.rows[:-1], start=1) if u not in gamma)
-    keep_ids = tuple(p for p in inst.right_ids if p not in c_ids)
+    *earlier, last_row = inst.rows
+    members = set(last_row)
+    wit = _ore_witness([[p for p in row if p in members] for row in earlier], last_row)
+    keep_rows = tuple(row for u, row in enumerate(earlier, start=1) if u not in wit.gamma)
+    keep_ids = tuple(p for p in inst.right_ids if p not in wit.C)
     reduced = PInstance(n=inst.n, f=inst.f, right_ids=keep_ids, rows=keep_rows)
 
-    if reduced.left_count != big_l - 1 - len(gamma):
+    if reduced.left_count != len(earlier) - len(wit.gamma):
         raise RuntimeError(
             f"reduced instance has {reduced.left_count} rows, "
-            f"expected L - 1 - |gamma(C)| = {big_l - 1 - len(gamma)}"
+            f"expected L - 1 - |gamma(C)| = {len(earlier) - len(wit.gamma)}"
         )
     return reduced

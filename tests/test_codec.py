@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from faultsched import (
     Adversary,
     GameParams,
+    PInstance,
     adversary_to_dict,
     instance_to_dict,
     load_adversary,
@@ -19,7 +20,6 @@ from faultsched import (
     save_adversary,
     save_instance,
     save_schedule,
-    schedule_instance,
     schedule_to_dict,
 )
 
@@ -44,7 +44,8 @@ def documents(draw):
     kind = draw(st.sampled_from(sorted(FORMATS)))
     if kind == "adversary":
         return kind, Adversary(kills=tuple(draw(st.sampled_from(row)) for row in s.sets))
-    return kind, s if kind == "schedule" else schedule_instance(s)
+    p = s.params
+    return kind, s if kind == "schedule" else PInstance(p.n, p.f, range(1, p.N + 1), s.sets)
 
 
 def _slots(doc):

@@ -230,6 +230,15 @@ class TestGameValue:
         with pytest.raises(ValueError, match="must sum to 1"):
             GameValue(value=Fraction(2), strategy_support=())
 
+    @pytest.mark.parametrize("weight,name", [(1.0, "float"), (True, "bool")])
+    def test_probabilities_must_be_int_or_fraction(self, weight, name):
+        # A float weight used to die with a bare AttributeError, and True
+        # passed as 1.
+        s = trivial_schedule(GameParams(4, 2, 1))
+        with pytest.raises(ValueError) as e:
+            GameValue(value=Fraction(1), strategy_support=((s, weight),))
+        assert str(e.value) == f"values must be int or Fraction, got {name}"
+
 
 class TestAdversaryPolicy:
     def test_default_rule(self):
@@ -605,6 +614,11 @@ class TestAdversaryBestResponse:
         with pytest.raises(ValueError):
             adversary_best_response(params, ((other, Fraction(1)),))
         small = GameParams(3, 2, 1)
+        swapped = Schedule(params=small, sets=((1, 3), (1, 2), (2, 3)))
+        for support in (((other, 0.5), (swapped, 0.5)), ((other, True),), ((other, "1"),),
+                        ((other, None),)):
+            with pytest.raises(ValueError, match="values must be int or Fraction, got "):
+                adversary_best_response(small, support)
         for sets in (((1, 2), (1, 2, 3), (7, 9)), ((1, 1), (2, 3), (1, 3))):
             bad = Schedule(params=small, sets=sets)
             with pytest.raises(ValueError, match="invalid schedule"):

@@ -252,6 +252,16 @@ class TestRandomSchedule:
         with pytest.raises(ValueError):
             random_schedule(p, 5, seed=0)
 
+    @pytest.mark.parametrize("length,seed", [
+        (2.0, 7), (True, 7), (2, None), (2, 1.5), (2, "abc"), (2, True),
+    ])
+    def test_non_int_length_or_seed(self, length, seed):
+        # A float length used to die inside range(), length=True gave one
+        # row, and seed=None a new schedule on every call.
+        with pytest.raises(ValueError, match="must be an int") as e:
+            random_schedule(GameParams(4, 2, 1), length, seed)
+        assert str(e.value).endswith(f"got length={length!r}, seed={seed!r}")
+
     def test_frequencies_roughly_uniform(self):
         p = GameParams(4, 2, 1)
         counts = Counter()

@@ -24,7 +24,7 @@ PUBLIC = [
     "load_adversary", "load_instance", "load_schedule", "max_matching", "membership_in_P",
     "minimal_adversary", "minimal_survival_time", "online_game_value",
     "optimum_survival_time", "random_schedule", "reduce_instance", "save_adversary",
-    "save_instance", "save_schedule", "schedule_instance", "schedule_to_dict",
+    "save_instance", "save_schedule", "schedule_to_dict",
     "solve_zero_sum", "survival_time", "surviving_prefix_instance", "time_graph",
     "trivial_schedule", "two_pool_best_split", "two_pool_brute_optimum",
     "two_pool_lower_bound", "validate_adversary", "validate_schedule",

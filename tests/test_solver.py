@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 
 from faultsched import (
     Adversary,
+    BipartiteGraph,
     GameParams,
+    Matching,
     PInstance,
     Schedule,
     adversary_best_response,
@@ -23,13 +26,12 @@ from faultsched import (
     reduce_instance,
     save_instance,
     save_schedule,
-    schedule_instance,
     survival_time,
     surviving_prefix_instance,
     time_graph,
     trivial_schedule,
 )
-from faultsched import solver
+from faultsched import matching, solver
 from faultsched.cli import main
 
 
@@ -122,7 +124,9 @@ def test_minimal_adversary_attains_on_random(count=60):
 def test_minimal_survival_matches_brute_on_random(count=60):
     for s in random_cases(count, seed=3):
         assert minimal_survival_time(s) == brute_adversary_min(s)
-        assert first_killable_time(s) == membership_in_P(schedule_instance(s)).violating_t
+        p = s.params
+        assert first_killable_time(s) == membership_in_P(
+            PInstance(p.n, p.f, range(1, p.N + 1), s.sets)).violating_t
 
 
 TRIVIAL_40 = GameParams(N=40, n=4, f=2)
@@ -135,7 +139,6 @@ VALIDATING_ENTRIES = {
     "minimal_adversary": (TRIVIAL_40, minimal_adversary),
     "minimal_survival_time": (TRIVIAL_40, minimal_survival_time),
     "surviving_prefix_instance": (TRIVIAL_40, surviving_prefix_instance),
-    "schedule_instance": (TRIVIAL_40, schedule_instance),
     "time_graph": (TRIVIAL_40, lambda s: time_graph(s, 5)),
     "survival_time": (
         TRIVIAL_40, lambda s: survival_time(s, Adversary(tuple(row[0] for row in s.sets)))
@@ -244,7 +247,8 @@ def test_scan_agrees_with_per_step_reference():
         assert first_killable_time(s) == t_star
         assert solver._scan(s.sets, s.params.n, s.params.f)[1] == pairs
         assert minimal_adversary(s).kills == reference_kills(s, t_star, pairs)
-        report = membership_in_P(schedule_instance(s))
+        p = s.params
+        report = membership_in_P(PInstance(p.n, p.f, range(1, p.N + 1), s.sets))
         assert report.violating_t == t_star
         if t_star:
             f = s.params.f
@@ -355,7 +359,7 @@ def test_scan_on_shared_histories(matching_calls, n, f, extra):
 def test_scan_without_killable_step_runs_no_matching(matching_calls):
     s = Schedule(params=GameParams(6, 2, 1), sets=((1, 2), (3, 4), (5, 6)))
     assert first_killable_time(s) == 0
-    assert membership_in_P(schedule_instance(s)).member
+    assert membership_in_P(PInstance(2, 1, range(1, 7), s.sets)).member
     assert matching_calls == []
 
 
@@ -368,8 +372,9 @@ def test_trivial_schedule_attains_h_at_scale(N, n, f):
 
 
 def test_schedule_instance_full():
+    """The whole schedule as an instance over 1..N holds its killable row."""
     s = trivial_schedule(GameParams(4, 2, 1))
-    inst = schedule_instance(s)
+    inst = PInstance(2, 1, range(1, 5), s.sets)
     assert inst.rows == s.sets
     assert inst.right_ids == (1, 2, 3, 4)
     report = membership_in_P(inst)
@@ -385,7 +390,7 @@ def test_surviving_prefix_instance_is_member():
 
 def test_surviving_prefix_builds_one_instance(monkeypatch):
     """One checked instance of the t* - 1 surviving rows, never one of the
-    whole schedule: the result is ``schedule_instance`` cut to them."""
+    whole schedule: the result is the whole schedule's instance cut to them."""
     built = []
     init = PInstance.__init__
     monkeypatch.setattr(PInstance, "__init__",
@@ -398,10 +403,10 @@ def test_surviving_prefix_builds_one_instance(monkeypatch):
         built.clear()
         inst = surviving_prefix_instance(s)
         assert built == [inst]
-        full = schedule_instance(s)
+        p = s.params
         t_star = first_killable_time(s)
-        rows = full.rows[: t_star - 1] if t_star else full.rows
-        assert inst == PInstance(full.n, full.f, full.right_ids, rows)
+        rows = s.sets[: t_star - 1] if t_star else s.sets
+        assert inst == PInstance(p.n, p.f, range(1, p.N + 1), rows)
 
 
 def test_membership_degree_check():
@@ -502,13 +507,93 @@ def test_reduce_instance_postconditions():
 def test_reduce_rejects_non_member():
     s = trivial_schedule(GameParams(4, 2, 1))
     with pytest.raises(ValueError):
-        reduce_instance(schedule_instance(s))
+        reduce_instance(PInstance(2, 1, range(1, 5), s.sets))
 
 
 def test_reduce_rejects_empty():
     inst = PInstance(n=2, f=1, right_ids=(1, 2), rows=())
     with pytest.raises(ValueError):
         reduce_instance(inst)
+
+
+def reference_reduce(inst):
+    """``reduce_instance`` through a checked time graph: ``from_rows``,
+    ``max_matching``, and the alternating reach from the unmatched right
+    vertices over the graph's inverted adjacency, mapped back to ids."""
+    *earlier, last = inst.rows
+    g = BipartiteGraph.from_rows(tuple(earlier), last)
+    m = max_matching(g)
+    mate_of_left = dict(m.pairs)
+    lefts = [[u for u, nbrs in enumerate(g.adj, 1) if j in nbrs] for j in range(1, len(last) + 1)]
+    reached = set(range(1, len(last) + 1)) - set(mate_of_left.values())
+    gamma, stack = set(), list(reached)
+    while stack:
+        for u in lefts[stack.pop() - 1]:
+            if u not in gamma:
+                gamma.add(u)
+                if u in mate_of_left:
+                    reached.add(mate_of_left[u])
+                    stack.append(mate_of_left[u])
+    assert len(last) - len(reached) + len(gamma) == m.size < inst.f
+    c_ids = {last[j - 1] for j in reached}
+    return PInstance(inst.n, inst.f, [p for p in inst.right_ids if p not in c_ids],
+                     [row for u, row in enumerate(earlier, 1) if u not in gamma])
+
+
+def member_instances():
+    """Seeded members, each followed by its chain of reductions down to
+    no rows: the surviving prefixes of random, perturbed and
+    single-member-swap schedules, and every prefix of small batch
+    schedules."""
+    schedules = [*random_cases(80, seed=31, max_pool=16, max_n=6),
+                 *perturbed_trivial_cases(60, seed=32)]
+    swaps = [*member_swaps(GameParams(8, 4, 2)), *member_swaps(GameParams(9, 3, 2))]
+    schedules += random.Random(33).sample(swaps, 60)
+    starts = [surviving_prefix_instance(s) for s in schedules]
+    for p in (GameParams(12, 4, 2), GameParams(10, 5, 3), GameParams(40, 4, 3)):
+        sets = trivial_schedule(p).sets
+        starts += [PInstance(p.n, p.f, range(1, p.N + 1), sets[:end])
+                   for end in range(1, h_value(p.n, p.f, p.N) + 1)]
+    for inst in starts:
+        while inst.left_count:
+            yield inst
+            inst = reduce_instance(inst)
+
+
+def test_reduce_matches_graph_reference():
+    """Equal results on 646 members; in 55 the witness C keeps some
+    members of the last row, in 396 gamma(C) drops earlier rows."""
+    cases = partial_c = rows_cut = 0
+    for inst in member_instances():
+        reduced = reduce_instance(inst)
+        assert reduced == reference_reduce(inst)
+        cases += 1
+        partial_c += inst.right_count - reduced.right_count < inst.n
+        rows_cut += reduced.left_count < inst.left_count - 1
+    assert cases >= 300 and partial_c >= 40 and rows_cut >= 300
+
+
+def test_reduce_builds_no_graph_or_matching(monkeypatch):
+    """The Ore witness is read off the rows: no ``BipartiteGraph``, no
+    ``Matching``, and no call of ``max_matching`` or
+    ``deficiency_witness`` under any of their names."""
+    seen = []
+    for cls in (BipartiteGraph, Matching):
+        monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=cls.__init__, **kw:
+                            seen.append(type(obj).__name__) or init(obj, *args, **kw))
+    for module in (matching, solver):
+        for name in ("max_matching", "deficiency_witness"):
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=getattr(module, name):
+                                seen.append(name) or real(*args))
+    p = GameParams(800, 40, 10)
+    batch = PInstance(p.n, p.f, range(1, p.N + 1), trivial_schedule(p).sets[:200])
+    for inst in (batch, *itertools.islice(member_instances(), 100)):
+        reduce_instance(inst)
+    assert seen == []
+    g = time_graph(trivial_schedule(p), 11)
+    matching.deficiency_witness(g)
+    solver.max_matching(g)
+    assert seen == ["BipartiteGraph", "deficiency_witness", "max_matching", "Matching"]
 
 
 def test_instance_json_round_trip(tmp_path):
