@@ -50,11 +50,11 @@ def _cmd_solve_adversary(ns: Namespace) -> None:
     s = load_schedule(ns.schedule)
     adv = minimal_adversary(s)
     T = survival_time(s, adv)  # the adversary attains the minimum, ending the run at t* - 1
-    print(f"T={T}")
-    print(f"t*={T + 1 if T < len(s) else 'none'}")
     if ns.out:
         save_adversary(adv, ns.out)
-    else:
+    print(f"T={T}")
+    print(f"t*={T + 1 if T < len(s) else 'none'}")
+    if not ns.out:
         import json
         print(json.dumps(adversary_to_dict(adv)))
 

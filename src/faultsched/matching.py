@@ -1,16 +1,17 @@
 """Bipartite graphs, maximum matching, and deficiency witnesses.
 
 There is one matcher, Kuhn's augmenting-path search ``_grow_matching``:
-``max_matching`` runs it on a graph's adjacency, and the solver's
-killability scan on the same adjacency inverted from its step lists.
+``max_matching`` runs it from a graph's left vertices, and the solver's
+killability scan from the members of S_t, on their lists of earlier steps.
 
 The matching size nu of a bipartite graph equals, by Ore's deficiency
 formula, the minimum over subsets C of the right side B of
 |B - C| + |gamma(C)|, where gamma(C) is the set of left neighbours of C.
-``_ore_witness``, over right vertices that are any ids, returns a
-minimizing C and its gamma(C) constructively from a maximum matching
-(the Koenig-style alternating-reachability argument) and checks that
-the attained value equals the matching size, a same-size certificate of
+``_ore_witness``, over right vertices that are any ids, each given with
+its list of left neighbours (the scan's layout), returns a minimizing C
+and its gamma(C) constructively from a maximum matching (the
+Koenig-style alternating-reachability argument) and checks that the
+attained value equals the matching size, a same-size certificate of
 optimality; ``deficiency_witness`` and ``reduce_instance`` both run it.
 
 Vertices are 1-based on both sides.  Graphs are immutable; all functions
@@ -98,16 +99,16 @@ class DeficiencyWitness(_Frozen):
     value: int
 
 
-def _grow_matching(adj: Sequence[Sequence[int]], target: int) -> dict[int, int]:
+def _grow_matching(adj: Sequence[Sequence[int]]) -> dict[int, int]:
     """Kuhn's augmenting-path search: match vertex j = 0, 1, ... to a
-    neighbour in ``adj[j]``, searching from each vertex in turn, until
-    the matching has ``target`` pairs or every vertex was tried; returns
-    it as a neighbour -> vertex map; a vertex without neighbours changes
-    nothing.  Depth first without recursion: ``stack`` holds the vertices
-    on the path with their neighbour iterators, ``path[i]`` the neighbour
-    taken from ``stack[i]``.  A failed search leaves its visited
-    neighbours marked until the next augmentation, since no augmenting
-    path runs through them before the matching changes."""
+    neighbour in ``adj[j]``, searching once from each vertex in turn;
+    returns the maximum matching as a neighbour -> vertex map; a vertex
+    without neighbours changes nothing.  Depth first without recursion:
+    ``stack`` holds the vertices on the path with their neighbour
+    iterators, ``path[i]`` the neighbour taken from ``stack[i]``.  A
+    failed search leaves its visited neighbours marked until the next
+    augmentation, since no augmenting path runs through them before the
+    matching changes."""
     mate: dict[int, int] = {}
     visited: set[int] = set()
     for j in range(len(adj)):
@@ -126,10 +127,8 @@ def _grow_matching(adj: Sequence[Sequence[int]], target: int) -> dict[int, int]:
             if u in mate:
                 stack.append((mate[u], iter(adj[mate[u]])))
                 continue
-            for (k, _), step in zip(stack, path):
-                mate[step] = k
-            if len(mate) == target:
-                return mate
+            for (k, _), u in zip(stack, path):
+                mate[u] = k
             visited.clear()
             break
     return mate
@@ -139,45 +138,42 @@ def max_matching(g: BipartiteGraph) -> Matching:
     """Maximum-cardinality matching by ``_grow_matching`` from the left
     side, left vertices tried in ascending order, so the returned pair
     set is deterministic."""
-    mate = _grow_matching(g.adj, min(g.left_count, g.right_count))
-    return Matching(frozenset((l + 1, r) for r, l in mate.items()))
+    return Matching(frozenset((l + 1, r) for r, l in _grow_matching(g.adj).items()))
 
 
 def deficiency_witness(g: BipartiteGraph) -> DeficiencyWitness:
     """Minimizing subset C of the right side B for |B - C| + |gamma(C)|,
-    from the matching that ``max_matching`` finds."""
-    return _ore_witness(g.adj, range(1, g.right_count + 1))
+    from the lists of left neighbours of B inverted from ``g.adj``."""
+    right = range(1, g.right_count + 1)
+    lefts = [[l for l, nbrs in enumerate(g.adj, start=1) if r in nbrs] for r in right]
+    return _ore_witness(lefts, right)
 
 
-def _ore_witness(adj: Sequence[Sequence[int]], right: Sequence[int]) -> DeficiencyWitness:
-    """Ore witness of the graph whose left vertex i is adjacent to the
-    members of ``right`` that ``adj[i - 1]`` lists in ``right``'s order.
+def _ore_witness(lefts: Sequence[Sequence[int]], right: Sequence[int]) -> DeficiencyWitness:
+    """Ore witness of the graph whose right vertex ``right[k]`` is
+    adjacent to the left vertices that ``lefts[k]`` lists.
 
-    Construction: from the maximum matching of ``_grow_matching``, grow
-    alternating-path reachability from the unmatched members of
-    ``right`` (non-matching edges to the left, matching edges back); C
-    is the reached members and gamma(C) the reached left vertices, as
-    every neighbour of C is.  Raises ArithmeticError unless the attained
-    value equals the matching size, the certificate that both are optimal.
+    Construction: from the maximum matching of ``_grow_matching`` on
+    ``lefts``, grow alternating-path reachability from the unmatched
+    members of ``right`` (non-matching edges to the left, matching edges
+    back); C is the reached members and gamma(C) the reached left
+    vertices, as every neighbour of C is.  Raises ArithmeticError unless
+    the attained value equals the matching size, the certificate that
+    both are optimal.
     """
-    mate = _grow_matching(adj, min(len(adj), len(right)))
-    lefts: dict[int, list[int]] = {p: [] for p in right}
-    for l, nbrs in enumerate(adj, start=1):
-        for p in nbrs:
-            lefts[p].append(l)
-    mate_of_left = {l + 1: p for p, l in mate.items()}
-    reached = set(right).difference(mate)
+    mate = _grow_matching(lefts)
+    reached = set(range(len(right))).difference(mate.values())
     gamma: set[int] = set()
     stack = list(reached)
     while stack:
         for l in lefts[stack.pop()]:
             if l not in gamma:
                 gamma.add(l)
-                if l in mate_of_left:  # its mate is reached through l alone
-                    reached.add(mate_of_left[l])
-                    stack.append(mate_of_left[l])
+                if l in mate:  # its mate is reached through l alone
+                    reached.add(mate[l])
+                    stack.append(mate[l])
 
     value = (len(right) - len(reached)) + len(gamma)
     if value != len(mate):
         raise ArithmeticError(f"deficiency value {value} is not the matching size {len(mate)}")
-    return DeficiencyWitness(C=frozenset(reached), gamma=frozenset(gamma), value=value)
+    return DeficiencyWitness(frozenset(right[k] for k in reached), frozenset(gamma), value)

@@ -13,9 +13,9 @@ processor, the steps where it appeared so far, and tests step t on the
 lists of the members of S_t alone: fewer than f members seen before, or
 fewer than f distinct earlier steps among them (one list's length when
 all are equal, as in the batch schedule), settles the step.  Otherwise
-the lists are inverted into the time graph's adjacency and the
-augmenting-path search behind ``max_matching`` runs once; at t* its
-maximum matching is returned as sorted (step, member index) pairs.
+the augmenting-path search behind ``max_matching`` runs once, from the
+members over their own lists; at t* its maximum matching is returned as
+sorted (step, member index) pairs.
 
 ``PInstance`` packages the abstract form of a surviving prefix: rows of
 degree n whose time graphs all have matching number at most f - 1.  Its
@@ -23,8 +23,8 @@ constructor is the one check of instance input, one pass per row, and
 ``surviving_prefix_instance`` is one scan plus one instance of t* - 1
 rows.  ``reduce_instance`` shrinks a member by one row, trading rows
 against right vertices at the rate the survival function prescribes;
-its Ore witness comes from the earlier rows cut to the last row's
-members, the scan's layout, by the one witness routine of ``matching``.
+its Ore witness comes from each last-row member's list of earlier rows,
+the scan's layout, by the one witness routine of ``matching``.
 """
 
 from __future__ import annotations
@@ -111,10 +111,10 @@ def _scan(
     (None on a degree failure), or (0, None) when every row passes.
     Callers validate their input first.  The distinct earlier steps are
     one list's length when the members' step lists are all equal, and a
-    set union's size otherwise.  A searched step's adjacency lists the
-    earlier steps ascending, each with the ascending indices of its
-    members there: the search runs as in
-    ``max_matching(BipartiteGraph.from_rows(rows[: t - 1], row))``."""
+    set union's size otherwise.  At a searched step the search runs
+    from its members in order, each over its ascending earlier steps,
+    as ``max_matching`` does on ``from_rows`` of those lists over
+    ``range(1, t)``, with each pair flipped."""
     steps: dict[int, list[int]] = {}
     for t, row in enumerate(rows, start=1):
         if len(row) != n:
@@ -122,14 +122,9 @@ def _scan(
         lists = [steps.get(p) or steps.setdefault(p, []) for p in row]
         if (len(lists[0]) if lists.count(lists[0]) == n
                 else n - lists.count([]) >= f and len(set().union(*lists))) >= f:
-            adj: dict[int, list[int]] = {}
-            for j, seen in enumerate(lists, start=1):
-                for u in seen:
-                    adj.setdefault(u, []).append(j)
-            order = sorted(adj)
-            mate = _grow_matching([adj[u] for u in order], n)
+            mate = _grow_matching(lists)
             if len(mate) >= f:
-                return t, sorted((order[k], j) for j, k in mate.items())
+                return t, sorted((u, j + 1) for u, j in mate.items())
         for seen in lists:
             seen.append(t)
     return 0, None
@@ -158,9 +153,9 @@ def minimal_adversary(s: Schedule) -> Adversary:
     remaining rounds default to the first member of their set, which is
     its least since sets are kept sorted, and the kill at t* is the
     least member of S_t* outside the truncated matching, which exists
-    because f < n.  Which maximum matching the scan finds, the one
-    ``max_matching`` finds, is implementation-defined, and so are the
-    kills; any replays to exactly the minimal survival time.
+    because f < n.  Which maximum matching the scan finds (its search
+    runs from the members of S_t*) is implementation-defined, and so are
+    the kills; any replays to exactly the minimal survival time.
     """
     _require_valid(s)
     t_star, pairs = _scan(s.sets, s.params.n, s.params.f)
@@ -221,9 +216,9 @@ def reduce_instance(inst: PInstance) -> PInstance:
     """One-row reduction preserving membership.
 
     Let L be the row count and B the last row.  A deficiency witness C
-    of the time graph at L, over its right side B, read off the earlier
-    rows by ``_ore_witness`` with C as ids and no graph built, satisfies
-    |B - C| + |gamma(C)| = nu <= f - 1.  Dropping row L, every earlier
+    of the time graph at L, over its right side B, read off each
+    member's earlier rows by ``_ore_witness`` with C as ids and no graph
+    built, satisfies |B - C| + |gamma(C)| = nu <= f - 1.  Dropping row L, every earlier
     row meeting C, and the right vertices of C yields an instance with
     L' = L - 1 - |gamma_{I_L}(C)| rows over |R| - |C| right ids that
     still belongs.  Raises on non-members and on empty instances.
@@ -235,8 +230,11 @@ def reduce_instance(inst: PInstance) -> PInstance:
         raise ValueError("cannot reduce an instance with no rows")
 
     *earlier, last_row = inst.rows
-    members = set(last_row)
-    wit = _ore_witness([[p for p in row if p in members] for row in earlier], last_row)
+    lefts: dict[int, list[int]] = {p: [] for p in last_row}
+    for u, row in enumerate(earlier, start=1):
+        for p in lefts.keys() & row:
+            lefts[p].append(u)
+    wit = _ore_witness([*lefts.values()], last_row)
     keep_rows = tuple(row for u, row in enumerate(earlier, start=1) if u not in wit.gamma)
     keep_ids = tuple(p for p in inst.right_ids if p not in wit.C)
     reduced = PInstance(n=inst.n, f=inst.f, right_ids=keep_ids, rows=keep_rows)

@@ -168,6 +168,17 @@ def test_solve_adversary(tmp_path, capsys):
     assert load_adversary(a_path).kills == (1, 3, 4, 3)
 
 
+def test_solve_adversary_unwritable_out_prints_nothing(tmp_path, capsys):
+    s_path, a_path = tmp_path / "s.json", tmp_path / "missing" / "a.json"
+    save_schedule(trivial_schedule(GameParams(4, 2, 1)), s_path)
+    code, out, err = run_cli(
+        capsys, "solve-adversary", "--schedule", str(s_path), "--out", str(a_path)
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: ")
+    assert not a_path.exists()
+
+
 def test_solve_adversary_stdout_json(tmp_path, capsys):
     s_path = tmp_path / "s.json"
     save_schedule(trivial_schedule(GameParams(4, 2, 1)), s_path)

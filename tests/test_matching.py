@@ -160,15 +160,6 @@ def test_matching_size_against_brute():
         assert max_matching(g).size == brute_max_matching_size(g)
 
 
-def test_search_stops_at_target():
-    # nu = 4 here, and the search returns as soon as it holds target pairs.
-    adj = ((1, 2), (1, 2, 3), (2, 3, 4), (3, 4))
-    for target in range(1, 5):
-        mate = matching._grow_matching(adj, target)
-        assert len(mate) == target
-        assert all(r in adj[j] for r, j in mate.items())
-
-
 def test_witness_attains_formula():
     rng = random.Random(13)
     for _ in range(100):
@@ -183,7 +174,7 @@ def test_witness_checks_its_matching(monkeypatch):
     # Against a matching that is not maximum, the witness value exceeds
     # the matching size, and the witness must refuse to certify it.
     g = BipartiteGraph(left_count=1, right_count=1, adj=((1,),))
-    monkeypatch.setattr(matching, "_grow_matching", lambda adj, target: {})
+    monkeypatch.setattr(matching, "_grow_matching", lambda adj: {})
     with pytest.raises(ArithmeticError, match="deficiency value 1 is not the matching size 0"):
         deficiency_witness(g)
 
@@ -207,21 +198,69 @@ def all_maximum_matchings(g: BipartiteGraph) -> list[frozenset[tuple[int, int]]]
     return [m for m in found if len(m) == nu]
 
 
+def member_side(g: BipartiteGraph) -> BipartiteGraph:
+    """``g`` with its sides swapped: left vertex r of the result lists
+    the left neighbours of right vertex r of ``g``, as the witness
+    routine's lists do."""
+    lefts = [[] for _ in range(g.right_count)]
+    for l, nbrs in enumerate(g.adj, start=1):
+        for r in nbrs:
+            lefts[r - 1].append(l)
+    return BipartiteGraph(g.right_count, g.left_count, tuple(map(tuple, lefts)))
+
+
 def test_witness_does_not_depend_on_the_maximum_matching(monkeypatch):
     # C is the set of right vertices that some maximum matching leaves
-    # free, so any maximum matching gives the same witness.  The search
-    # is replaced by the lexicographically last maximum matching, which
+    # free, so any maximum matching gives the same witness.  The search,
+    # which runs from the right vertices, is replaced by the
+    # lexicographically last maximum matching in that orientation, which
     # differs from the one it finds on many of these graphs.
     rng = random.Random(19)
     graphs = [random_graph(rng) for _ in range(300)]
     expected = [deficiency_witness(g) for g in graphs]
-    found = [max_matching(g).pairs for g in graphs]
-    last = {g.adj: max(all_maximum_matchings(g), key=sorted) for g in graphs}
-    assert sum(last[g.adj] != pairs for g, pairs in zip(graphs, found)) >= 30
+    sides = [member_side(g) for g in graphs]
+    found = [max_matching(h).pairs for h in sides]
+    last = {h.adj: max(all_maximum_matchings(h), key=sorted) for h in sides}
+    assert sum(last[h.adj] != pairs for h, pairs in zip(sides, found)) >= 30
     monkeypatch.setattr(
-        matching, "_grow_matching", lambda adj, target: {r: l - 1 for l, r in last[adj]}
+        matching,
+        "_grow_matching",
+        lambda adj: {l: r - 1 for r, l in last[tuple(map(tuple, adj))]},
     )
     assert [deficiency_witness(g) for g in graphs] == expected
+
+
+def step_side_witness(g: BipartiteGraph) -> DeficiencyWitness:
+    """The witness as built from the left side: the maximum matching
+    that ``max_matching`` finds, ``g.adj`` inverted for the right
+    vertices' neighbours, and the alternating reach from the free right
+    vertices (non-matching edges to the left, matching edges back)."""
+    mate_of_left = dict(max_matching(g).pairs)
+    lefts = member_side(g).adj
+    reached = set(range(1, g.right_count + 1)).difference(mate_of_left.values())
+    gamma = set()
+    stack = list(reached)
+    while stack:
+        for l in lefts[stack.pop() - 1]:
+            if l not in gamma:
+                gamma.add(l)
+                if l in mate_of_left:
+                    reached.add(mate_of_left[l])
+                    stack.append(mate_of_left[l])
+    value = (g.right_count - len(reached)) + len(gamma)
+    assert value == len(mate_of_left)
+    return DeficiencyWitness(C=frozenset(reached), gamma=frozenset(gamma), value=value)
+
+
+def test_witness_matches_step_side_reference():
+    # The witness matches from the right vertices and the reference from
+    # the left; on graphs of every density the two must agree.
+    rng = random.Random(29)
+    for _ in range(20_000):
+        lc, rc, density = rng.randint(0, 8), rng.randint(0, 8), rng.random()
+        rows = (tuple(r for r in range(1, rc + 1) if rng.random() < density) for _ in range(lc))
+        g = BipartiteGraph(lc, rc, tuple(rows))
+        assert deficiency_witness(g) == step_side_witness(g)
 
 
 def test_witness_is_minimum_over_all_subsets():

@@ -201,12 +201,20 @@ def test_solve_adversary_validates_once(validations, tmp_path, capsys):
 
 def reference_killable(s):
     """First t* with matching number of the time graph at least f, and
-    its maximum matching, straight from the public ``time_graph`` and
-    ``max_matching``: one graph and one maximum matching per step."""
+    a maximum matching as (step, member index) pairs, straight from the
+    public ``time_graph`` and ``max_matching``: one graph and one maximum
+    matching per step.  The pairs come from ``max_matching`` on the
+    member side at t*, each member's earlier steps over ``1..t-1``, with
+    each pair flipped, as the scan searches from the members."""
     for t in range(1, len(s) + 1):
         m = max_matching(time_graph(s, t))
         if m.size >= s.params.f:
-            return t, m
+            steps = tuple(
+                tuple(u for u in range(1, t) if p in s.sets[u - 1]) for p in s.sets[t - 1]
+            )
+            member_side = max_matching(BipartiteGraph.from_rows(steps, tuple(range(1, t))))
+            assert member_side.size == m.size
+            return t, Matching((u, j) for j, u in member_side.pairs)
     return 0, None
 
 
@@ -281,9 +289,9 @@ def matching_calls(monkeypatch):
     seen = []
     real = solver._grow_matching
 
-    def counting(adj, target):
+    def counting(adj):
         seen.append(adj)
-        return real(adj, target)
+        return real(adj)
 
     monkeypatch.setattr(solver, "_grow_matching", counting)
     return seen
@@ -337,6 +345,24 @@ def test_scan_on_single_member_swaps():
     moved = sum(assert_scan_matches_reference(s) != h_value(s.params.n, s.params.f, s.params.N) + 1
                 for s in cases)
     assert 0 < moved < len(cases)
+
+
+def test_minimal_adversary_replays_to_the_minimum():
+    """Whichever maximum matching the scan finds, its kills end the run
+    at exactly the minimal survival time, which is the brute-force
+    minimum over all kill sequences wherever there are at most 10^5."""
+    params = [GameParams(6, 3, 2), GameParams(8, 4, 2), GameParams(9, 3, 2), GameParams(10, 4, 3)]
+    cases = [s for p in params for s in member_swaps(p)]
+    cases += random_cases(900, seed=41, max_pool=16, max_n=6)
+    cases += perturbed_trivial_cases(600, seed=42)
+    brute = 0
+    for s in cases:
+        T = minimal_survival_time(s)
+        assert survival_time(s, minimal_adversary(s)) == T
+        if s.params.n ** len(s) <= 10**5:
+            brute += 1
+            assert brute_adversary_min(s) == T
+    assert len(cases) >= 2000 and brute >= 1000
 
 
 @pytest.mark.parametrize("n,f", [(2, 1), (3, 2), (5, 2), (8, 7)])
