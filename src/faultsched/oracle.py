@@ -3,15 +3,17 @@
 Everything here recomputes a quantity the fast modules obtain through
 matchings or closed forms, by direct enumeration and independently of
 those modules wherever feasible.  ``brute_deficiency`` touches no
-matching code at all; ``brute_adversary_min`` replays raw kill
-sequences; ``brute_optimum`` searches schedule prefixes up to
-relabeling, with Ore's formula on classes of ids as its dead test.  Budgets are
-hard caps, not hints: exceeding one raises instead of degrading.
+matching code at all; ``brute_adversary_min`` plays out every kill
+sequence, round by round over the distinct sets of kills;
+``brute_optimum`` searches schedule prefixes up to relabeling, with
+Ore's formula on classes of ids as its dead test.  Budgets are hard
+caps, not hints: exceeding one raises instead of degrading.
 """
 
 from __future__ import annotations
 
-from operator import add
+from itertools import accumulate
+from operator import add, or_
 
 from .game import BudgetExceededError, GameParams, Schedule, _require_valid
 from .matching import BipartiteGraph, DeficiencyWitness
@@ -30,13 +32,16 @@ if TYPE_CHECKING:
 def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
     """Exact minimum of ``survival_time`` over all kill sequences.
 
-    Depth first over choices s_t in S_t, one loop over an explicit stack
-    of (rounds survived, kill set), so a long schedule needs no deep
-    recursion.  Two cutoffs: a state that has already survived the best
-    known minimum cannot improve it, and a kill that leaves more than f
-    dead members in the current set makes the rounds survived the new
-    minimum and ends that state's other kills.  Raises ``ValueError``
-    when ``max_states`` is not an int of at least 1, and
+    Breadth first over the distinct kill sets, one round at a time, in
+    one loop, so a long schedule needs no deep recursion.  The run can
+    end at the first round whose set already holds f dead members of
+    some kill set (one more kill, which exists since f < n, makes f + 1);
+    the minimum is the number of rounds before it, or ``len(s)`` when no
+    round has one.  A kill set is a bit mask (bit p for processor p) of
+    the dead processors that some later set holds: one that no later set
+    holds cannot end the run, and dropping it merges kill sets, so a
+    schedule of disjoint sets keeps one.  Raises ``ValueError`` when
+    ``max_states`` is not an int of at least 1, and
     ``BudgetExceededError`` when the n^len(s) kill sequences exceed it.
     """
     _require_valid(s)
@@ -48,20 +53,16 @@ def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
             f"{n}^{length} kill sequences exceed max_states={max_states}"
         )
 
-    best = length
-    stack = [(0, frozenset())]  # (rounds survived, kill set)
-    while stack:
-        survived, killed = stack.pop()
-        if survived >= best:
-            continue
-        row = s.sets[survived]
-        for p in row:
-            nxt = killed | {p}
-            if len(nxt.intersection(row)) > f:
-                best = survived
-                break
-            stack.append((survived + 1, nxt))
-    return best
+    rows = [[1 << p for p in row] for row in s.sets]
+    # later[t]: the processors of the sets after round t + 1
+    later = [*accumulate(map(sum, rows[:0:-1]), or_, initial=0)][::-1]
+    frontier = {0}
+    for survived, (row, alive) in enumerate(zip(rows, later)):
+        used = sum(row)
+        if any((killed & used).bit_count() >= f for killed in frontier):
+            return survived
+        frontier = {(killed | p) & alive for killed in frontier for p in row}
+    return length
 
 
 def _canonical(prefix: Prefix) -> Prefix:

@@ -15,7 +15,11 @@ fewer than f distinct earlier steps among them (one list's length when
 all are equal, as in the batch schedule), settles the step.  Otherwise
 the augmenting-path search behind ``max_matching`` runs once, from the
 members over their own lists; at t* its maximum matching is returned as
-sorted (step, member index) pairs.
+sorted (step, member index) pairs.  A row equal to the row before it
+has the same members, so it keeps that row's lists, to which the
+earlier step is already appended: the batch schedule uses each batch
+for f rows in a row and pads by repeating its last set, so its members
+are looked up once per run of equal rows, not once per row.
 
 ``PInstance`` packages the abstract form of a surviving prefix: rows of
 degree n whose time graphs all have matching number at most f - 1.  Its
@@ -109,17 +113,21 @@ def _scan(
     graph over the earlier rows has matching number at least f.  Returns
     t with that maximum matching as sorted (step, member index) pairs
     (None on a degree failure), or (0, None) when every row passes.
-    Callers validate their input first.  The distinct earlier steps are
-    one list's length when the members' step lists are all equal, and a
-    set union's size otherwise.  At a searched step the search runs
-    from its members in order, each over its ascending earlier steps,
-    as ``max_matching`` does on ``from_rows`` of those lists over
-    ``range(1, t)``, with each pair flipped."""
+    Callers validate their input first.  A row equal to the one before
+    reuses that row's lists, to which its step is already appended.  The
+    distinct earlier steps are one list's length when the members' step
+    lists are all equal, and a set union's size otherwise.  At a
+    searched step the search runs from its members in order, each over
+    its ascending earlier steps, as ``max_matching`` does on
+    ``from_rows`` of those lists over ``range(1, t)``, with each pair
+    flipped."""
     steps: dict[int, list[int]] = {}
+    prev = None
     for t, row in enumerate(rows, start=1):
         if len(row) != n:
             return t, None
-        lists = [steps.get(p) or steps.setdefault(p, []) for p in row]
+        if row != prev:
+            prev, lists = row, [steps.get(p) or steps.setdefault(p, []) for p in row]
         if (len(lists[0]) if lists.count(lists[0]) == n
                 else n - lists.count([]) >= f and len(set().union(*lists))) >= f:
             mate = _grow_matching(lists)

@@ -103,6 +103,12 @@ class TestBruteAdversaryMin:
         with pytest.raises(BudgetExceededError):
             brute_adversary_min(s, 15)
 
+    def test_disjoint_sets(self):
+        """No processor is used twice, so no kill set outlives its round:
+        2^20 kill sequences, and one kill set in each round."""
+        s = Schedule(GameParams(40, 2, 1), tuple((2 * t - 1, 2 * t) for t in range(1, 21)))
+        assert brute_adversary_min(s) == minimal_survival_time(s) == 20
+
     def test_long_chain_needs_no_recursion(self):
         """1,500 rounds, far past the interpreter's recursion limit: every
         set pairs processor 1 with a new one, so killing 1 and then the

@@ -389,6 +389,107 @@ def test_scan_without_killable_step_runs_no_matching(matching_calls):
     assert matching_calls == []
 
 
+def run_cases(count, seed, max_n=6, max_len=None):
+    """(params, rows) of seeded schedules made of runs, as the batch
+    schedule is: random rows, each repeated 1..f+1 times.  Half of the
+    runs repeat one tuple object, the other half equal copies of it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        f = rng.randint(1, n - 1)
+        N = rng.randint(n + 1, 3 * n)
+        length = rng.randint(1, min(N, max_len or N))
+        rows = []
+        while len(rows) < length:
+            row, k = sorted(rng.sample(range(1, N + 1), n)), rng.randint(1, f + 1)
+            rows += [tuple(row)] * k if rng.random() < 0.5 else [tuple(row) for _ in range(k)]
+        yield GameParams(N, n, f), tuple(rows[:length])
+
+
+def failed_search_cases(seed):
+    """(params, rows) whose step f + 1 is searched and fails, then a run
+    of 2..f + 1 equal random rows: id 1 is in rows 1..f + 1 and ids 2..f
+    only in rows 1 and f + 1, so the f members of row f + 1 seen before
+    cover f earlier steps but match only two of them."""
+    rng = random.Random(seed)
+    for n in range(4, 7):
+        for f in range(3, n):
+            fresh = itertools.count(n + 1)
+            rows = [tuple(range(1, n + 1))]
+            rows += [(1, *itertools.islice(fresh, n - 1)) for _ in range(f - 1)]
+            rows.append((*range(1, f + 1), *itertools.islice(fresh, n - f)))
+            N = next(fresh) + n
+            for k in range(2, f + 2):
+                run = [tuple(sorted(rng.sample(range(1, N + 1), n)))] * k
+                yield GameParams(N, n, f), (*rows, *run)
+
+
+def test_scan_on_runs_of_equal_rows(monkeypatch):
+    """A row equal to the one before reuses its members' step lists: every
+    searched step must still see each member's own earlier steps, and the
+    scan must answer as the per-step reference does, whether equal rows
+    are one tuple object or distinct ones (a ``Schedule`` copies each)."""
+    searched = []
+    real = solver._grow_matching
+    monkeypatch.setattr(solver, "_grow_matching",
+                        lambda adj: searched.append([[*steps] for steps in adj]) or real(adj))
+    mid_run = after_search = killed = 0
+    for params, rows in [*run_cases(400, seed=26), *failed_search_cases(seed=26)]:
+        n, f = params.n, params.f
+        s = Schedule(params, rows)
+        t_star, m = reference_killable(s)
+        pairs = sorted(m.pairs) if m else None
+        end = t_star or len(rows)
+        # The prefilter passes a step with at least f members seen before,
+        # over at least f distinct earlier steps.
+        expected = {}
+        for t, row in enumerate(rows[:end], start=1):
+            lists = [[u for u in range(1, t) if p in rows[u - 1]] for p in row]
+            if n - lists.count([]) >= f and len({*itertools.chain(*lists)}) >= f:
+                expected[t] = lists
+        for sets in (s.sets, rows):
+            searched.clear()
+            assert solver._scan(sets, n, f) == (t_star, pairs)
+            assert searched == [*expected.values()]
+        assert minimal_adversary(s).kills == reference_kills(s, t_star, pairs)
+        killed += t_star > 0
+        mid_run += 1 < t_star < len(rows) and rows[t_star - 2] == rows[t_star - 1] == rows[t_star]
+        after_search += any(t + 2 <= end and rows[t - 1] != rows[t] == rows[t + 1]
+                            for t in expected)
+    assert mid_run >= 10 and after_search >= 10 and 100 <= killed < 400
+
+
+def test_short_row_inside_a_run_fails_its_degree():
+    """A row one member short, in place of a repeat of the row before it,
+    is reported at its own t unless an earlier step is killable."""
+    degree = 0
+    for params, rows in run_cases(300, seed=27):
+        n, f, N = params.n, params.f, params.N
+        for t in range(2, len(rows) + 1):
+            if rows[t - 2] == rows[t - 1]:
+                short = (*rows[: t - 1], rows[t - 1][1:], *rows[t:])
+                report = membership_in_P(PInstance(n, f, range(1, N + 1), short))
+                t_star = reference_killable(Schedule(params, rows[: t - 1]))[0]
+                assert not report.member and report.violating_t == (t_star or t)
+                if not t_star:
+                    degree += 1
+                    assert report.reason == f"row {t} has degree {n - 1}, expected {n}"
+                break
+    assert degree >= 50
+
+
+def test_brute_adversary_on_runs_of_equal_rows():
+    """The breadth-first brute adversary agrees with the scan on the run
+    schedules small enough to enumerate."""
+    killed = 0
+    for params, rows in run_cases(300, seed=28, max_n=4, max_len=7):
+        s = Schedule(params, rows)
+        T = minimal_survival_time(s)
+        assert brute_adversary_min(s) == T
+        killed += T < len(rows)
+    assert 50 <= killed < 300
+
+
 @pytest.mark.parametrize("N,n,f", [(3200, 40, 10), (1600, 40, 10), (800, 8, 7)])
 def test_trivial_schedule_attains_h_at_scale(N, n, f):
     s = trivial_schedule(GameParams(N=N, n=n, f=f))
