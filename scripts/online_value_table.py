@@ -10,20 +10,32 @@ search exceeds its budget.
 
 import argparse
 import sys
+from typing import NoReturn
 
 from faultsched import BudgetExceededError, GameParams, online_game_value
 
 
+class Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Raise for ``main`` to report, which exits 1 as the CLI does on a
+        usage error, not argparse's 2."""
+        raise ValueError(message)
+
+
 def parse_args() -> argparse.Namespace:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--max-N", type=int, default=4, help="largest N, at least 2")
-    return ap.parse_args()
+    args = ap.parse_args()
+    if args.max_N < 2:
+        ap.error(f"--max-N must be at least 2, got {args.max_N}")
+    return args
 
 
 def main() -> int:
-    args = parse_args()
-    if args.max_N < 2:
-        print(f"error: --max-N must be at least 2, got {args.max_N}", file=sys.stderr)
+    try:
+        args = parse_args()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     print("N n f deterministic randomized support gain")
     skipped = 0

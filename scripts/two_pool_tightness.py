@@ -17,6 +17,7 @@ mismatch.
 import argparse
 import csv
 import sys
+from typing import NoReturn
 
 from faultsched import (
     BudgetExceededError,
@@ -27,19 +28,30 @@ from faultsched import (
 from faultsched.twopool import PROBE_MAX_N, PROBE_MAX_POOL
 
 
+class Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Raise for ``main`` to report, which exits 1: argparse's own exit
+        code, 2, is this script's code for a mismatch."""
+        raise ValueError(message)
+
+
 def parse_args() -> argparse.Namespace:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--max-pool", type=int, default=4, help="largest N1 and N2, at least 1")
     ap.add_argument("--max-states", type=int, default=10**7, help="at least 1")
-    return ap.parse_args()
+    args = ap.parse_args()
+    for flag, value in (("--max-pool", args.max_pool), ("--max-states", args.max_states)):
+        if value < 1:
+            ap.error(f"{flag} must be at least 1, got {value}")
+    return args
 
 
 def main() -> int:
-    args = parse_args()
-    for flag, value in (("--max-pool", args.max_pool), ("--max-states", args.max_states)):
-        if value < 1:
-            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return 1
+    try:
+        args = parse_args()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     writer = csv.writer(sys.stdout)
     writer.writerow(["N1", "N2", "n", "g1", "g2", "split", "bound", "brute", "gap"])
     above = skipped = False

@@ -7,7 +7,10 @@ the expected survival time.  The value of this zero-sum game is found
 by a double oracle: keep finite supports of pure schedules and pure
 adversary policies, solve the restricted matrix game exactly, and grow
 whichever support admits a strictly improving best response.  The
-adversary best response is a posterior-belief dynamic program; the
+adversary best response is a posterior-belief dynamic program that
+tries one kill per symmetry class: two live members that every set
+revealed later holds alike swap onto each other below, so killing
+either is worth the same, and ties still go to the smallest id.  The
 scheduler best response is a branch-and-bound search over schedule
 prefixes that carries every policy of the mix at once.  A size guard
 and a budget on LP work keep instances tiny.  All values are exact:
@@ -48,7 +51,10 @@ class GameValue(_Frozen):
     def __init__(
         self, value: Fraction, strategy_support: tuple[tuple[Schedule, Fraction], ...]
     ) -> None:
-        probs, scale = over_common_denominator([p for _, p in strategy_support])
+        # The value shares the one type check; the probabilities' numerators
+        # sum to the common denominator exactly when they sum to 1.
+        probs, scale = over_common_denominator([value] + [p for _, p in strategy_support])
+        del probs[0]
         if min(probs, default=0) < 0:
             raise ValueError("strategy probabilities must be nonnegative")
         if sum(probs) != scale:
@@ -105,21 +111,43 @@ def _best_response(
     are deterministic.  The prefixes form a tree, built in one pass over
     the sorted support; each node keeps the values of its states by kill
     set, so a state's lookup hashes the kill set alone.
+
+    A state tries one re-kill, and one fresh member per key, a member's
+    key being the sets below the node that hold it.  Fresh members with
+    one key swap onto each other in every set of the subtree, so their
+    kills have one value; members are tried in ascending order and only a strictly
+    smaller value replaces the best, so the kill chosen is still the
+    smallest minimizer.  The table then holds every state the policy
+    reaches in its own play, with the kill the full program picks, and
+    only skips states it never reaches; its play, its value and the
+    double oracle built on it are those of the full program.
     """
     f, length = params.f, params.N
     masses, _ = over_common_denominator([w for _, w in support])
     table: dict[Observation, int] = {}
-    # Node: [prefix, mass, memo, children by the next revealed set].  The
-    # support is sorted, so each node's children arrive in set order.
+    # Node: [prefix, mass, memo, below, children by the next revealed set].
+    # The support is sorted, so each node's children arrive in set order.
+    # Each distinct set of the support has a bit; ``below`` has the bits
+    # of the sets revealed after the node, and holds[p] those that hold p.
     root: dict = {}
+    bits: dict = {}
     for sets, w in sorted(zip([sets for sets, _ in support], masses)):
+        later = [0]  # later[k]: the bits of the last k sets
+        for row in reversed(sets):
+            later.append(later[-1] | bits.setdefault(row, 1 << len(bits)))
         nodes = root
         for t, row in enumerate(sets, start=1):
-            node = nodes.setdefault(row, [sets[:t], 0, {}, {}])
+            node = nodes.setdefault(row, [sets[:t], 0, {}, 0, {}])
             node[1] += w
-            nodes = node[3]
+            node[3] |= later[length - t]
+            nodes = node[4]
+    holds = [0] * (length + 1)
+    for row, bit in bits.items():
+        for p in row:
+            holds[p] |= bit
 
-    def decide(prefix: Sets, mass: int, memo: dict, nodes: dict, killed: frozenset[int]) -> int:
+    def decide(prefix: Sets, mass: int, memo: dict, below: int, nodes: dict,
+               killed: frozenset[int]) -> int:
         """``mass``, the weight of the support behind ``prefix``, times the
         least expected survival time; a positive factor leaves the choice
         of kill as it is, and every term stays an int."""
@@ -129,13 +157,16 @@ def _best_response(
         t = len(prefix)
         current = prefix[-1]
         dead = len(killed.intersection(current))
-        rekilled = False
+        tried = {}  # key -> the first member with it
         for s in current:
             fresh = s not in killed
-            if not fresh:
-                if rekilled:  # a re-kill leaves the kill set as it is, as the first did
-                    continue
-                rekilled = True
+            # Kills with one key have one value, so only the first is tried:
+            # a re-kill leaves the kill set as it is, as the first did, and
+            # swapping two fresh members that the same sets below hold maps
+            # the subtree onto itself.
+            key = below & holds[s] if fresh else None
+            if tried.setdefault(key, s) != s:
+                continue
             if dead + fresh > f:
                 val = mass * (t - 1)
             elif t == length:
@@ -152,8 +183,7 @@ def _best_response(
         return best
 
     total = sum(decide(*node, frozenset()) for node in root.values())
-    value = Fraction(total, sum(masses))
-    return value, AdversaryPolicy(table=table)
+    return Fraction(total, sum(masses)), AdversaryPolicy(table)
 
 
 def adversary_best_response(
@@ -252,20 +282,17 @@ def _randomized_value(params: GameParams) -> GameValue:
         y_support = [(policy, p) for policy, p in zip(cols, sol.col_strategy) if p > 0]
         br_adv, br_policy = _best_response(params, x_support)
         br_sch, br_sets = _scheduler_best_response(params, y_support)
+        if br_adv >= v >= br_sch:
+            return GameValue(value=v, strategy_support=tuple(
+                (Schedule(params, sets), p) for sets, p in x_support))
 
-        improved = False
         if br_adv < v:
             cols.append(br_policy)
             for sets, payoffs in zip(rows, matrix):
                 payoffs.append(_policy_survival(params, sets, br_policy))
-            improved = True
         if br_sch > v:
             rows.append(br_sets)
             matrix.append([_policy_survival(params, br_sets, pol) for pol in cols])
-            improved = True
-        if not improved:
-            return GameValue(value=v, strategy_support=tuple(
-                (Schedule(params, sets), p) for sets, p in x_support))
 
 
 def online_game_value(params: GameParams, mode: str) -> GameValue:

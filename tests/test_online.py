@@ -239,6 +239,14 @@ class TestGameValue:
             GameValue(value=Fraction(1), strategy_support=((s, weight),))
         assert str(e.value) == f"values must be int or Fraction, got {name}"
 
+    @pytest.mark.parametrize("value,name", [(1.5, "float"), (True, "bool"), ("x", "str"),
+                                            (None, "NoneType")])
+    def test_value_must_be_int_or_fraction(self, value, name):
+        s = trivial_schedule(GameParams(4, 2, 1))
+        with pytest.raises(ValueError) as e:
+            GameValue(value=value, strategy_support=((s, Fraction(1)),))
+        assert str(e.value) == f"values must be int or Fraction, got {name}"
+
 
 class TestAdversaryPolicy:
     def test_default_rule(self):
@@ -418,8 +426,16 @@ def test_online_value_table_exit_code(monkeypatch, capsys, max_n, code):
     ("online_value_table", ["--max-N", "1"]),
     ("two_pool_tightness", ["--max-pool", "0"]),
     ("two_pool_tightness", ["--max-pool", "2", "--max-states", "0"]),
+    ("online_value_table", ["--max-N", "x"]),
+    ("online_value_table", ["--bogus"]),
+    ("two_pool_tightness", ["--max-pool", "x"]),
+    ("two_pool_tightness", ["--max-states", "1.5"]),
+    ("two_pool_tightness", ["--bogus"]),
 ])
 def test_scripts_reject_out_of_range_arguments(monkeypatch, capsys, script_name, argv):
+    """A bad argument, out of range or malformed or unknown, exits 1 with
+    one line on stderr, never argparse's 2: two_pool_tightness.py exits 2
+    on a mismatch."""
     script = load_script(script_name)
     monkeypatch.setattr(sys, "argv", [f"{script_name}.py", *argv])
     assert script.main() == 1
@@ -536,21 +552,67 @@ def fraction_best_response(params, support):
                                     GameParams(4, 2, 1), GameParams(5, 4, 2),
                                     GameParams(5, 5, 3)])
 def test_best_response_matches_fraction_dp(params):
-    """Integer masses pick the same kill in every state as normalized
-    Fraction posteriors, and give the same value; the table holds the
-    same states in the same order.  With a single set every state after
-    the first kill offers re-kills of dead members."""
-    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
-    rng = random.Random(params.N * 100 + params.n * 10 + params.f)
-    for _ in range(25):
-        chosen = list(dict.fromkeys(tuple(rng.choice(candidates) for _ in range(params.N))
-                                    for _ in range(rng.randint(1, 8))))
-        weights = [rng.randint(1, 9) for _ in chosen]
-        support = [(sets, Fraction(w, sum(weights))) for sets, w in zip(chosen, weights)]
+    """Integer masses over one member per symmetry class give the value
+    of normalized Fraction posteriors over every member, and the same
+    kill in every state they decide.  The states they skip are ones the
+    policy never reaches in its own play: every state it reaches along a
+    support schedule is held.  With a single set every state after the
+    first kill offers re-kills of dead members."""
+    for support in random_supports(params, 25):
         value, policy = _best_response(params, support)
         ref_value, ref_table = fraction_best_response(params, support)
         assert repr(value) == repr(ref_value)
-        assert list(policy.table.items()) == list(ref_table.items())
+        assert all(ref_table[state] == kill for state, kill in policy.table.items())
+        for sets, _ in support:
+            killed = frozenset()
+            for t, row in enumerate(sets, start=1):
+                assert (sets[:t], killed) in policy.table
+                killed |= {policy.kill(sets[:t], killed)}
+                if len(killed.intersection(row)) > params.f:
+                    break
+
+
+def random_supports(params, count):
+    """``count`` seeded supports of 1 to 8 distinct random schedules with
+    random positive weights."""
+    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
+    rng = random.Random(params.N * 100 + params.n * 10 + params.f)
+    for _ in range(count):
+        chosen = list(dict.fromkeys(tuple(rng.choice(candidates) for _ in range(params.N))
+                                    for _ in range(rng.randint(1, 8))))
+        weights = [rng.randint(1, 9) for _ in chosen]
+        yield [(sets, Fraction(w, sum(weights))) for sets, w in zip(chosen, weights)]
+
+
+@pytest.mark.parametrize("params", [GameParams(3, 2, 1), GameParams(4, 3, 1), GameParams(4, 2, 1)])
+def test_reduced_policy_plays_as_the_full_table(params):
+    """Wrapped in a policy, the full Fraction table kills as the reduced
+    one does against every pure schedule, so both survive equally long:
+    the states the reduction skips are never consulted in play."""
+    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
+    pure = list(itertools.product(candidates, repeat=params.N))
+    for support in random_supports(params, 8):
+        policy = _best_response(params, support)[1]
+        full = AdversaryPolicy(table=fraction_best_response(params, support)[1])
+        assert len(policy.table) <= len(full.table)
+        for sets in pure:
+            killed = frozenset()
+            for t in range(1, params.N + 1):
+                kill = policy.kill(sets[:t], killed)
+                assert kill == full.kill(sets[:t], killed)
+                killed |= {kill}
+            assert _policy_survival(params, sets, policy) == _policy_survival(params, sets, full)
+
+
+@pytest.mark.parametrize("params,states", [(GameParams(5, 5, 4), 11), (GameParams(5, 5, 2), 8)])
+def test_best_response_tries_one_member_per_class(params, states):
+    """Against the single-set batch support every fresh member has the
+    same future, so each state tries one fresh kill and one re-kill; the
+    full dynamic program holds 76 states at (5, 5, 4)."""
+    support = [(trivial_schedule(params).sets, Fraction(1))]
+    value, policy = _best_response(params, support)
+    assert len(policy.table) == states
+    assert value == fraction_best_response(params, support)[0]
 
 
 def enumerated_scheduler_best_response(params, policies):
