@@ -22,9 +22,9 @@
 # instance commands also run at scale: the surviving 800 rows of
 # the N=3200 optimal schedule, built without library code, pass
 # check-p, reduce to 790 rows over 3160 ids and pass again (about
-# 0.2 s each); reduce prints to stdout the bytes it writes with
-# --out, and the surviving prefix of the swapped schedule reduces
-# to a member too.
+# 0.2 s each); solve-adversary and reduce print to stdout the
+# bytes they write with --out, and the surviving prefix of the
+# swapped schedule reduces to a member too.
 set -eu
 tmp=$(cd "$1" && pwd)
 cd "$(dirname "$0")/.."
@@ -93,6 +93,11 @@ printf 'T=800\nt*=801\n' | diff - "$tmp/solve.txt"
 python -m faultsched eval --schedule "$tmp/s.json" \
   --adversary "$tmp/adv.json" > "$tmp/eval.txt"
 echo 800 | diff - "$tmp/eval.txt"
+# Without --out the kills go to stdout as the same bytes, by the
+# one encoder.
+python -m faultsched solve-adversary --schedule "$tmp/s.json" \
+  > "$tmp/solve-stdout.txt"
+tail -n 1 "$tmp/solve-stdout.txt" | cmp "$tmp/adv.json" -
 # 320 seeded member swaps break the shared histories of the batch
 # rows, so the scan also counts unequal histories at scale; the
 # written adversary must replay to the printed T (eval runs the

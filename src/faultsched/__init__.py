@@ -39,7 +39,7 @@ _HOMES = {
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = frozenset(_HOMES) | {"cli"}
+_SUBMODULES = frozenset(_HOMES) | {"cli", "codec"}
 
 __all__ = sorted(_HOME)
 

@@ -2,14 +2,16 @@
 Values print as plain text, grids as CSV, instances travel as JSON files.  A handler
 returns its exit code unless it is 0: 1 invalid input or usage, 2 verification
 mismatch, 3 budget exceeded.  The seed is echoed to stderr, so stdout stays
-parseable.  Only ``game`` and ``survival`` are imported here; a command imports
-the other modules it calls, and ``csv`` or ``json``, when it runs."""
+parseable.  Only ``codec``, ``game`` and ``survival`` are imported here, and ``codec``
+loads ``json`` only for a command that reads or writes JSON; a command imports the
+other modules it calls, and ``csv``, when it runs."""
 
 from __future__ import annotations
 
 import sys
 from types import SimpleNamespace as Namespace
 
+from .codec import to_json
 from .game import (BudgetExceededError, GameParams, adversary_to_dict, load_adversary,
                    load_schedule, save_adversary, save_schedule, survival_time, trivial_schedule)
 from .survival import h_value, optimum_survival_time
@@ -55,8 +57,7 @@ def _cmd_solve_adversary(ns: Namespace) -> None:
     print(f"T={T}")
     print(f"t*={T + 1 if T < len(s) else 'none'}")
     if not ns.out:
-        import json
-        print(json.dumps(adversary_to_dict(adv)))
+        print(to_json(adversary_to_dict(adv)))
 
 
 def _cmd_check_p(ns: Namespace) -> int | None:
@@ -79,8 +80,7 @@ def _cmd_reduce(ns: Namespace) -> None:
         print(f"L={inst.left_count} R={inst.right_count}")
         print(f"L'={reduced.left_count} R'={reduced.right_count}")
     else:
-        import json
-        print(json.dumps(instance_to_dict(reduced)))
+        print(to_json(instance_to_dict(reduced)))
 
 
 def _cmd_verify_theorem(ns: Namespace) -> int | None:

@@ -16,6 +16,7 @@ from collections.abc import Iterable
 from operator import lt
 from os import PathLike
 
+from .codec import read_document, write_document
 from .survival import h_value
 
 
@@ -25,6 +26,14 @@ class BudgetExceededError(RuntimeError):
 
 
 _set = object.__setattr__
+
+
+def _listed(items: Iterable, name: str) -> list:
+    """``items`` as a list, or a ValueError naming ``name`` if it is not iterable."""
+    try:
+        return [*items]
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {type(items).__name__}") from None
 
 
 class _Frozen:
@@ -102,9 +111,11 @@ class Schedule(_Frozen):
     validate; :func:`validate_schedule` reports the first violation so
     malformed input files can be diagnosed precisely.  Sets from the
     first one whose ids do not compare on stay unsorted; validation
-    reports that set, or an earlier one.  The first library call that
-    needs a valid schedule marks it on a pass, outside the fields, so
-    ``==``, ``hash`` and ``repr`` ignore the mark.
+    reports that set, or an earlier one.  Only ``sets`` or a set in it
+    that is not iterable raises here, a ``ValueError`` that names it.
+    The first library call that needs a valid schedule marks it on a
+    pass, outside the fields, so ``==``, ``hash`` and ``repr`` ignore
+    the mark.
     """
 
     __match_args__ = ("params", "sets")
@@ -113,12 +124,14 @@ class Schedule(_Frozen):
     sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
-        rows = [*map(list, sets)]
+        rows = _listed(sets, "sets")
         try:
+            rows = [*map(list, rows)]
             for row in rows:
                 row.sort()
-        except TypeError:  # ids that do not compare: validate_schedule reports them
-            pass
+        except TypeError:  # ids that do not compare are left to validate_schedule;
+            for t, row in enumerate(rows):  # a set that is not iterable raises here
+                _listed(row, f"set {t + 1}")
         _Frozen.__init__(self, params, tuple(map(tuple, rows)))
         _set(self, "_valid", False)
 
@@ -133,7 +146,7 @@ class Adversary(_Frozen):
     kills: tuple[int, ...]
 
     def __init__(self, kills: Iterable[int]) -> None:
-        _Frozen.__init__(self, tuple(kills))
+        _Frozen.__init__(self, tuple(_listed(kills, "kills")))
 
 
 class Violation(_Frozen):
@@ -234,58 +247,7 @@ def trivial_schedule(params: GameParams) -> Schedule:
     return Schedule(params, sets)
 
 
-# ---------------------------------------------------------------------------
-# JSON wire formats, read by one strict reader and written by one writer.
-#
-# Schedule: {"N": 4, "n": 2, "f": 1, "sets": [[1, 2], [3, 4], [3, 4], [3, 4]]}
-# Adversary: {"kills": [1, 3, 4, 4]}
-# Instance (solver.py): {"n": 2, "f": 1, "right_ids": [1, 2, 3, 4], "rows": [[1, 2]]}
-# Ids are 1-based; sets are serialized in ascending id order.
-# ---------------------------------------------------------------------------
-
-
-def read_document(path: str | PathLike[str], **depths: int) -> dict:
-    """Strict reader behind every wire format.
-
-    The file must hold a JSON object with each named field; depth 0 asks
-    for an integer, 1 for a list of integers, 2 for a list of such lists.
-    Numbers must be JSON integers: bools, floats and strings are rejected,
-    never coerced.  Lists come back as tuples.  Errors are ValueErrors
-    that name the field, such as ``sets[1][1] must be an integer``.
-    """
-    import json  # here, so that CLI commands without JSON files never load it
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
-    except ValueError as e:  # bad syntax, bytes that are not UTF-8, an overlong integer
-        raise ValueError(f"{path}: {e}") from None
-    if type(doc) is not dict:
-        raise ValueError(f"{path}: document must be a JSON object")
-    for key in depths:
-        if key not in doc:
-            raise ValueError(f"{path}: missing field {key!r}")
-    return {key: _strict(doc[key], depth, f"{path}: {key}") for key, depth in depths.items()}
-
-
-def _strict(x: object, depth: int, where: str) -> object:
-    if depth == 0:
-        if type(x) is not int:
-            raise ValueError(f"{where} must be an integer")
-        return x
-    if type(x) is not list:
-        raise ValueError(f"{where} must be a list")
-    if depth == 1 and all(type(y) is int for y in x):
-        return tuple(x)
-    return tuple(_strict(y, depth - 1, f"{where}[{i}]") for i, y in enumerate(x))
-
-
-def write_document(doc: dict, path: str | PathLike[str]) -> None:
-    """The one writer: ``doc`` as a single line of JSON."""
-    import json
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")  # dumps, not dump: only the one-shot encoder is in C
+# The field maps of the schedule and adversary wire formats (see ``codec``).
 
 
 def schedule_to_dict(s: Schedule) -> dict:

@@ -37,7 +37,8 @@ from collections.abc import Iterable
 from operator import lt
 from os import PathLike
 
-from .game import Adversary, Schedule, _Frozen, _require_valid, read_document, write_document
+from .codec import read_document, write_document
+from .game import Adversary, Schedule, _Frozen, _listed, _require_valid
 from .matching import BipartiteGraph, _grow_matching, _ore_witness
 from .matching import deficiency_witness, max_matching  # noqa: F401 - perfbench's tracer wraps them
 
@@ -60,7 +61,7 @@ class PInstance(_Frozen):
             raise ValueError(f"parameters must be integers, got n={n!r}, f={f!r}")
         if not (1 <= f < n):
             raise ValueError(f"need 1 <= f < n, got n={n} f={f}")
-        right_ids = tuple(right_ids)
+        right_ids = tuple(_listed(right_ids, "right_ids"))
         if {*map(type, right_ids)} - {int}:
             raise ValueError("right ids must be integers")
         if not all(map(lt, right_ids, right_ids[1:])):
@@ -68,6 +69,13 @@ class PInstance(_Frozen):
         if right_ids and right_ids[0] < 1:
             raise ValueError("right ids must be positive")
         universe = set(right_ids)
+        rows = _listed(rows, "rows")
+        try:
+            rows = [*map(tuple, rows)]  # each row is read twice below
+        except TypeError:
+            for i, row in enumerate(rows, start=1):
+                _listed(row, f"row {i}")
+            raise
         norm = []
         for i, row in enumerate(rows, start=1):
             if {*map(type, row)} - {int} or not universe.issuperset(row):  # True and 1.0 hash as 1

@@ -157,6 +157,17 @@ def test_eval_malformed_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_duplicate_field(tmp_path, capsys):
+    s_path, a_path = tmp_path / "s.json", tmp_path / "a.json"
+    save_schedule(trivial_schedule(GameParams(4, 2, 1)), s_path)
+    a_path.write_text('{"kills": [9, 9], "kills": [1, 3, 4, 4]}')
+    code, out, err = run_cli(
+        capsys, "eval", "--schedule", str(s_path), "--adversary", str(a_path)
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: {a_path}: duplicate field 'kills'"
+
+
 def test_solve_adversary(tmp_path, capsys):
     s_path, a_path = tmp_path / "s.json", tmp_path / "a.json"
     save_schedule(trivial_schedule(GameParams(4, 2, 1)), s_path)
@@ -445,7 +456,8 @@ def test_module_entry_point():
     assert "seed=0" in proc.stderr
 
 
-LOADED_BY_ALL = ["faultsched", "faultsched.cli", "faultsched.game", "faultsched.survival"]
+LOADED_BY_ALL = ["faultsched", "faultsched.cli", "faultsched.codec", "faultsched.game",
+                 "faultsched.survival"]
 SOLVER = ["faultsched.matching", "faultsched.solver"]
 
 

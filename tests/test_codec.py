@@ -1,12 +1,15 @@
 """The three JSON wire formats: round trips, and strict rejection of
 documents whose numbers or lists have the wrong JSON type."""
 
+import ast
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import faultsched
 from faultsched import (
     Adversary,
     GameParams,
@@ -120,3 +123,31 @@ def test_error_names_the_field(tmp_path):
     path.write_text('{"N": 4, "n": 2, "f": 1, "sets": [[1, 2], [3, 4.7]]}', encoding="utf-8")
     with pytest.raises(ValueError, match=r"sets\[1\]\[1\] must be an integer"):
         load_schedule(path)
+
+
+@pytest.mark.parametrize("load,text,field", [
+    (load_schedule, '{"N": 4, "n": 2, "f": 1, "sets": [[1,2],[3,4],[3,4],[3,4]], "N": 5}', "N"),
+    (load_adversary, '{"kills": [9, 9], "kills": [1, 3, 4, 4]}', "kills"),
+    (load_instance, '{"n": 2, "f": 1, "right_ids": [1, 2], "rows": [], "rows": [[1, 2]]}',
+     "rows"),
+    (load_adversary, '{"kills": [1], "extra": {"a": 1, "a": 2}}', "a"),
+])
+def test_duplicate_field_rejected(tmp_path, load, text, field):
+    """A field given twice is an error, not a silent choice of the last
+    value; the check covers every object of the document."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate field '{field}'$"):
+        load(path)
+
+
+def test_only_codec_imports_json():
+    """``codec`` is the one module that knows the wire format."""
+    importers = set()
+    for path in Path(faultsched.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.add(path.stem)
+    assert importers == {"codec"}

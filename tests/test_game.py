@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from faultsched import (
     Adversary,
     GameParams,
+    PInstance,
     Schedule,
     Violation,
     adversary_to_dict,
@@ -141,6 +142,24 @@ def test_schedule_with_ids_that_do_not_compare():
     s = Schedule(GameParams(4, 2, 1), ((4, 3), (1, None)))
     assert s.sets[0] == (3, 4)
     assert validate_schedule(s) == Violation(2, "non-integer-id", "non-integer id at t=2")
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: Schedule(GameParams(4, 2, 1), [1, 2]), "set 1"),
+    (lambda: Schedule(GameParams(4, 2, 1), [[1, 2], 3]), "set 2"),
+    (lambda: Schedule(GameParams(4, 2, 1), None), "sets"),
+    (lambda: Adversary(5), "kills"),
+    (lambda: PInstance(2, 1, [1, 2], [1]), "row 1"),
+    (lambda: PInstance(2, 1, [1, 2], [[1, 2], None]), "row 2"),
+    (lambda: PInstance(2, 1, 5, []), "right_ids"),
+    (lambda: PInstance(2, 1, [1, 2], 7), "rows"),
+], ids=["set-int", "second-set", "sets-none", "kills", "row-int", "second-row", "right-ids",
+        "rows"])
+def test_input_that_is_not_iterable_is_named(build, name):
+    """A constructor given an argument, a set or a row that is not
+    iterable raises a ValueError that names it, not a bare TypeError."""
+    with pytest.raises(ValueError, match=f"^{name} must be iterable, got "):
+        build()
 
 
 def test_repeat_kill_wastes_round():

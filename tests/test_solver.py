@@ -609,6 +609,13 @@ def test_pinstance_rows_sorted():
     assert inst.rows == ((1, 5),)
 
 
+def test_pinstance_reads_one_shot_rows_once():
+    """A row given as an iterator is read once, so its ids are not lost
+    to the type check."""
+    inst = PInstance(2, 1, iter([1, 2, 3]), (iter(row) for row in [[2, 1], [3, 1]]))
+    assert inst.rows == ((1, 2), (1, 3))
+
+
 def test_reduce_instance_postconditions():
     done = 0
     for s in random_cases(100, seed=4, max_pool=12, max_n=4):
