@@ -24,7 +24,7 @@ _HOMES = {
         "max_matching",
     ),
     "matrixgame": ("MatrixGameSolution", "solve_zero_sum"),
-    "online": ("AdversaryPolicy", "GameValue", "adversary_best_response", "online_game_value"),
+    "online": ("GameValue", "adversary_best_response", "online_game_value"),
     "oracle": ("brute_adversary_min", "brute_deficiency", "brute_optimum", "random_schedule"),
     "solver": (
         "MembershipReport", "PInstance", "first_killable_time",

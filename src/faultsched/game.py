@@ -111,8 +111,9 @@ class Schedule(_Frozen):
     validate; :func:`validate_schedule` reports the first violation so
     malformed input files can be diagnosed precisely.  Sets from the
     first one whose ids do not compare on stay unsorted; validation
-    reports that set, or an earlier one.  Only ``sets`` or a set in it
-    that is not iterable raises here, a ``ValueError`` that names it.
+    reports that set, or an earlier one.  Only ``params`` that is not a
+    ``GameParams``, or ``sets`` or a set in it that is not iterable,
+    raises here, a ``ValueError`` that names it.
     The first library call that needs a valid schedule marks it on a
     pass, outside the fields, so ``==``, ``hash`` and ``repr`` ignore
     the mark.
@@ -124,6 +125,8 @@ class Schedule(_Frozen):
     sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
+        if not isinstance(params, GameParams):
+            raise ValueError(f"params must be a GameParams, got {type(params).__name__}")
         rows = _listed(sets, "sets")
         try:
             rows = [*map(list, rows)]

@@ -6,7 +6,9 @@ and its own past kills, nothing else, and picks each kill to minimize
 the expected survival time.  The value of this zero-sum game is found
 by a double oracle: keep finite supports of pure schedules and pure
 adversary policies, solve the restricted matrix game exactly, and grow
-whichever support admits a strictly improving best response.  The
+whichever support admits a strictly improving best response.  A pure
+policy is a table from observations to kills; ``_kill`` applies it and
+holds the one fallback rule for observations outside it.  The
 adversary best response is a posterior-belief dynamic program that
 tries one kill per symmetry class: two live members that every set
 revealed later holds alike swap onto each other below, so killing
@@ -29,8 +31,9 @@ from .matrixgame import over_common_denominator, solve_zero_sum
 from .survival import h_value
 
 Sets = tuple[tuple[int, ...], ...]
-# What an on-line adversary has seen: the sets revealed so far, its kills.
-Observation = tuple[Sets, frozenset[int]]
+# A deterministic on-line adversary: its kill for each observation (the
+# sets revealed so far, its past kills); ``_kill`` applies it.
+Policy = dict[tuple[Sets, frozenset[int]], int]
 
 _MAX_DISTINCT_SETS = 6
 _MAX_POOL = 5
@@ -62,39 +65,23 @@ class GameValue(_Frozen):
         _Frozen.__init__(self, value, strategy_support)
 
 
-class AdversaryPolicy(_Frozen):
-    """Deterministic on-line kill rule, equal only to itself.
-
-    ``table`` maps an observation (sets revealed through the current
-    round, set of past kills) to the kill; observations outside the
-    table fall back to the lowest-id not-yet-killed member of the
-    current set, or its minimum when all members are dead.  Each policy
-    built without a table gets an empty one of its own.
-    """
-
-    __slots__ = __match_args__ = ("table",)
-    table: dict[Observation, int]
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, table: dict[Observation, int] | None = None) -> None:
-        _Frozen.__init__(self, {} if table is None else table)
-
-    def kill(self, revealed: Sets, killed: frozenset[int]) -> int:
-        current = revealed[-1]
-        choice = self.table.get((revealed, killed))
-        if choice is not None:
-            return choice
-        return min((p for p in current if p not in killed), default=min(current))
+def _kill(policy: Policy, revealed: Sets, killed: frozenset[int]) -> int:
+    """The kill of ``policy`` on an observation: the table's entry, else
+    the lowest-id live member of the current set, else its minimum."""
+    choice = policy.get((revealed, killed))
+    if choice is not None:
+        return choice
+    current = revealed[-1]
+    return min((p for p in current if p not in killed), default=min(current))
 
 
-def _policy_survival(params: GameParams, sets: Sets, policy: AdversaryPolicy) -> int:
+def _policy_survival(params: GameParams, sets: Sets, policy: Policy) -> int:
     """Survival time of ``sets`` against ``policy``.  Both come from this
     module, so they are well formed and the replay stops at the first
     round with more than f dead members."""
     killed: frozenset[int] = frozenset()
     for t, row in enumerate(sets, start=1):
-        killed |= {policy.kill(sets[:t], killed)}
+        killed |= {_kill(policy, sets[:t], killed)}
         if len(killed.intersection(row)) > params.f:
             return t - 1
     return len(sets)
@@ -102,8 +89,9 @@ def _policy_survival(params: GameParams, sets: Sets, policy: AdversaryPolicy) ->
 
 def _best_response(
     params: GameParams, support: list[tuple[Sets, Fraction]]
-) -> tuple[Fraction, AdversaryPolicy]:
-    """Exact on-line best response to a schedule distribution.
+) -> tuple[Fraction, Policy]:
+    """Exact on-line best response to a schedule distribution: its value
+    and its policy, the table of the kill it picks in each state.
 
     States are (revealed prefix, kill set); the posterior over the next
     revealed set is the support conditioned on the prefix.  Ties in the
@@ -124,7 +112,7 @@ def _best_response(
     """
     f, length = params.f, params.N
     masses, _ = over_common_denominator([w for _, w in support])
-    table: dict[Observation, int] = {}
+    table: Policy = {}
     # Node: [prefix, mass, memo, below, children by the next revealed set].
     # The support is sorted, so each node's children arrive in set order.
     # Each distinct set of the support has a bit; ``below`` has the bits
@@ -183,7 +171,7 @@ def _best_response(
         return best
 
     total = sum(decide(*node, frozenset()) for node in root.values())
-    return Fraction(total, sum(masses)), AdversaryPolicy(table)
+    return Fraction(total, sum(masses)), table
 
 
 def adversary_best_response(
@@ -205,7 +193,7 @@ def adversary_best_response(
 
 
 def _scheduler_best_response(
-    params: GameParams, policies: list[tuple[AdversaryPolicy, Fraction]]
+    params: GameParams, policies: list[tuple[Policy, Fraction]]
 ) -> tuple[Fraction, Sets]:
     """Best pure schedule against a policy mix: the first maximizer of the
     expected survival time in ``itertools.product`` order.
@@ -229,7 +217,7 @@ def _scheduler_best_response(
             revealed = prefix + (row,)
             gain, weight, still = fixed, live_weight, []
             for policy, w, killed in live:
-                killed = killed | {policy.kill(revealed, killed)}
+                killed = killed | {_kill(policy, revealed, killed)}
                 if len(killed.intersection(row)) > f:
                     gain += w * t
                     weight -= w
@@ -263,7 +251,7 @@ def _randomized_value(params: GameParams) -> GameValue:
     start = trivial_schedule(params).sets
     rows: list[Sets] = [start]
     _, first_policy = _best_response(params, [(start, Fraction(1))])
-    cols: list[AdversaryPolicy] = [first_policy]
+    cols: list[Policy] = [first_policy]
     # matrix[i][j] is the survival time of rows[i] against cols[j]; it
     # grows by a column or a row as the supports do.
     matrix = [[_policy_survival(params, start, first_policy)]]

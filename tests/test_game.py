@@ -162,6 +162,16 @@ def test_input_that_is_not_iterable_is_named(build, name):
         build()
 
 
+@pytest.mark.parametrize("params,name", [((4, 2, 1), "tuple"), (None, "NoneType"),
+                                         ({"N": 4, "n": 2, "f": 1}, "dict")],
+                         ids=["tuple", "none", "dict"])
+def test_schedule_params_must_be_game_params(params, name):
+    """Parameters of another type fail at construction, not later in
+    validation with a bare AttributeError."""
+    with pytest.raises(ValueError, match=f"^params must be a GameParams, got {name}$"):
+        Schedule(params, [[1, 2], [3, 4]])
+
+
 def test_repeat_kill_wastes_round():
     s = Schedule(params=GameParams(4, 2, 1), sets=((1, 2), (1, 2), (1, 2), (1, 2)))
     assert survival_time(s, Adversary(kills=(1, 1, 1, 1))) == 4

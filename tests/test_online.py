@@ -16,7 +16,6 @@ import faultsched
 
 from faultsched import (
     Adversary,
-    AdversaryPolicy,
     BudgetExceededError,
     GameParams,
     GameValue,
@@ -31,7 +30,7 @@ from faultsched import (
     two_pool_brute_optimum,
 )
 from faultsched import matrixgame
-from faultsched.online import _best_response, _policy_survival, _scheduler_best_response
+from faultsched.online import _best_response, _kill, _policy_survival, _scheduler_best_response
 
 
 class TestMatrixGame:
@@ -249,27 +248,27 @@ class TestGameValue:
 
 
 class TestAdversaryPolicy:
+    """An adversary policy is a table from observations to kills, applied
+    by ``_kill``."""
+
     def test_default_rule(self):
-        pol = AdversaryPolicy()
-        assert pol.kill(((1, 2),), frozenset()) == 1
-        assert pol.kill(((1, 2),), frozenset({1})) == 2
-        assert pol.kill(((1, 2),), frozenset({1, 2})) == 1
+        assert _kill({}, ((1, 2),), frozenset()) == 1
+        assert _kill({}, ((1, 2),), frozenset({1})) == 2
+        assert _kill({}, ((1, 2),), frozenset({1, 2})) == 1
 
     def test_default_rule_ignores_row_order(self):
         """The fallback is the least live member, else the least member,
         however the current row is ordered."""
-        pol = AdversaryPolicy()
         for row in itertools.permutations((3, 1, 4, 2)):
             for killed in ((), (1,), (1, 2), (2, 3, 4), (1, 2, 3, 4)):
                 alive = sorted(set(row) - set(killed))
                 expected = alive[0] if alive else 1
-                assert pol.kill(((5, 6), row), frozenset(killed)) == expected
+                assert _kill({}, ((5, 6), row), frozenset(killed)) == expected
 
     def test_table_lookup(self):
-        key = (((1, 2),), frozenset())
-        pol = AdversaryPolicy(table={key: 2})
-        assert pol.kill(((1, 2),), frozenset()) == 2
-        assert pol.kill(((1, 2), (1, 2)), frozenset({2})) == 1
+        policy = {(((1, 2),), frozenset()): 2}
+        assert _kill(policy, ((1, 2),), frozenset()) == 2
+        assert _kill(policy, ((1, 2), (1, 2)), frozenset({2})) == 1
 
 
 def simple_best_response(params: GameParams, support) -> Fraction:
@@ -476,24 +475,30 @@ def replayed_survival(params, sets, policy):
     """The policy's kills, then the validated public ``survival_time``."""
     kills, killed = [], frozenset()
     for t in range(1, len(sets) + 1):
-        kills.append(policy.kill(sets[:t], killed))
+        kills.append(_kill(policy, sets[:t], killed))
         killed |= {kills[-1]}
     return survival_time(Schedule(params=params, sets=sets), Adversary(kills=tuple(kills)))
 
 
-class LazyPolicy(AdversaryPolicy):
-    """Always kills the lowest id in the set, dead or not, so some
-    schedules survive to the end."""
-
-    def kill(self, revealed, killed):
-        return revealed[-1][0]
+def lazy_policy(params):
+    """The table of the adversary that always kills the lowest id in the
+    set, dead or not, so some schedules survive to the end: one entry for
+    each observation its own play reaches on a pure schedule."""
+    candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
+    policy = {}
+    for sets in itertools.product(candidates, repeat=params.N):
+        killed = frozenset()
+        for t, row in enumerate(sets, start=1):
+            policy[sets[:t], killed] = row[0]
+            killed |= {row[0]}
+    return policy
 
 
 def test_policy_survival_matches_replay():
     params = GameParams(3, 2, 1)
     pure = list(itertools.product(itertools.combinations(range(1, 4), 2), repeat=3))
     rng = random.Random(5)
-    policies = [AdversaryPolicy(), LazyPolicy()]
+    policies = [{}, lazy_policy(params)]
     for _ in range(20):
         chosen = rng.sample(pure, rng.randint(1, 4))
         weights = [rng.randint(1, 5) for _ in chosen]
@@ -562,12 +567,12 @@ def test_best_response_matches_fraction_dp(params):
         value, policy = _best_response(params, support)
         ref_value, ref_table = fraction_best_response(params, support)
         assert repr(value) == repr(ref_value)
-        assert all(ref_table[state] == kill for state, kill in policy.table.items())
+        assert all(ref_table[state] == kill for state, kill in policy.items())
         for sets, _ in support:
             killed = frozenset()
             for t, row in enumerate(sets, start=1):
-                assert (sets[:t], killed) in policy.table
-                killed |= {policy.kill(sets[:t], killed)}
+                assert (sets[:t], killed) in policy
+                killed |= {_kill(policy, sets[:t], killed)}
                 if len(killed.intersection(row)) > params.f:
                     break
 
@@ -586,20 +591,20 @@ def random_supports(params, count):
 
 @pytest.mark.parametrize("params", [GameParams(3, 2, 1), GameParams(4, 3, 1), GameParams(4, 2, 1)])
 def test_reduced_policy_plays_as_the_full_table(params):
-    """Wrapped in a policy, the full Fraction table kills as the reduced
-    one does against every pure schedule, so both survive equally long:
-    the states the reduction skips are never consulted in play."""
+    """As a policy, the full Fraction table kills as the reduced one does
+    against every pure schedule, so both survive equally long: the
+    states the reduction skips are never consulted in play."""
     candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
     pure = list(itertools.product(candidates, repeat=params.N))
     for support in random_supports(params, 8):
         policy = _best_response(params, support)[1]
-        full = AdversaryPolicy(table=fraction_best_response(params, support)[1])
-        assert len(policy.table) <= len(full.table)
+        full = fraction_best_response(params, support)[1]
+        assert len(policy) <= len(full)
         for sets in pure:
             killed = frozenset()
             for t in range(1, params.N + 1):
-                kill = policy.kill(sets[:t], killed)
-                assert kill == full.kill(sets[:t], killed)
+                kill = _kill(policy, sets[:t], killed)
+                assert kill == _kill(full, sets[:t], killed)
                 killed |= {kill}
             assert _policy_survival(params, sets, policy) == _policy_survival(params, sets, full)
 
@@ -611,7 +616,7 @@ def test_best_response_tries_one_member_per_class(params, states):
     full dynamic program holds 76 states at (5, 5, 4)."""
     support = [(trivial_schedule(params).sets, Fraction(1))]
     value, policy = _best_response(params, support)
-    assert len(policy.table) == states
+    assert len(policy) == states
     assert value == fraction_best_response(params, support)[0]
 
 
@@ -635,8 +640,9 @@ def test_scheduler_best_response_matches_enumeration(params):
     candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
     pure = list(itertools.product(candidates, repeat=params.N))
     rng = random.Random(params.N * 100 + params.n * 10 + params.f)
+    lazy = lazy_policy(params)
     for _ in range(8):
-        policies = [AdversaryPolicy(), LazyPolicy()][:rng.randint(0, 2)]
+        policies = [{}, lazy][:rng.randint(0, 2)]
         for _ in range(rng.randint(1, 3)):
             chosen = rng.sample(pure, rng.randint(1, 5))
             weights = [rng.randint(1, 5) for _ in chosen]

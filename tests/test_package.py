@@ -15,7 +15,7 @@ import faultsched
 from faultsched import game, online, oracle, twopool
 
 PUBLIC = [
-    "Adversary", "AdversaryPolicy", "BipartiteGraph", "BudgetExceededError",
+    "Adversary", "BipartiteGraph", "BudgetExceededError",
     "DeficiencyWitness", "GameParams", "GameValue", "Matching", "MatrixGameSolution",
     "MembershipReport", "PInstance", "Schedule", "TwoPoolParams", "Violation",
     "adversary_best_response", "adversary_to_dict",

@@ -3,14 +3,16 @@ equality and hash, ``repr``, immutability, copies and pickles.  The
 pinned reprs are the ones the types printed as frozen dataclasses."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import faultsched
 from faultsched import (
     Adversary,
-    AdversaryPolicy,
     BipartiteGraph,
     DeficiencyWitness,
     GameParams,
@@ -23,7 +25,7 @@ from faultsched import (
     TwoPoolParams,
     Violation,
 )
-from faultsched.game import _require_valid
+from faultsched.game import _Frozen, _require_valid
 
 P = GameParams(3, 2, 1)
 S = Schedule(P, ((2, 1), (3, 1)))
@@ -65,20 +67,8 @@ CASES = {
         GameValue, (Fraction(2), ((S, Fraction(1)),)),
         f"GameValue(value=Fraction(2, 1), strategy_support=(({S_REPR}, Fraction(1, 1)),))",
     ),
-    "AdversaryPolicy": (
-        AdversaryPolicy, ({(((1, 2),), frozenset()): 2},),
-        "AdversaryPolicy(table={(((1, 2),), frozenset()): 2})",
-    ),
     "TwoPoolParams": (TwoPoolParams, (5, 5, 5, 1, 1), "TwoPoolParams(N1=5, N2=5, n=5, g1=1, g2=1)"),
 }
-
-
-def same(a, b):
-    """Equal by class and fields; ``AdversaryPolicy`` equals only itself,
-    so its copies are compared by table."""
-    if isinstance(a, AdversaryPolicy):
-        return type(a) is type(b) and a.table == b.table
-    return a == b and hash(a) == hash(b)
 
 
 @pytest.fixture(params=CASES)
@@ -91,7 +81,7 @@ def test_positional_and_keyword_construction(case):
     cls, args, text, obj = case
     by_keyword = cls(**dict(zip(cls.__match_args__, args)))
     assert repr(obj) == repr(by_keyword) == text
-    assert same(obj, by_keyword)
+    assert obj == by_keyword and hash(obj) == hash(by_keyword)
 
 
 @pytest.mark.parametrize("bad", ["missing", "extra", "unknown", "twice"])
@@ -99,9 +89,6 @@ def test_bad_arguments_raise_type_error(case, bad):
     """Every type binds its arguments as a signature of its fields would:
     each field once, by position or keyword, and nothing else."""
     cls, args, _, _ = case
-    if bad == "missing" and cls is AdversaryPolicy:
-        assert cls().table == {}  # the one field with a default
-        return
     # "unknown" and, past one field, "twice" keep the argument count right.
     first, kept = cls.__match_args__[0], args[:max(len(args) - 1, 1)]
     call = {
@@ -116,8 +103,6 @@ def test_bad_arguments_raise_type_error(case, bad):
 
 def test_equality_and_hash_by_class_and_fields(case):
     cls, args, _, obj = case
-    if cls is AdversaryPolicy:
-        return
     values = tuple(getattr(obj, name) for name in cls.__match_args__)
     assert obj == cls(*values) and hash(obj) == hash(cls(*values))
     assert obj != values and obj != args
@@ -144,7 +129,7 @@ def test_fields_are_read_only(case):
 def test_copies_are_equal(case, clone):
     _, _, text, obj = case
     twin = clone(obj)
-    assert same(obj, twin) and repr(twin) == text
+    assert obj == twin and hash(obj) == hash(twin) and repr(twin) == text
 
 
 def test_validity_mark_is_not_a_field():
@@ -156,9 +141,17 @@ def test_validity_mark_is_not_a_field():
         s._valid = False
 
 
-def test_policy_identity_and_own_table():
-    a, b = AdversaryPolicy(), AdversaryPolicy()
-    assert a == a and a != b and len({a, b}) == 2
-    assert a.table == {} and a.table is not b.table
-    table = {(((1, 2),), frozenset()): 2}
-    assert AdversaryPolicy(table).table is table
+def test_every_value_type_has_a_case():
+    """Each ``_Frozen`` subclass of the package is a case above, so none
+    skips the contract, and none overrides the equality and hash by
+    class and fields."""
+    for module in pkgutil.iter_modules(faultsched.__path__):
+        importlib.import_module(f"faultsched.{module.name}")
+    types, stack = set(), [_Frozen]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("faultsched."):
+                types.add(cls)
+    assert {cls.__name__ for cls in types} == set(CASES)
+    assert all("__eq__" not in vars(cls) and "__hash__" not in vars(cls) for cls in types)
