@@ -6,17 +6,19 @@ and its own past kills, nothing else, and picks each kill to minimize
 the expected survival time.  The value of this zero-sum game is found
 by a double oracle: keep finite supports of pure schedules and pure
 adversary policies, solve the restricted matrix game exactly, and grow
-whichever support admits a strictly improving best response.  A pure
-policy is a table from observations to kills; ``_kill`` applies it and
-holds the one fallback rule for observations outside it.  The
-adversary best response is a posterior-belief dynamic program that
+whichever support admits a strictly improving best response.  Sets of
+processors, kill sets among them, are int bit masks.  A pure policy is
+the prefix tree of the schedules it was built against, each node
+holding its kills by kill mask; ``_kill`` applies a node and holds the
+one fallback rule for observations off the tree.  The adversary best
+response is a posterior-belief dynamic program over that tree that
 tries one kill per symmetry class: two live members that every set
 revealed later holds alike swap onto each other below, so killing
 either is worth the same, and ties still go to the smallest id.  The
 scheduler best response is a branch-and-bound search over schedule
-prefixes that carries every policy of the mix at once.  A size guard
-and a budget on LP work keep instances tiny.  All values are exact:
-rationals, with integer pivots and integer weights inside.
+prefixes that carries every policy of the mix, and its node, at once.
+A size guard and a budget on LP work keep instances tiny.  All values
+are exact: rationals, with integer pivots and integer weights inside.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from .matrixgame import over_common_denominator, solve_zero_sum
 from .survival import h_value
 
 Sets = tuple[tuple[int, ...], ...]
-# A deterministic on-line adversary: its kill for each observation (the
-# sets revealed so far, its past kills); ``_kill`` applies it.
-Policy = dict[tuple[Sets, frozenset[int]], int]
+# A deterministic on-line adversary: the prefix tree of the sets it may
+# see, each node keyed by its set's bit mask and holding the kill for
+# each mask of past kills; ``_kill`` applies it.
+Policy = dict[int, list]
 
 _MAX_DISTINCT_SETS = 6
 _MAX_POOL = 5
@@ -65,25 +68,30 @@ class GameValue(_Frozen):
         _Frozen.__init__(self, value, strategy_support)
 
 
-def _kill(policy: Policy, revealed: Sets, killed: frozenset[int]) -> int:
-    """The kill of ``policy`` on an observation: the table's entry, else
-    the lowest-id live member of the current set, else its minimum."""
-    choice = policy.get((revealed, killed))
-    if choice is not None:
-        return choice
-    current = revealed[-1]
-    return min((p for p in current if p not in killed), default=min(current))
+def _kill(node: list | None, row: int, killed: int) -> int:
+    """The kill of a policy at ``node``, its node of the sets revealed so
+    far (None off its tree), on the set of bit mask ``row`` with past
+    kills ``killed``: the node's entry, else the lowest-id live member of
+    the set, else its lowest id."""
+    hit = node and node[2].get(killed)
+    if hit:
+        return hit[1]
+    live = row & ~killed or row
+    return (live & -live).bit_length() - 1
 
 
 def _policy_survival(params: GameParams, sets: Sets, policy: Policy) -> int:
     """Survival time of ``sets`` against ``policy``.  Both come from this
     module, so they are well formed and the replay stops at the first
     round with more than f dead members."""
-    killed: frozenset[int] = frozenset()
+    killed, nodes = 0, policy
     for t, row in enumerate(sets, start=1):
-        killed |= {_kill(policy, sets[:t], killed)}
-        if len(killed.intersection(row)) > params.f:
+        mask = sum(1 << p for p in row)
+        node = nodes.get(mask)
+        killed |= 1 << _kill(node, mask, killed)
+        if (killed & mask).bit_count() > params.f:
             return t - 1
+        nodes = node[4] if node else {}
     return len(sets)
 
 
@@ -91,41 +99,41 @@ def _best_response(
     params: GameParams, support: list[tuple[Sets, Fraction]]
 ) -> tuple[Fraction, Policy]:
     """Exact on-line best response to a schedule distribution: its value
-    and its policy, the table of the kill it picks in each state.
+    and its policy, the prefix tree of the support with the kill it
+    picks in each state.
 
-    States are (revealed prefix, kill set); the posterior over the next
+    States are (revealed prefix, kill mask); the posterior over the next
     revealed set is the support conditioned on the prefix.  Ties in the
     kill choice break toward the smallest id, so the policy and value
     are deterministic.  The prefixes form a tree, built in one pass over
-    the sorted support; each node keeps the values of its states by kill
-    set, so a state's lookup hashes the kill set alone.
+    the support; each node keeps the value and kill of its states by
+    kill mask, which is both the memo and the policy's table.
 
     A state tries one re-kill, and one fresh member per key, a member's
     key being the sets below the node that hold it.  Fresh members with
     one key swap onto each other in every set of the subtree, so their
     kills have one value; members are tried in ascending order and only a strictly
     smaller value replaces the best, so the kill chosen is still the
-    smallest minimizer.  The table then holds every state the policy
+    smallest minimizer.  The tree then holds every state the policy
     reaches in its own play, with the kill the full program picks, and
     only skips states it never reaches; its play, its value and the
     double oracle built on it are those of the full program.
     """
     f, length = params.f, params.N
     masses, _ = over_common_denominator([w for _, w in support])
-    table: Policy = {}
-    # Node: [prefix, mass, memo, below, children by the next revealed set].
-    # The support is sorted, so each node's children arrive in set order.
-    # Each distinct set of the support has a bit; ``below`` has the bits
-    # of the sets revealed after the node, and holds[p] those that hold p.
-    root: dict = {}
+    # Node: [row, mass, {kill mask: (value, kill)}, below, children by
+    # row mask].  Each distinct set of the support has a bit; ``below``
+    # has the bits of the sets revealed after the node, and holds[p]
+    # those that hold p.
+    root: Policy = {}
     bits: dict = {}
-    for sets, w in sorted(zip([sets for sets, _ in support], masses)):
+    for (sets, _), w in zip(support, masses):
         later = [0]  # later[k]: the bits of the last k sets
         for row in reversed(sets):
             later.append(later[-1] | bits.setdefault(row, 1 << len(bits)))
         nodes = root
         for t, row in enumerate(sets, start=1):
-            node = nodes.setdefault(row, [sets[:t], 0, {}, 0, {}])
+            node = nodes.setdefault(sum(1 << p for p in row), [row, 0, {}, 0, {}])
             node[1] += w
             node[3] |= later[length - t]
             nodes = node[4]
@@ -134,20 +142,19 @@ def _best_response(
         for p in row:
             holds[p] |= bit
 
-    def decide(prefix: Sets, mass: int, memo: dict, below: int, nodes: dict,
-               killed: frozenset[int]) -> int:
-        """``mass``, the weight of the support behind ``prefix``, times the
+    def decide(t: int, mask: int, row: tuple[int, ...], mass: int, memo: dict, below: int,
+               nodes: Policy, killed: int) -> int:
+        """``mass``, the weight of the support behind the node, times the
         least expected survival time; a positive factor leaves the choice
         of kill as it is, and every term stays an int."""
-        best = memo.get(killed)
-        if best is not None:
-            return best
-        t = len(prefix)
-        current = prefix[-1]
-        dead = len(killed.intersection(current))
+        hit = memo.get(killed)
+        if hit:
+            return hit[0]
+        dead = (killed & mask).bit_count()
+        best = None
         tried = {}  # key -> the first member with it
-        for s in current:
-            fresh = s not in killed
+        for s in row:
+            fresh = not killed >> s & 1
             # Kills with one key have one value, so only the first is tried:
             # a re-kill leaves the kill set as it is, as the first did, and
             # swapping two fresh members that the same sets below hold maps
@@ -160,18 +167,17 @@ def _best_response(
             elif t == length:
                 val = mass * length
             else:
-                nxt = killed | {s}
+                nxt = killed | 1 << s
                 val = 0
-                for node in nodes.values():
-                    val += decide(*node, nxt)
+                for child_mask, child in nodes.items():
+                    val += decide(t + 1, child_mask, *child, nxt)
             if best is None or val < best:
                 best, best_kill = val, s
-        table[prefix, killed] = best_kill
-        memo[killed] = best
+        memo[killed] = best, best_kill
         return best
 
-    total = sum(decide(*node, frozenset()) for node in root.values())
-    return Fraction(total, sum(masses)), table
+    total = sum(decide(1, mask, *node, 0) for mask, node in root.items())
+    return Fraction(total, sum(masses)), root
 
 
 def adversary_best_response(
@@ -199,41 +205,41 @@ def _scheduler_best_response(
     expected survival time in ``itertools.product`` order.
 
     A depth-first search over schedule prefixes in that order carries each
-    policy's kill set down the tree and fixes a policy's payoff at the
-    round where it kills.  Weights are ints over their common
+    policy's kill mask and node down the tree and fixes a policy's payoff
+    at the round where it kills.  Weights are ints over their common
     denominator.  A branch whose fixed payoff plus N times its live weight
     cannot beat the best so far is cut, and a branch that can gain nothing
     more is settled by its first leaf; ties never replace the best, so the
     answer is the one full enumeration finds."""
     length, f = params.N, params.f
-    candidates = list(itertools.combinations(range(1, length + 1), params.n))
+    candidates = [(row, sum(1 << p for p in row))
+                  for row in itertools.combinations(range(1, length + 1), params.n)]
     best = -1
     best_sets: Sets = ()
 
     def descend(prefix: Sets, live: list, fixed: int, live_weight: int) -> None:
         nonlocal best, best_sets
         t = len(prefix)
-        for row in candidates:
-            revealed = prefix + (row,)
+        for row, mask in candidates:
             gain, weight, still = fixed, live_weight, []
-            for policy, w, killed in live:
-                killed = killed | {_kill(policy, revealed, killed)}
-                if len(killed.intersection(row)) > f:
+            for w, killed, nodes in live:
+                node = nodes.get(mask)
+                killed |= 1 << _kill(node, mask, killed)
+                if (killed & mask).bit_count() > f:
                     gain += w * t
                     weight -= w
                 else:
-                    still.append((policy, w, killed))
+                    still.append((w, killed, node[4] if node else {}))
             bound = gain + weight * length
             if bound <= best:
                 continue
             if not still or t + 1 == length:
-                best, best_sets = bound, revealed + (candidates[0],) * (length - t - 1)
+                best, best_sets = bound, prefix + (row,) + (candidates[0][0],) * (length - t - 1)
             else:
-                descend(revealed, still, gain, weight)
+                descend(prefix + (row,), still, gain, weight)
 
     weights, scale = over_common_denominator([w for _, w in policies])
-    descend((), [(policy, w, frozenset()) for (policy, _), w in zip(policies, weights)],
-            0, sum(weights))
+    descend((), [(w, 0, policy) for (policy, _), w in zip(policies, weights)], 0, sum(weights))
     return Fraction(best, scale), best_sets
 
 
@@ -250,11 +256,11 @@ def _check_guard(params: GameParams) -> None:
 def _randomized_value(params: GameParams) -> GameValue:
     start = trivial_schedule(params).sets
     rows: list[Sets] = [start]
-    _, first_policy = _best_response(params, [(start, Fraction(1))])
-    cols: list[Policy] = [first_policy]
+    br_adv, br_policy = _best_response(params, [(start, Fraction(1))])
+    cols: list[Policy] = [br_policy]
     # matrix[i][j] is the survival time of rows[i] against cols[j]; it
     # grows by a column or a row as the supports do.
-    matrix = [[_policy_survival(params, start, first_policy)]]
+    matrix = [[_policy_survival(params, start, br_policy)]]
     cells = 0
 
     while True:
@@ -268,7 +274,8 @@ def _randomized_value(params: GameParams) -> GameValue:
         v = sol.value
         x_support = [(sets, p) for sets, p in zip(rows, sol.row_strategy) if p > 0]
         y_support = [(policy, p) for policy, p in zip(cols, sol.col_strategy) if p > 0]
-        br_adv, br_policy = _best_response(params, x_support)
+        if cells > 1:  # round 1's row strategy is the opening support
+            br_adv, br_policy = _best_response(params, x_support)
         br_sch, br_sets = _scheduler_best_response(params, y_support)
         if br_adv >= v >= br_sch:
             return GameValue(value=v, strategy_support=tuple(

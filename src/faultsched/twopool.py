@@ -22,6 +22,9 @@ from .survival import h_value
 # Size guard of two_pool_brute_optimum: N1 + N2 <= PROBE_MAX_POOL, n <= PROBE_MAX_N.
 PROBE_MAX_POOL = 8
 PROBE_MAX_N = 4
+# Size cap of two_pool_best_split, which evaluates every admissible split:
+# a few microseconds apiece, about 0.3 s at the cap.
+MAX_SPLITS = 100_000
 
 
 class TwoPoolParams(_Frozen):
@@ -64,11 +67,16 @@ def two_pool_best_split(tp: TwoPoolParams) -> tuple[int, tuple[int, int] | None]
     A split is admissible when g_i <= n_i <= N_i for both types.  Its
     value is the min of the per-type batch survivals; a type with zero
     dedicated processors (admissible only when its quorum is zero)
-    constrains nothing, and with no terms the value is 0.
+    constrains nothing, and with no terms the value is 0.  Raises
+    ``BudgetExceededError`` beyond ``MAX_SPLITS`` admissible splits.
     """
+    low, high = max(tp.g1, tp.n - tp.N2), min(tp.N1, tp.n - tp.g2)
+    if high - low >= MAX_SPLITS:
+        raise BudgetExceededError(f"{high - low + 1} admissible splits exceed the cap of "
+                                  f"{MAX_SPLITS}")
     best = 0
     best_split: tuple[int, int] | None = None
-    for n1 in range(max(tp.g1, tp.n - tp.N2), min(tp.N1, tp.n - tp.g2) + 1):
+    for n1 in range(low, high + 1):
         n2 = tp.n - n1
         value = min((h_value(n_i, n_i - g_i, big_n)
                      for n_i, g_i, big_n in ((n1, tp.g1, tp.N1), (n2, tp.g2, tp.N2))

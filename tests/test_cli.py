@@ -375,6 +375,15 @@ def test_two_pool_brute_guard(capsys):
     assert "error" in err
 
 
+def test_two_pool_split_cap(capsys):
+    """Past the cap on admissible splits the bound is not computed: exit 3,
+    nothing on stdout."""
+    code, out, err = run_cli(capsys, "two-pool", "--N1", "1000000", "--N2", "1000000",
+                             "--n", "1000000", "--g1", "1", "--g2", "1")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == "error: 999999 admissible splits exceed the cap of 100000"
+
+
 def test_two_pool_invalid(capsys):
     code, _, err = run_cli(
         capsys, "two-pool", "--N1", "4", "--N2", "4", "--n", "2", "--g1", "2", "--g2", "1"

@@ -29,7 +29,7 @@ from faultsched import (
     trivial_schedule,
     two_pool_brute_optimum,
 )
-from faultsched import matrixgame
+from faultsched import matrixgame, online
 from faultsched.online import _best_response, _kill, _policy_survival, _scheduler_best_response
 
 
@@ -247,28 +247,75 @@ class TestGameValue:
         assert str(e.value) == f"values must be int or Fraction, got {name}"
 
 
+def mask(ids):
+    """The bit mask of a set of processor ids."""
+    return sum(1 << p for p in ids)
+
+
+def tree(table):
+    """The policy tree that holds the kills of ``table``, a dict from
+    (sets revealed so far, kill set) to a kill."""
+    root = {}
+    for (prefix, killed), kill in table.items():
+        nodes = root
+        for row in prefix:
+            node = nodes.setdefault(mask(row), [row, 0, {}, 0, {}])
+            nodes = node[4]
+        node[2][mask(killed)] = (None, kill)
+    return root
+
+
+def table(policy):
+    """Every kill a policy tree holds, as a dict from (sets revealed so
+    far, kill set) to the kill."""
+    out, stack = {}, [((), policy)]
+    while stack:
+        prefix, nodes = stack.pop()
+        for node in nodes.values():
+            sets = prefix + (node[0],)
+            for killed, (_, kill) in node[2].items():
+                dead = frozenset(p for p in range(killed.bit_length()) if killed >> p & 1)
+                out[sets, dead] = kill
+            stack.append((sets, node[4]))
+    return out
+
+
+def play(policy, sets):
+    """The kills of ``policy`` against ``sets``, walking its tree."""
+    kills, killed, nodes = [], 0, policy
+    for row in sets:
+        node = nodes.get(mask(row))
+        kills.append(_kill(node, mask(row), killed))
+        killed |= 1 << kills[-1]
+        nodes = node[4] if node else {}
+    return kills
+
+
 class TestAdversaryPolicy:
-    """An adversary policy is a table from observations to kills, applied
-    by ``_kill``."""
+    """An adversary policy is a prefix tree whose nodes hold kills by
+    kill mask, applied by ``_kill``."""
 
     def test_default_rule(self):
-        assert _kill({}, ((1, 2),), frozenset()) == 1
-        assert _kill({}, ((1, 2),), frozenset({1})) == 2
-        assert _kill({}, ((1, 2),), frozenset({1, 2})) == 1
+        assert _kill(None, mask((1, 2)), 0) == 1
+        assert _kill(None, mask((1, 2)), mask({1})) == 2
+        assert _kill(None, mask((1, 2)), mask({1, 2})) == 1
 
     def test_default_rule_ignores_row_order(self):
         """The fallback is the least live member, else the least member,
-        however the current row is ordered."""
+        however the current row is ordered, off the tree or at a node
+        without the observation."""
         for row in itertools.permutations((3, 1, 4, 2)):
             for killed in ((), (1,), (1, 2), (2, 3, 4), (1, 2, 3, 4)):
                 alive = sorted(set(row) - set(killed))
                 expected = alive[0] if alive else 1
-                assert _kill({}, ((5, 6), row), frozenset(killed)) == expected
+                for node in (None, [row, 0, {mask((5,)): (None, 5)}, 0, {}]):
+                    assert _kill(node, mask(row), mask(killed)) == expected
 
     def test_table_lookup(self):
-        policy = {(((1, 2),), frozenset()): 2}
-        assert _kill(policy, ((1, 2),), frozenset()) == 2
-        assert _kill(policy, ((1, 2), (1, 2)), frozenset({2})) == 1
+        policy = tree({(((1, 2),), frozenset()): 2})
+        node = policy[mask((1, 2))]
+        assert _kill(node, mask((1, 2)), 0) == 2
+        assert _kill(node[4].get(mask((1, 2))), mask((1, 2)), mask({2})) == 1
 
 
 def simple_best_response(params: GameParams, support) -> Fraction:
@@ -356,12 +403,30 @@ class TestOnlineGameValue:
             (((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 3)), Fraction(1, 3)),
             (((1, 2, 3), (1, 2, 3), (2, 3, 4), (1, 2, 3)), Fraction(1, 3)),
         ]),
-    ])
+    ] + [(GameParams(N, N, f), Fraction(f), [((tuple(range(1, N + 1)),) * N, Fraction(1))])
+          for N in range(2, 6) for f in range(1, N)])
     def test_randomized_support_pinned(self, params, value, support):
-        """Sets, weights and order of the double oracle's support."""
+        """Sets, weights and order of the double oracle's support on all 15
+        guarded cells it solves: a single set is played as the batch
+        schedule."""
         gv = online_game_value(params, "randomized")
         assert gv.value == value
         assert [(s.sets, p) for s, p in gv.strategy_support] == support
+
+    def test_opening_best_response_runs_once(self, monkeypatch):
+        """Round 1's LP plays the opening schedule alone, whose best
+        response is already known, so each LP solve is followed by at
+        most one adversary best response, and the opening one stands in
+        for round 1's."""
+        calls = {"_best_response": 0, "solve_zero_sum": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(online, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(online, name, counted)
+        for params in (GameParams(3, 2, 1), GameParams(4, 3, 1), GameParams(5, 5, 4)):
+            online_game_value(params, "randomized")
+        assert calls["_best_response"] == calls["solve_zero_sum"] > 3
 
     def test_randomized_validates_no_schedule(self, validations):
         """Every schedule the double oracle plays is built in the module, so
@@ -473,11 +538,8 @@ def test_two_pool_tightness_bound_above_optimum(monkeypatch, capsys):
 
 def replayed_survival(params, sets, policy):
     """The policy's kills, then the validated public ``survival_time``."""
-    kills, killed = [], frozenset()
-    for t in range(1, len(sets) + 1):
-        kills.append(_kill(policy, sets[:t], killed))
-        killed |= {kills[-1]}
-    return survival_time(Schedule(params=params, sets=sets), Adversary(kills=tuple(kills)))
+    kills = tuple(play(policy, sets))
+    return survival_time(Schedule(params=params, sets=sets), Adversary(kills=kills))
 
 
 def lazy_policy(params):
@@ -491,7 +553,7 @@ def lazy_policy(params):
         for t, row in enumerate(sets, start=1):
             policy[sets[:t], killed] = row[0]
             killed |= {row[0]}
-    return policy
+    return tree(policy)
 
 
 def test_policy_survival_matches_replay():
@@ -567,12 +629,13 @@ def test_best_response_matches_fraction_dp(params):
         value, policy = _best_response(params, support)
         ref_value, ref_table = fraction_best_response(params, support)
         assert repr(value) == repr(ref_value)
-        assert all(ref_table[state] == kill for state, kill in policy.items())
+        held = table(policy)
+        assert all(ref_table[state] == kill for state, kill in held.items())
         for sets, _ in support:
             killed = frozenset()
             for t, row in enumerate(sets, start=1):
-                assert (sets[:t], killed) in policy
-                killed |= {_kill(policy, sets[:t], killed)}
+                assert (sets[:t], killed) in held
+                killed |= {held[sets[:t], killed]}
                 if len(killed.intersection(row)) > params.f:
                     break
 
@@ -599,13 +662,10 @@ def test_reduced_policy_plays_as_the_full_table(params):
     for support in random_supports(params, 8):
         policy = _best_response(params, support)[1]
         full = fraction_best_response(params, support)[1]
-        assert len(policy) <= len(full)
+        assert len(table(policy)) <= len(full)
+        full = tree(full)
         for sets in pure:
-            killed = frozenset()
-            for t in range(1, params.N + 1):
-                kill = _kill(policy, sets[:t], killed)
-                assert kill == _kill(full, sets[:t], killed)
-                killed |= {kill}
+            assert play(policy, sets) == play(full, sets)
             assert _policy_survival(params, sets, policy) == _policy_survival(params, sets, full)
 
 
@@ -616,7 +676,7 @@ def test_best_response_tries_one_member_per_class(params, states):
     full dynamic program holds 76 states at (5, 5, 4)."""
     support = [(trivial_schedule(params).sets, Fraction(1))]
     value, policy = _best_response(params, support)
-    assert len(policy) == states
+    assert len(table(policy)) == states
     assert value == fraction_best_response(params, support)[0]
 
 

@@ -14,6 +14,7 @@ from faultsched import (
     two_pool_brute_optimum,
     two_pool_lower_bound,
 )
+from faultsched.twopool import MAX_SPLITS
 
 
 def guarded_cells():
@@ -126,6 +127,20 @@ def test_degenerate_single_pool():
 def test_no_admissible_split():
     tp = TwoPoolParams(N1=1, N2=1, n=4, g1=1, g2=1)
     assert two_pool_best_split(tp) == (0, None)
+
+
+def test_split_count_cap():
+    """At g1 = g2 = 1 and large pools the splits are n1 = 1 .. n - 1, so
+    n = MAX_SPLITS + 1 is the largest set size within the cap; one more
+    and the bound raises before it evaluates any split."""
+    big = 10**6
+    tp = TwoPoolParams(big, big, MAX_SPLITS + 1, 1, 1)
+    bound, (n1, n2) = two_pool_best_split(tp)
+    assert bound == min(h_value(n1, n1 - 1, big), h_value(n2, n2 - 1, big)) > 0
+    for n in (MAX_SPLITS + 2, big):
+        with pytest.raises(BudgetExceededError, match=f"^{n - 1} admissible splits exceed "
+                                                      f"the cap of {MAX_SPLITS}$"):
+            two_pool_best_split(TwoPoolParams(big, big, n, 1, 1))
 
 
 @pytest.mark.parametrize(
