@@ -91,6 +91,18 @@ python -m faultsched online-value --N 5 --n 5 --f 4 --mode randomized \
 printf '%s\n' 'value=4' 'support:' \
   'p=1 sets=[[1,2,3,4,5],[1,2,3,4,5],[1,2,3,4,5],[1,2,3,4,5],[1,2,3,4,5]]' \
   | diff - "$tmp/online-554.txt"
+# The deterministic value is the batch schedule with probability 1,
+# printed byte for byte; the library keeps each repeated row as one
+# shared tuple, and the printout must not show it.
+python -m faultsched online-value --N 4 --n 2 --f 1 --mode deterministic \
+  > "$tmp/online-421-det.txt"
+printf '%s\n' 'value=2' 'support:' \
+  'p=1 sets=[[1,2],[3,4],[3,4],[3,4]]' | diff - "$tmp/online-421-det.txt"
+python -m faultsched online-value --N 5 --n 4 --f 3 --mode deterministic \
+  > "$tmp/online-543-det.txt"
+printf '%s\n' 'value=3' 'support:' \
+  'p=1 sets=[[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
+  | diff - "$tmp/online-543-det.txt"
 python scripts/two_pool_tightness.py --max-pool 7
 python -m faultsched two-pool --N1 8 --N2 0 --n 4 --g1 1 --g2 0 \
   --brute > "$tmp/two-pool.txt"
@@ -102,18 +114,25 @@ python -m faultsched verify-theorem --max-N 8
 python -m faultsched gen-trivial --N 3200 --n 40 --f 10 --out "$tmp/s.json"
 # The same schedule from the batch formula in trivial_schedule's
 # docstring, built without library code, must match byte for byte.
-python - "$tmp/batch.json" <<'EOF'
+# So must N=3210, n=40, f=35: 80 full batches of 35 rows, then 5 rows
+# of the partial batch (the first 30 ids of batch 80 and the 10
+# leftover ids) and 405 padding rows, all repeats of shared rows.
+python -m faultsched gen-trivial --N 3210 --n 40 --f 35 --out "$tmp/s-tail.json"
+for shape in "3200 40 10 s" "3210 40 35 s-tail"; do
+  set -- $shape
+  python - "$1" "$2" "$3" "$tmp/batch-$4.json" <<'EOF'
 import json, sys
-N, n, f = 3200, 40, 10
+N, n, f = map(int, sys.argv[1:4])
 q, p = divmod(N, n)
 sets = [list(range(i * n + 1, (i + 1) * n + 1)) for i in range(q) for _ in range(f)]
 last = (q - 1) * n + 1
 sets += [list(range(last, last + n - p)) + list(range(N - p + 1, N + 1))] * max(f + p - n, 0)
 sets += [sets[-1]] * (N - len(sets))
-with open(sys.argv[1], "w") as fh:
+with open(sys.argv[4], "w") as fh:
     fh.write(json.dumps({"N": N, "n": n, "f": f, "sets": sets}) + "\n")
 EOF
-diff -q "$tmp/batch.json" "$tmp/s.json"
+  diff -q "$tmp/batch-$4.json" "$tmp/$4.json"
+done
 python -m faultsched solve-adversary --schedule "$tmp/s.json" \
   --out "$tmp/adv.json" > "$tmp/solve.txt"
 printf 'T=800\nt*=801\n' | diff - "$tmp/solve.txt"

@@ -42,11 +42,12 @@ class _Frozen:
     its fields in order as ``__match_args__`` and holds them in
     ``__slots__``; ``__init__`` binds arguments to them as a signature of
     those names would.  A type that checks its input keeps a named
-    ``__init__`` that checks, then passes its fields to this one; only
-    ``BipartiteGraph`` checks in a ``__post_init__``, for perfbench/tracer.py
-    to wrap.  Equality and hash go by the exact class and the field tuple,
-    ``repr`` is ``Name(field=value, ...)``, and copies and pickles are
-    rebuilt through the constructor."""
+    ``__init__`` that checks, then passes its fields to this one, or, in
+    ``Schedule`` and ``GameValue``, stores each with ``_set`` at a third
+    of the cost; only ``BipartiteGraph`` checks in a ``__post_init__``,
+    for perfbench/tracer.py to wrap.  Equality and hash go by the exact
+    class and the field tuple, ``repr`` is ``Name(field=value, ...)``,
+    and copies and pickles are rebuilt through the constructor."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -107,13 +108,13 @@ class GameParams(_Frozen):
 class Schedule(_Frozen):
     """Ordered operating sets; processor ids are 1-based, sets kept sorted.
 
-    Construction normalizes each set to a sorted tuple but does not
-    validate; :func:`validate_schedule` reports the first violation so
-    malformed input files can be diagnosed precisely.  Sets from the
-    first one whose ids do not compare on stay unsorted; validation
-    reports that set, or an earlier one.  Only ``params`` that is not a
-    ``GameParams``, or ``sets`` or a set in it that is not iterable,
-    raises here, a ``ValueError`` that names it.
+    Construction sorts each set into a tuple, once per tuple object,
+    and does not validate; :func:`validate_schedule` reports the first
+    violation so malformed input files can be diagnosed precisely.
+    Sets from the first one whose ids do not compare on stay unsorted;
+    validation reports that set, or an earlier one.  Only ``params``
+    that is not a ``GameParams``, or ``sets`` or a set in it that is
+    not iterable, raises here, a ``ValueError`` that names it.
     The first library call that needs a valid schedule marks it on a
     pass, outside the fields, so ``==``, ``hash`` and ``repr`` ignore
     the mark.
@@ -128,14 +129,24 @@ class Schedule(_Frozen):
         if not isinstance(params, GameParams):
             raise ValueError(f"params must be a GameParams, got {type(params).__name__}")
         rows = _listed(sets, "sets")
+        done, out = {}, []  # done: a tuple row's id -> its sorted copy (rows keeps ids unique)
         try:
-            rows = [*map(list, rows)]
             for row in rows:
-                row.sort()
-        except TypeError:  # ids that do not compare are left to validate_schedule;
-            for t, row in enumerate(rows):  # a set that is not iterable raises here
-                _listed(row, f"set {t + 1}")
-        _Frozen.__init__(self, params, tuple(map(tuple, rows)))
+                norm = done.get(id(row))
+                if norm is None:
+                    norm = [*row]
+                    norm.sort()
+                    norm = tuple(norm)
+                    if type(row) is tuple:
+                        done[id(row)] = norm
+                out.append(norm)
+        except TypeError:  # a set that is not iterable raises here; ids that do not compare
+            if norm is not None:  # are left to validate_schedule, and this set and the
+                out.append(tuple(norm))  # rest stay unsorted
+            t = len(out)
+            out += [tuple(_listed(row, f"set {u}")) for u, row in enumerate(rows[t:], t + 1)]
+        _set(self, "params", params)
+        _set(self, "sets", tuple(out))
         _set(self, "_valid", False)
 
     def __len__(self) -> int:
@@ -241,8 +252,7 @@ def trivial_schedule(params: GameParams) -> Schedule:
         batch = tuple(range(i * n + 1, (i + 1) * n + 1))
         sets.extend([batch] * f)
     if f + p > n:  # batch is the last full batch, as q >= 1
-        tail = tuple(range(N - p + 1, N + 1))
-        sets.extend([batch[:n - p] + tail] * (f + p - n))
+        sets.extend([batch[:n - p] + tuple(range(N - p + 1, N + 1))] * (f + p - n))
     h = h_value(n, f, N)
     if len(sets) != h:
         raise RuntimeError(f"batch prefix has {len(sets)} sets, expected h = {h}")

@@ -96,8 +96,9 @@ def over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], in
     ``int`` or a ``Fraction`` (a float or a bool too) raises ValueError."""
     if bad := {*map(type, xs)} - {int, Fraction}:
         raise ValueError(f"values must be int or Fraction, got {min(t.__name__ for t in bad)}")
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolution:

@@ -23,16 +23,17 @@ are exact: rationals, with integer pivots and integer weights inside.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
-from .game import BudgetExceededError, GameParams, Schedule, _Frozen, _require_valid, trivial_schedule
-from .game import survival_time  # noqa: F401 - perfbench/tracer.py wraps online.survival_time
+from .game import BudgetExceededError, GameParams, Schedule, _Frozen, _listed, _require_valid, _set
+from .game import survival_time, trivial_schedule  # noqa: F401 - perfbench wraps survival_time
 from .matrixgame import over_common_denominator, solve_zero_sum
 from .survival import h_value
 
-Sets = tuple[tuple[int, ...], ...]
+Ints = tuple[int, ...]  # a set's ids, or a schedule's set masks
+Sets = tuple[Ints, ...]
 # A deterministic on-line adversary: the prefix tree of the sets it may
 # see, each node keyed by its set's bit mask and holding the kill for
 # each mask of past kills; ``_kill`` applies it.
@@ -54,18 +55,19 @@ class GameValue(_Frozen):
     value: Fraction
     strategy_support: tuple[tuple[Schedule, Fraction], ...]
 
-    def __init__(
-        self, value: Fraction, strategy_support: tuple[tuple[Schedule, Fraction], ...]
-    ) -> None:
-        # The value shares the one type check; the probabilities' numerators
-        # sum to the common denominator exactly when they sum to 1.
-        probs, scale = over_common_denominator([value] + [p for _, p in strategy_support])
+    def __init__(self, value: Fraction,
+                 strategy_support: tuple[tuple[Schedule, Fraction], ...]) -> None:
+        # The support is read once, into pairs.  The value shares the one type check; the
+        # probabilities' numerators sum to the common denominator exactly when they sum to 1.
+        support = tuple(map(tuple, _listed(strategy_support, "strategy_support")))
+        probs, scale = over_common_denominator([value] + [p for _, p in support])
         del probs[0]
         if min(probs, default=0) < 0:
             raise ValueError("strategy probabilities must be nonnegative")
         if sum(probs) != scale:
             raise ValueError("strategy probabilities must sum to 1")
-        _Frozen.__init__(self, value, strategy_support)
+        _set(self, "value", value)
+        _set(self, "strategy_support", support)
 
 
 def _kill(node: list | None, row: int, killed: int) -> int:
@@ -80,19 +82,17 @@ def _kill(node: list | None, row: int, killed: int) -> int:
     return (live & -live).bit_length() - 1
 
 
-def _policy_survival(params: GameParams, sets: Sets, policy: Policy) -> int:
-    """Survival time of ``sets`` against ``policy``.  Both come from this
-    module, so they are well formed and the replay stops at the first
-    round with more than f dead members."""
+def _policy_survival(params: GameParams, masks: Ints, policy: Policy) -> int:
+    """Survival time of the sets of bit masks ``masks`` against ``policy``;
+    both come from this module, so the replay checks nothing."""
     killed, nodes = 0, policy
-    for t, row in enumerate(sets, start=1):
-        mask = sum(1 << p for p in row)
+    for t, mask in enumerate(masks, start=1):
         node = nodes.get(mask)
         killed |= 1 << _kill(node, mask, killed)
         if (killed & mask).bit_count() > params.f:
             return t - 1
         nodes = node[4] if node else {}
-    return len(sets)
+    return len(masks)
 
 
 def _best_response(
@@ -142,7 +142,7 @@ def _best_response(
         for p in row:
             holds[p] |= bit
 
-    def decide(t: int, mask: int, row: tuple[int, ...], mass: int, memo: dict, below: int,
+    def decide(t: int, mask: int, row: Ints, mass: int, memo: dict, below: int,
                nodes: Policy, killed: int) -> int:
         """``mass``, the weight of the support behind the node, times the
         least expected survival time; a positive factor leaves the choice
@@ -200,9 +200,9 @@ def adversary_best_response(
 
 def _scheduler_best_response(
     params: GameParams, policies: list[tuple[Policy, Fraction]]
-) -> tuple[Fraction, Sets]:
-    """Best pure schedule against a policy mix: the first maximizer of the
-    expected survival time in ``itertools.product`` order.
+) -> tuple[Fraction, Sets, Ints]:
+    """Best pure schedule against a policy mix, and its sets' bit masks:
+    the first maximizer of expected survival in ``itertools.product`` order.
 
     A depth-first search over schedule prefixes in that order carries each
     policy's kill mask and node down the tree and fixes a policy's payoff
@@ -212,15 +212,15 @@ def _scheduler_best_response(
     more is settled by its first leaf; ties never replace the best, so the
     answer is the one full enumeration finds."""
     length, f = params.N, params.f
-    candidates = [(row, sum(1 << p for p in row))
-                  for row in itertools.combinations(range(1, length + 1), params.n)]
-    best = -1
-    best_sets: Sets = ()
+    candidates = tuple((row, sum(1 << p for p in row))
+                       for row in combinations(range(1, length + 1), params.n))
+    best, best_sets = -1, ()
 
-    def descend(prefix: Sets, live: list, fixed: int, live_weight: int) -> None:
+    def descend(prefix: tuple, live: list, fixed: int, live_weight: int) -> None:
         nonlocal best, best_sets
-        t = len(prefix)
-        for row, mask in candidates:
+        t = len(prefix)  # the (set, mask) candidates picked so far
+        for pick in candidates:
+            mask = pick[1]
             gain, weight, still = fixed, live_weight, []
             for w, killed, nodes in live:
                 node = nodes.get(mask)
@@ -234,13 +234,13 @@ def _scheduler_best_response(
             if bound <= best:
                 continue
             if not still or t + 1 == length:
-                best, best_sets = bound, prefix + (row,) + (candidates[0][0],) * (length - t - 1)
+                best, best_sets = bound, prefix + (pick,) + candidates[:1] * (length - t - 1)
             else:
-                descend(prefix + (row,), still, gain, weight)
+                descend(prefix + (pick,), still, gain, weight)
 
     weights, scale = over_common_denominator([w for _, w in policies])
     descend((), [(w, 0, policy) for (policy, _), w in zip(policies, weights)], 0, sum(weights))
-    return Fraction(best, scale), best_sets
+    return Fraction(best, scale), *zip(*best_sets)
 
 
 def _check_guard(params: GameParams) -> None:
@@ -255,16 +255,17 @@ def _check_guard(params: GameParams) -> None:
 
 def _randomized_value(params: GameParams) -> GameValue:
     start = trivial_schedule(params).sets
-    rows: list[Sets] = [start]
+    rows = [start]
+    masks = [tuple(sum(1 << p for p in row) for row in start)]  # the set masks of each row
     br_adv, br_policy = _best_response(params, [(start, Fraction(1))])
-    cols: list[Policy] = [br_policy]
+    cols = [br_policy]
     # matrix[i][j] is the survival time of rows[i] against cols[j]; it
     # grows by a column or a row as the supports do.
-    matrix = [[_policy_survival(params, start, br_policy)]]
+    matrix = [[_policy_survival(params, masks[0], br_policy)]]
     cells = 0
 
     while True:
-        cells += len(matrix) * len(matrix[0])
+        cells += len(rows) * len(cols)
         if cells > _MAX_PAYOFF_CELLS:
             raise BudgetExceededError(
                 f"double oracle exceeded its budget of {_MAX_PAYOFF_CELLS} "
@@ -276,18 +277,18 @@ def _randomized_value(params: GameParams) -> GameValue:
         y_support = [(policy, p) for policy, p in zip(cols, sol.col_strategy) if p > 0]
         if cells > 1:  # round 1's row strategy is the opening support
             br_adv, br_policy = _best_response(params, x_support)
-        br_sch, br_sets = _scheduler_best_response(params, y_support)
+        br_sch, br_sets, br_masks = _scheduler_best_response(params, y_support)
         if br_adv >= v >= br_sch:
-            return GameValue(value=v, strategy_support=tuple(
-                (Schedule(params, sets), p) for sets, p in x_support))
+            return GameValue(v, ((Schedule(params, sets), p) for sets, p in x_support))
 
         if br_adv < v:
             cols.append(br_policy)
-            for sets, payoffs in zip(rows, matrix):
-                payoffs.append(_policy_survival(params, sets, br_policy))
+            for row_masks, payoffs in zip(masks, matrix):
+                payoffs.append(_policy_survival(params, row_masks, br_policy))
         if br_sch > v:
             rows.append(br_sets)
-            matrix.append([_policy_survival(params, br_sets, pol) for pol in cols])
+            masks.append(br_masks)
+            matrix.append([_policy_survival(params, br_masks, pol) for pol in cols])
 
 
 def online_game_value(params: GameParams, mode: str) -> GameValue:
@@ -304,8 +305,6 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
         raise ValueError(f"mode must be deterministic or randomized, got {mode!r}")
     _check_guard(params)
     if mode == "deterministic":
-        return GameValue(
-            value=Fraction(h_value(params.n, params.f, params.N)),
-            strategy_support=((trivial_schedule(params), Fraction(1)),),
-        )
+        return GameValue(Fraction(h_value(params.n, params.f, params.N)),
+                         ((trivial_schedule(params), Fraction(1)),))
     return _randomized_value(params)

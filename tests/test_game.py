@@ -46,6 +46,46 @@ def test_schedule_normalizes_sets():
     assert len(s) == 2
 
 
+def test_repeated_tuple_row_is_normalized_once():
+    """One tuple object repeated is sorted once and shared; equal copies,
+    one list repeated and equal lists build the same schedule."""
+    row = (2, 1)
+    shared = Schedule(GameParams(4, 2, 1), [row] * 3)
+    assert shared.sets == ((1, 2),) * 3
+    assert shared.sets[0] is shared.sets[1] is shared.sets[2]
+    same = [[2, 1]]
+    for sets in ([(2, 1), (2, 1), (2, 1)], same * 3, [[2, 1], [2, 1], [2, 1]]):
+        other = Schedule(GameParams(4, 2, 1), sets)
+        assert other.sets == shared.sets and other == shared
+        assert hash(other) == hash(shared) and repr(other) == repr(shared)
+
+
+def test_batch_schedule_rows_are_shared():
+    """The batch schedule's f-fold rows, its partial-batch rows and its
+    padding are one tuple each: 80 batches and one tail row at N=3210."""
+    s = trivial_schedule(GameParams(3210, 40, 35))
+    assert len(s) == 3210 and len({id(row) for row in s.sets}) == 81
+    assert s.sets[-1] is s.sets[2800] == tuple(range(3161, 3191)) + tuple(range(3201, 3211))
+
+
+def test_repeated_row_before_ids_that_do_not_compare():
+    """Sets from the first one whose ids do not compare stay unsorted,
+    a repeat of an earlier row included, and validation names that set."""
+    row = (2, 1)
+    s = Schedule(GameParams(5, 2, 1), [row, row, (1, "a"), (4, 3), row])
+    assert s.sets == ((1, 2), (1, 2), (1, "a"), (4, 3), (2, 1))
+    assert validate_schedule(s) == Violation(3, "non-integer-id", "non-integer id at t=3")
+    with pytest.raises(ValueError, match="^set 4 must be iterable, got int$"):
+        Schedule(GameParams(4, 2, 1), [row, row, ("a", 1), 5])
+
+
+def test_repeated_generator_row_is_read_twice():
+    """Only tuples share a normalized row: a generator repeated is read
+    again, and its second use is empty."""
+    gen = (p for p in (2, 1))
+    assert Schedule(GameParams(4, 2, 1), [gen, gen]).sets == ((1, 2), ())
+
+
 class TestValidation:
     params = GameParams(N=4, n=2, f=1)
 

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import io
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import faultsched
 
@@ -30,6 +32,7 @@ from faultsched import (
     two_pool_brute_optimum,
 )
 from faultsched import matrixgame, online
+from faultsched.matrixgame import over_common_denominator
 from faultsched.online import _best_response, _kill, _policy_survival, _scheduler_best_response
 
 
@@ -162,6 +165,31 @@ class TestMatrixGame:
             assert repr(got) == repr(fraction_solve(matrix)), matrix
 
 
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
+                max_size=12))
+def test_over_common_denominator_matches_fraction_arithmetic(xs):
+    """The numerators over the least common denominator are the values,
+    for ints and Fractions of either sign, zero and the empty list."""
+    nums, den = over_common_denominator(xs)
+    assert type(den) is int and den == math.lcm(*(Fraction(x).denominator for x in xs))
+    assert all(type(n) is int for n in nums)
+    assert [Fraction(n, den) for n in nums] == xs
+
+
+def test_over_common_denominator_of_nothing():
+    assert over_common_denominator([]) == ([], 1)
+
+
+@pytest.mark.parametrize("xs,name", [([True], "bool"), ([Fraction(1, 2), 0.5], "float"),
+                                     ([1, "2"], "str"), ([2.0, "x", False], "bool")])
+def test_over_common_denominator_names_the_first_bad_type(xs, name):
+    """Of the types that are not int or Fraction, the message names the
+    alphabetically first."""
+    with pytest.raises(ValueError) as e:
+        over_common_denominator(xs)
+    assert str(e.value) == f"values must be int or Fraction, got {name}"
+
+
 def fraction_simplex_max(a, k):
     """The simplex over Fraction that the integer pivots replaced: Bland's
     rule, each pivot row divided through by its pivot."""
@@ -246,10 +274,36 @@ class TestGameValue:
             GameValue(value=value, strategy_support=((s, Fraction(1)),))
         assert str(e.value) == f"values must be int or Fraction, got {name}"
 
+    def test_iterator_support_is_read_once(self):
+        """The check and the stored field read the support once; an
+        iterator used to be used up by the check and stored empty."""
+        s = trivial_schedule(GameParams(4, 2, 1))
+        gv = GameValue(Fraction(2), iter([(s, Fraction(1, 2)), (s, Fraction(1, 2))]))
+        assert gv.strategy_support == ((s, Fraction(1, 2)), (s, Fraction(1, 2)))
+
+    def test_list_support_is_stored_as_a_tuple_of_pairs(self):
+        """A list of lists is stored as the tuple of pairs, so the value
+        hashes and equals the one built from tuples."""
+        s = trivial_schedule(GameParams(4, 2, 1))
+        gv = GameValue(Fraction(2), [[s, Fraction(1)]])
+        twin = GameValue(Fraction(2), ((s, Fraction(1)),))
+        assert type(gv.strategy_support) is tuple and gv.strategy_support == ((s, Fraction(1)),)
+        assert gv == twin and hash(gv) == hash(twin) and repr(gv) == repr(twin)
+
+    @pytest.mark.parametrize("support,name", [(None, "NoneType"), (1, "int")])
+    def test_support_that_is_not_iterable_is_named(self, support, name):
+        with pytest.raises(ValueError, match=f"^strategy_support must be iterable, got {name}$"):
+            GameValue(Fraction(2), support)
+
 
 def mask(ids):
     """The bit mask of a set of processor ids."""
     return sum(1 << p for p in ids)
+
+
+def masks(sets):
+    """The bit masks of a schedule's sets, as ``_policy_survival`` takes them."""
+    return tuple(map(mask, sets))
 
 
 def tree(table):
@@ -569,7 +623,7 @@ def test_policy_survival_matches_replay():
     seen = set()
     for policy in policies:
         for sets in pure:
-            got = _policy_survival(params, sets, policy)
+            got = _policy_survival(params, masks(sets), policy)
             assert got == replayed_survival(params, sets, policy)
             seen.add(got)
     assert seen == {1, 2, 3}
@@ -666,7 +720,8 @@ def test_reduced_policy_plays_as_the_full_table(params):
         full = tree(full)
         for sets in pure:
             assert play(policy, sets) == play(full, sets)
-            assert _policy_survival(params, sets, policy) == _policy_survival(params, sets, full)
+            assert _policy_survival(params, masks(sets), policy) == _policy_survival(
+                params, masks(sets), full)
 
 
 @pytest.mark.parametrize("params,states", [(GameParams(5, 5, 4), 11), (GameParams(5, 5, 2), 8)])
@@ -686,7 +741,7 @@ def enumerated_scheduler_best_response(params, policies):
     candidates = list(itertools.combinations(range(1, params.N + 1), params.n))
     best, best_sets = None, ()
     for sets in itertools.product(candidates, repeat=params.N):
-        ev = sum(w * _policy_survival(params, sets, pol) for pol, w in policies)
+        ev = sum(w * _policy_survival(params, masks(sets), pol) for pol, w in policies)
         if best is None or ev > best:
             best, best_sets = ev, sets
     return best, best_sets
@@ -710,8 +765,9 @@ def test_scheduler_best_response_matches_enumeration(params):
             policies.append(_best_response(params, support)[1])
         weights = [rng.randint(1, 7) for _ in policies]
         mix = [(pol, Fraction(w, sum(weights))) for pol, w in zip(policies, weights)]
-        got = _scheduler_best_response(params, mix)
-        assert repr(got) == repr(enumerated_scheduler_best_response(params, mix))
+        value, sets, set_masks = _scheduler_best_response(params, mix)
+        assert repr((value, sets)) == repr(enumerated_scheduler_best_response(params, mix))
+        assert set_masks == masks(sets)
 
 
 class TestAdversaryBestResponse:
