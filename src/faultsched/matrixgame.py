@@ -9,16 +9,22 @@ the primal solution and the row strategy the duals, both over their
 common sum; the certificate that they attain the value is checked on
 those integer numerators, and Fractions appear only once, in the
 returned solution, so a returned solution is a proof.  No floats enter.
+``double_oracle`` grows such a game from the caller's payoff and two
+best responses, and is the one loop that solves it and budgets the LP.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .game import _Frozen
+from .game import BudgetExceededError, _Frozen
+
+# Payoff-matrix cells summed over all LP solves of one double oracle; it
+# bounds the rounds too, since a round that goes on adds a row or column.
+_MAX_PAYOFF_CELLS = 100_000
 
 
 class MatrixGameSolution(_Frozen):
@@ -137,3 +143,39 @@ def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolu
     return MatrixGameSolution(Fraction(value, total * scale),
                               tuple(Fraction(x, total) for x in u),
                               tuple(Fraction(x, total) for x in z))
+
+
+def double_oracle(first_row: object, payoff: Callable, row_response: Callable,
+                  col_response: Callable) -> tuple[Fraction, list[tuple[object, Fraction]]]:
+    """Value v of the game whose rows maximize ``payoff(row, col)``, and an
+    optimal row mix as its (row, p > 0) pairs, by double oracle (McMahan,
+    Gordon & Blum 2003).  ``row_response`` and ``col_response`` map a mix
+    of the other side's strategies to (value, best response).
+
+    The restricted game opens as ``first_row`` against its column
+    response, which serves round 1 too.  Each round solves it exactly and
+    stops when col value >= v >= row value, a proof of v, else adds each
+    strictly improving response.  Raises ``BudgetExceededError`` once the
+    LP solves would pass ``_MAX_PAYOFF_CELLS`` cells in all."""
+    br_col, col = col_response([(first_row, Fraction(1))])
+    rows, cols, matrix, cells = [first_row], [col], [[payoff(first_row, col)]], 0
+    while True:
+        cells += len(rows) * len(cols)
+        if cells > _MAX_PAYOFF_CELLS:
+            raise BudgetExceededError(f"double oracle exceeded its budget of {_MAX_PAYOFF_CELLS} "
+                                      "payoff-matrix cells over all LP solves")
+        sol = solve_zero_sum(matrix)
+        v = sol.value
+        x = [(row, p) for row, p in zip(rows, sol.row_strategy) if p > 0]
+        if cells > 1:  # round 1's row mix is first_row alone
+            br_col, col = col_response(x)
+        br_row, row = row_response([(c, p) for c, p in zip(cols, sol.col_strategy) if p > 0])
+        if br_col >= v >= br_row:
+            return v, x
+        if br_col < v:
+            cols.append(col)
+            for r, payoffs in zip(rows, matrix):
+                payoffs.append(payoff(r, col))
+        if br_row > v:
+            rows.append(row)
+            matrix.append([payoff(row, c) for c in cols])

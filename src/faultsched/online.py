@@ -4,10 +4,10 @@ The scheduler commits to a probability distribution over full pure
 schedules before play; the adversary observes the sets revealed so far
 and its own past kills, nothing else, and picks each kill to minimize
 the expected survival time.  The value of this zero-sum game is found
-by a double oracle: keep finite supports of pure schedules and pure
-adversary policies, solve the restricted matrix game exactly, and grow
-whichever support admits a strictly improving best response.  Sets of
-processors, kill sets among them, are int bit masks.  A pure policy is
+by ``matrixgame.double_oracle``, which owns the loop, the LP and its
+budget; this module supplies the payoff, the opening schedule and the
+two exact best responses.  A pure schedule is its sets and their int
+bit masks, and kill sets are bit masks too.  A pure policy is
 the prefix tree of the schedules it was built against, each node
 holding its kills by kill mask; ``_kill`` applies a node and holds the
 one fallback rule for observations off the tree.  The adversary best
@@ -17,8 +17,8 @@ revealed later holds alike swap onto each other below, so killing
 either is worth the same, and ties still go to the smallest id.  The
 scheduler best response is a branch-and-bound search over schedule
 prefixes that carries every policy of the mix, and its node, at once.
-A size guard and a budget on LP work keep instances tiny.  All values
-are exact: rationals, with integer pivots and integer weights inside.
+A size guard keeps instances tiny.  All values are exact: rationals,
+with integer weights inside.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ from math import comb
 
 from .game import BudgetExceededError, GameParams, Schedule, _Frozen, _listed, _require_valid, _set
 from .game import survival_time, trivial_schedule  # noqa: F401 - perfbench wraps survival_time
-from .matrixgame import over_common_denominator, solve_zero_sum
+from .matrixgame import double_oracle, over_common_denominator
+from .matrixgame import solve_zero_sum  # noqa: F401 - perfbench wraps online.solve_zero_sum
 from .survival import h_value
 
 Ints = tuple[int, ...]  # a set's ids, or a schedule's set masks
 Sets = tuple[Ints, ...]
+Support = tuple[tuple[Schedule, Fraction], ...]
 # A deterministic on-line adversary: the prefix tree of the sets it may
 # see, each node keyed by its set's bit mask and holding the kill for
 # each mask of past kills; ``_kill`` applies it.
@@ -41,9 +43,6 @@ Policy = dict[int, list]
 
 _MAX_DISTINCT_SETS = 6
 _MAX_POOL = 5
-# Payoff-matrix cells summed over all LP solves of one double oracle; it
-# bounds the rounds too, since a round that goes on adds a row or column.
-_MAX_PAYOFF_CELLS = 100_000
 
 
 class GameValue(_Frozen):
@@ -53,21 +52,32 @@ class GameValue(_Frozen):
 
     __slots__ = __match_args__ = ("value", "strategy_support")
     value: Fraction
-    strategy_support: tuple[tuple[Schedule, Fraction], ...]
+    strategy_support: Support
 
-    def __init__(self, value: Fraction,
-                 strategy_support: tuple[tuple[Schedule, Fraction], ...]) -> None:
-        # The support is read once, into pairs.  The value shares the one type check; the
-        # probabilities' numerators sum to the common denominator exactly when they sum to 1.
-        support = tuple(map(tuple, _listed(strategy_support, "strategy_support")))
-        probs, scale = over_common_denominator([value] + [p for _, p in support])
-        del probs[0]
-        if min(probs, default=0) < 0:
-            raise ValueError("strategy probabilities must be nonnegative")
-        if sum(probs) != scale:
-            raise ValueError("strategy probabilities must sum to 1")
+    def __init__(self, value: Fraction, strategy_support: Support) -> None:
+        _set(self, "strategy_support", _distribution(strategy_support, "strategy_support", value))
         _set(self, "value", value)
-        _set(self, "strategy_support", support)
+
+
+def _distribution(items: Support, name: str, value: Fraction = 0) -> Support:
+    """``items`` read once as (Schedule, probability) pairs whose
+    probabilities are nonnegative and sum to 1, else a ValueError that
+    names an entry that is not such a pair; ``value`` shares the one type
+    check of the probabilities."""
+    support = []
+    for entry in _listed(items, name):
+        match entry:
+            case (Schedule() as s, p):
+                support.append((s, p))
+            case _:
+                raise ValueError(f"{name} must hold (Schedule, probability) pairs, got {entry!r}")
+    # The numerators sum to the common denominator exactly when the probabilities sum to 1.
+    (_, *probs), scale = over_common_denominator([value] + [p for _, p in support])
+    if min(probs, default=0) < 0:
+        raise ValueError("strategy probabilities must be nonnegative")
+    if sum(probs) != scale:
+        raise ValueError("strategy probabilities must sum to 1")
+    return tuple(support)
 
 
 def _kill(node: list | None, row: int, killed: int) -> int:
@@ -180,15 +190,11 @@ def _best_response(
     return Fraction(total, sum(masses)), root
 
 
-def adversary_best_response(
-    params: GameParams, support: tuple[tuple[Schedule, Fraction], ...]
-) -> Fraction:
+def adversary_best_response(params: GameParams, support: Support) -> Fraction:
     """Value of the exact on-line best response against ``support``;
     recomputing this against a solver's output certifies its value."""
     _check_guard(params)
-    masses, scale = over_common_denominator([w for _, w in support])
-    if not support or min(masses) <= 0 or sum(masses) != scale:
-        raise ValueError("support must carry positive weights summing to 1")
+    support = _distribution(support, "support")
     for s, _ in support:
         if s.params != params:
             raise ValueError("support schedule parameters disagree")
@@ -200,9 +206,9 @@ def adversary_best_response(
 
 def _scheduler_best_response(
     params: GameParams, policies: list[tuple[Policy, Fraction]]
-) -> tuple[Fraction, Sets, Ints]:
-    """Best pure schedule against a policy mix, and its sets' bit masks:
-    the first maximizer of expected survival in ``itertools.product`` order.
+) -> tuple[Fraction, tuple[Sets, Ints]]:
+    """Expected survival of the best pure schedule against a policy mix,
+    and that schedule as its sets and their bit masks: the first maximizer of expected survival in ``itertools.product`` order.
 
     A depth-first search over schedule prefixes in that order carries each
     policy's kill mask and node down the tree and fixes a policy's payoff
@@ -240,10 +246,12 @@ def _scheduler_best_response(
 
     weights, scale = over_common_denominator([w for _, w in policies])
     descend((), [(w, 0, policy) for (policy, _), w in zip(policies, weights)], 0, sum(weights))
-    return Fraction(best, scale), *zip(*best_sets)
+    return Fraction(best, scale), tuple(zip(*best_sets))
 
 
 def _check_guard(params: GameParams) -> None:
+    if not isinstance(params, GameParams):
+        raise ValueError(f"params must be a GameParams, got {type(params).__name__}")
     # N first, so that a huge N never computes its binomial.
     if params.N > _MAX_POOL or comb(params.N, params.n) > _MAX_DISTINCT_SETS:
         got = f"C={comb(params.N, params.n)}, " if params.N <= _MAX_POOL else ""
@@ -253,53 +261,15 @@ def _check_guard(params: GameParams) -> None:
         )
 
 
-def _randomized_value(params: GameParams) -> GameValue:
-    start = trivial_schedule(params).sets
-    rows = [start]
-    masks = [tuple(sum(1 << p for p in row) for row in start)]  # the set masks of each row
-    br_adv, br_policy = _best_response(params, [(start, Fraction(1))])
-    cols = [br_policy]
-    # matrix[i][j] is the survival time of rows[i] against cols[j]; it
-    # grows by a column or a row as the supports do.
-    matrix = [[_policy_survival(params, masks[0], br_policy)]]
-    cells = 0
-
-    while True:
-        cells += len(rows) * len(cols)
-        if cells > _MAX_PAYOFF_CELLS:
-            raise BudgetExceededError(
-                f"double oracle exceeded its budget of {_MAX_PAYOFF_CELLS} "
-                "payoff-matrix cells over all LP solves"
-            )
-        sol = solve_zero_sum(matrix)
-        v = sol.value
-        x_support = [(sets, p) for sets, p in zip(rows, sol.row_strategy) if p > 0]
-        y_support = [(policy, p) for policy, p in zip(cols, sol.col_strategy) if p > 0]
-        if cells > 1:  # round 1's row strategy is the opening support
-            br_adv, br_policy = _best_response(params, x_support)
-        br_sch, br_sets, br_masks = _scheduler_best_response(params, y_support)
-        if br_adv >= v >= br_sch:
-            return GameValue(v, ((Schedule(params, sets), p) for sets, p in x_support))
-
-        if br_adv < v:
-            cols.append(br_policy)
-            for row_masks, payoffs in zip(masks, matrix):
-                payoffs.append(_policy_survival(params, row_masks, br_policy))
-        if br_sch > v:
-            rows.append(br_sets)
-            masks.append(br_masks)
-            matrix.append([_policy_survival(params, br_masks, pol) for pol in cols])
-
-
 def online_game_value(params: GameParams, mode: str) -> GameValue:
     """Exact value of the scheduling game on a guarded-tiny instance.
 
     Deterministic mode: pure schedules gain nothing from the adversary
     being on-line, so the value is the closed-form optimum and the
-    support is the batch schedule.  Randomized mode: double oracle as
-    described in the module docstring.  Raises ``BudgetExceededError``
-    beyond the size guard, or when the double oracle runs out of
-    payoff-matrix cells to solve.
+    support is the batch schedule.  Randomized mode: the double oracle
+    over pure schedules and pure policies, opening with the batch
+    schedule.  Raises ``BudgetExceededError`` beyond the size guard, or
+    when the double oracle runs out of payoff-matrix cells to solve.
     """
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"mode must be deterministic or randomized, got {mode!r}")
@@ -307,4 +277,10 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
     if mode == "deterministic":
         return GameValue(Fraction(h_value(params.n, params.f, params.N)),
                          ((trivial_schedule(params), Fraction(1)),))
-    return _randomized_value(params)
+    start = trivial_schedule(params).sets
+    value, support = double_oracle(
+        (start, tuple(sum(1 << p for p in row) for row in start)),
+        lambda schedule, policy: _policy_survival(params, schedule[1], policy),
+        lambda mix: _scheduler_best_response(params, mix),
+        lambda mix: _best_response(params, [(sets, p) for (sets, _), p in mix]))
+    return GameValue(value, ((Schedule(params, sets), p) for (sets, _), p in support))

@@ -24,7 +24,7 @@ from faultsched import (
     surviving_prefix_instance,
     trivial_schedule,
 )
-from faultsched import cli, online
+from faultsched import cli, matrixgame
 from faultsched.cli import (
     EXIT_INVALID,
     _cmd_check_p,
@@ -435,7 +435,7 @@ def test_online_value_guard_huge_pool(capsys):
 def test_online_value_cell_budget(capsys, monkeypatch):
     """(3,2,1) solves payoff matrices of 143 cells in all; a smaller
     budget on that work exits 3 before the next LP."""
-    monkeypatch.setattr(online, "_MAX_PAYOFF_CELLS", 50)
+    monkeypatch.setattr(matrixgame, "_MAX_PAYOFF_CELLS", 50)
     assert main(["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "randomized"]) == 3
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "error: double oracle exceeded its budget of 50 payoff-matrix cells")

@@ -32,7 +32,7 @@ from faultsched import (
     two_pool_brute_optimum,
 )
 from faultsched import matrixgame, online
-from faultsched.matrixgame import over_common_denominator
+from faultsched.matrixgame import double_oracle, over_common_denominator
 from faultsched.online import _best_response, _kill, _policy_survival, _scheduler_best_response
 
 
@@ -165,6 +165,69 @@ class TestMatrixGame:
             assert repr(got) == repr(fraction_solve(matrix)), matrix
 
 
+# A stand-in game for the double oracle: an explicit 7x7 matrix whose
+# optimal row mix has five rows, behind oracles that scan every row or
+# column and return the first best one.
+STAND_IN = [
+    [-1, 2, 7, -9, 5, -2, -8],
+    [-4, -6, 2, 6, -2, 3, 8],
+    [-6, 9, -2, -9, -3, 4, -1],
+    [-4, 3, -4, -7, -5, 5, -5],
+    [-5, -9, -9, -3, -3, -4, -4],
+    [0, 1, -3, 8, -3, -4, -3],
+    [3, 0, -9, 2, 4, -4, -5],
+]
+
+
+def stand_in_oracle(counts=None):
+    """``double_oracle``'s arguments for STAND_IN, rows and columns being
+    indices; ``counts``, if given, counts the column responses."""
+    size = range(len(STAND_IN))
+
+    def row_response(mix):
+        gains = [sum(p * STAND_IN[i][j] for j, p in mix) for i in size]
+        return max(gains), gains.index(max(gains))
+
+    def col_response(mix):
+        if counts is not None:
+            counts["col_response"] += 1
+        losses = [sum(p * STAND_IN[i][j] for i, p in mix) for j in size]
+        return min(losses), losses.index(min(losses))
+
+    return 0, lambda i, j: STAND_IN[i][j], row_response, col_response
+
+
+class TestDoubleOracle:
+    def test_value_is_the_full_games(self):
+        value, _ = double_oracle(*stand_in_oracle())
+        assert value == solve_zero_sum(STAND_IN).value == Fraction(-931, 983)
+
+    def test_row_mix_guarantees_the_value(self):
+        value, mix = double_oracle(*stand_in_oracle())
+        assert sum(p for _, p in mix) == 1 and min(p for _, p in mix) > 0
+        for j in range(len(STAND_IN)):
+            assert sum(p * STAND_IN[i][j] for i, p in mix) >= value
+
+    def test_column_response_runs_once_per_lp_solve(self, monkeypatch):
+        """The opening column response also serves round 1."""
+        counts = {"col_response": 0, "solve_zero_sum": 0}
+
+        def counted(matrix, solve=matrixgame.solve_zero_sum):
+            counts["solve_zero_sum"] += 1
+            return solve(matrix)
+
+        monkeypatch.setattr(matrixgame, "solve_zero_sum", counted)
+        double_oracle(*stand_in_oracle(counts))
+        assert counts["col_response"] == counts["solve_zero_sum"] > 3
+
+    def test_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(matrixgame, "_MAX_PAYOFF_CELLS", 20)
+        with pytest.raises(BudgetExceededError) as e:
+            double_oracle(*stand_in_oracle())
+        assert str(e.value) == (
+            "double oracle exceeded its budget of 20 payoff-matrix cells over all LP solves")
+
+
 @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
                 max_size=12))
 def test_over_common_denominator_matches_fraction_arithmetic(xs):
@@ -294,6 +357,20 @@ class TestGameValue:
     def test_support_that_is_not_iterable_is_named(self, support, name):
         with pytest.raises(ValueError, match=f"^strategy_support must be iterable, got {name}$"):
             GameValue(Fraction(2), support)
+
+    def test_entry_that_is_not_a_schedule_is_named(self):
+        # This used to construct.
+        with pytest.raises(ValueError) as e:
+            GameValue(Fraction(1), [("x", Fraction(1))])
+        assert str(e.value) == (
+            "strategy_support must hold (Schedule, probability) pairs, got ('x', Fraction(1, 1))")
+
+    def test_bare_schedule_entry_is_named(self):
+        # This used to raise a bare TypeError.
+        s = trivial_schedule(GameParams(3, 2, 1))
+        with pytest.raises(ValueError) as e:
+            GameValue(Fraction(1), [s])
+        assert str(e.value) == f"strategy_support must hold (Schedule, probability) pairs, got {s!r}"
 
 
 def mask(ids):
@@ -473,11 +550,11 @@ class TestOnlineGameValue:
         most one adversary best response, and the opening one stands in
         for round 1's."""
         calls = {"_best_response": 0, "solve_zero_sum": 0}
-        for name in calls:
-            def counted(*args, fn=getattr(online, name), name=name):
+        for module, name in ((online, "_best_response"), (matrixgame, "solve_zero_sum")):
+            def counted(*args, fn=getattr(module, name), name=name):
                 calls[name] += 1
                 return fn(*args)
-            monkeypatch.setattr(online, name, counted)
+            monkeypatch.setattr(module, name, counted)
         for params in (GameParams(3, 2, 1), GameParams(4, 3, 1), GameParams(5, 5, 4)):
             online_game_value(params, "randomized")
         assert calls["_best_response"] == calls["solve_zero_sum"] > 3
@@ -504,6 +581,15 @@ class TestOnlineGameValue:
             online_game_value(params, "deterministic")
         with pytest.raises(BudgetExceededError, match=r"got N=100000$"):
             adversary_best_response(params, ())
+
+    def test_params_that_are_not_game_params(self):
+        # Both used to raise AttributeError on params.N.
+        s = trivial_schedule(GameParams(3, 2, 1))
+        for call in (lambda: online_game_value((3, 2, 1), "randomized"),
+                     lambda: adversary_best_response((3, 2, 1), ((s, Fraction(1)),))):
+            with pytest.raises(ValueError) as e:
+                call()
+            assert str(e.value) == "params must be a GameParams, got tuple"
 
     def test_guard_names_binomial_within_pool(self):
         with pytest.raises(BudgetExceededError, match=r"got C=10, N=5$"):
@@ -765,12 +851,36 @@ def test_scheduler_best_response_matches_enumeration(params):
             policies.append(_best_response(params, support)[1])
         weights = [rng.randint(1, 7) for _ in policies]
         mix = [(pol, Fraction(w, sum(weights))) for pol, w in zip(policies, weights)]
-        value, sets, set_masks = _scheduler_best_response(params, mix)
+        value, (sets, set_masks) = _scheduler_best_response(params, mix)
         assert repr((value, sets)) == repr(enumerated_scheduler_best_response(params, mix))
         assert set_masks == masks(sets)
 
 
 class TestAdversaryBestResponse:
+    def test_bare_schedule_entry_is_named(self):
+        # This used to raise a bare TypeError.
+        params = GameParams(3, 2, 1)
+        s = trivial_schedule(params)
+        with pytest.raises(ValueError) as e:
+            adversary_best_response(params, [s])
+        assert str(e.value) == f"support must hold (Schedule, probability) pairs, got {s!r}"
+
+    def test_entry_that_is_not_a_schedule_is_named(self):
+        # This used to raise AttributeError.
+        with pytest.raises(ValueError) as e:
+            adversary_best_response(GameParams(3, 2, 1), [("x", Fraction(1))])
+        assert str(e.value) == (
+            "support must hold (Schedule, probability) pairs, got ('x', Fraction(1, 1))")
+
+    def test_zero_weight_entry_changes_nothing(self):
+        """The support is read as GameValue reads it, so a schedule of
+        probability 0 may stand in it and does not move the value."""
+        params = GameParams(3, 2, 1)
+        rand = online_game_value(params, "randomized")
+        swapped = Schedule(params, ((1, 3), (1, 2), (2, 3)))
+        padded = rand.strategy_support + ((swapped, Fraction(0)),)
+        assert adversary_best_response(params, padded) == rand.value
+
     def test_point_mass_on_trivial(self):
         params = GameParams(4, 2, 1)
         support = ((trivial_schedule(params), Fraction(1)),)
