@@ -21,14 +21,20 @@
 # probe's largest search and must equal the single-pool h.  The
 # instance commands also run at scale: the surviving 800 rows of
 # the N=3200 optimal schedule, built without library code, pass
-# check-p, reduce to 790 rows over 3160 ids and pass again (about
-# 0.2 s each); solve-adversary and reduce print to stdout the
-# bytes they write with --out, and the surviving prefix of the
-# swapped schedule reduces to a member too.
+# check-p, reduce to 790 rows over 3160 ids, the batch formula's
+# first 790 rows byte for byte, and pass again (about 0.2 s each);
+# solve-adversary and reduce print to stdout the bytes they write
+# with --out, and the surviving prefixes of the swapped schedule and
+# of a seeded random one reduce to members whose files are pinned
+# by SHA-256.
 set -eu
 tmp=$(cd "$1" && pwd)
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+# The SHA-256 of a file, without relying on the platform's tools.
+sha256() {
+  python -c 'import hashlib, sys; print(hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest())' "$1"
+}
 
 # The CLI parses its flags from one command table: --help lists
 # all 11 commands and exits 0, and a usage error (here two of
@@ -197,6 +203,10 @@ python -m faultsched reduce --instance "$tmp/rand-p.json" \
 test "$(head -n 1 "$tmp/rand-reduce.txt")" = "L=$RT R=800"
 python -m faultsched check-p --instance "$tmp/rand-r.json" > "$tmp/rand-r.txt"
 echo member | diff - "$tmp/rand-r.txt"
+# The reduced instance itself, byte for byte: a change to the Ore
+# witness that keeps the counts but moves the rows or ids it drops
+# fails here.
+test "$(sha256 "$tmp/rand-r.json")" = 163cdea057ad23098d8061ce8ac9116a446a6f99dfb9ef49185911241dec98b5
 # A repeated id in the last row, long after t* = 801, must still be
 # caught: the whole schedule is validated before the scan.
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["sets"][-1][-1] = d["sets"][-1][0]; json.dump(d, open(sys.argv[2], "w"))' \
@@ -219,6 +229,17 @@ python -m faultsched check-p --instance "$tmp/r.json" > "$tmp/r.txt"
 echo member | diff - "$tmp/r.txt"
 python -m faultsched reduce --instance "$tmp/p.json" > "$tmp/r-stdout.json"
 cmp "$tmp/r.json" "$tmp/r-stdout.json"
+# The reduction drops the last batch, its 10 rows and its 40 ids: the
+# first 790 rows of the batch formula over ids 1..3160, built without
+# library code, must match the written file byte for byte.
+python - "$tmp/r-batch.json" <<'EOF'
+import json, sys
+n, f, q = 40, 10, 79
+rows = [list(range(i * n + 1, (i + 1) * n + 1)) for i in range(q) for _ in range(f)]
+with open(sys.argv[1], "w") as fh:
+    fh.write(json.dumps({"n": n, "f": f, "right_ids": list(range(1, q * n + 1)), "rows": rows}) + "\n")
+EOF
+cmp "$tmp/r-batch.json" "$tmp/r.json"
 # The swapped schedule's first T sets, its surviving prefix.
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); json.dump({"n": d["n"], "f": d["f"], "right_ids": list(range(1, d["N"] + 1)), "rows": d["sets"][:int(sys.argv[2])]}, open(sys.argv[3], "w"))' \
   "$tmp/swap.json" "$T" "$tmp/swap-p.json"
@@ -229,3 +250,4 @@ python -m faultsched reduce --instance "$tmp/swap-p.json" \
 test "$(head -n 1 "$tmp/swap-reduce.txt")" = "L=$T R=3200"
 python -m faultsched check-p --instance "$tmp/swap-r.json" > "$tmp/swap-r.txt"
 echo member | diff - "$tmp/swap-r.txt"
+test "$(sha256 "$tmp/swap-r.json")" = 07bfd53ff25c05533d5bdbd4e4be05ae00ff7e5d9a3034746e30111023471619

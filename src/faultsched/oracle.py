@@ -29,7 +29,11 @@ if TYPE_CHECKING:
     Node = TypeVar("Node")
 
 
-def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
+# RSS per kill set on a 10^6-set frontier: 66 bytes at 60-bit masks, 98 at 200 (CPython 3.11).
+_MAX_KILL_SETS = 10**6
+
+
+def brute_adversary_min(s: Schedule) -> int:
     """Exact minimum of ``survival_time`` over all kill sequences.
 
     Breadth first over the distinct kill sets, one round at a time, in
@@ -40,29 +44,25 @@ def brute_adversary_min(s: Schedule, max_states: int = 10**8) -> int:
     round has one.  A kill set is a bit mask (bit p for processor p) of
     the dead processors that some later set holds: one that no later set
     holds cannot end the run, and dropping it merges kill sets, so a
-    schedule of disjoint sets keeps one.  Raises ``ValueError`` when
-    ``max_states`` is not an int of at least 1, and
-    ``BudgetExceededError`` when the n^len(s) kill sequences exceed it.
+    schedule of disjoint sets keeps one.  A round makes n kill sets per
+    kill set before it; ``BudgetExceededError`` is raised before the
+    total made would pass ``_MAX_KILL_SETS``, which also caps memory.
     """
     _require_valid(s)
-    if type(max_states) is not int or max_states < 1:
-        raise ValueError(f"max_states must be positive and an int, got {max_states!r}")
-    n, f, length = s.params.n, s.params.f, len(s)
-    if n**length > max_states:
-        raise BudgetExceededError(
-            f"{n}^{length} kill sequences exceed max_states={max_states}"
-        )
-
+    f = s.params.f
     rows = [[1 << p for p in row] for row in s.sets]
     # later[t]: the processors of the sets after round t + 1
     later = [*accumulate(map(sum, rows[:0:-1]), or_, initial=0)][::-1]
-    frontier = {0}
+    frontier, made = {0}, 0
     for survived, (row, alive) in enumerate(zip(rows, later)):
         used = sum(row)
         if any((killed & used).bit_count() >= f for killed in frontier):
             return survived
+        made += len(frontier) * len(row)
+        if made > _MAX_KILL_SETS:
+            raise BudgetExceededError(f"over {_MAX_KILL_SETS} kill sets by round {survived + 1}")
         frontier = {(killed | p) & alive for killed in frontier for p in row}
-    return length
+    return len(s)
 
 
 def _canonical(prefix: Prefix) -> Prefix:

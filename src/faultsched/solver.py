@@ -27,8 +27,8 @@ constructor is the one check of instance input, one pass per row, and
 ``surviving_prefix_instance`` is one scan plus one instance of t* - 1
 rows.  ``reduce_instance`` shrinks a member by one row, trading rows
 against right vertices at the rate the survival function prescribes;
-its Ore witness comes from each last-row member's list of earlier rows,
-the scan's layout, by the one witness routine of ``matching``.
+its Ore witness comes from the step lists its one scan returns, less
+the last step, by the one witness routine of ``matching``.
 """
 
 from __future__ import annotations
@@ -69,13 +69,7 @@ class PInstance(_Frozen):
         if right_ids and right_ids[0] < 1:
             raise ValueError("right ids must be positive")
         universe = set(right_ids)
-        rows = _listed(rows, "rows")
-        try:
-            rows = [*map(tuple, rows)]  # each row is read twice below
-        except TypeError:
-            for i, row in enumerate(rows, start=1):
-                _listed(row, f"row {i}")
-            raise
+        rows = [_listed(row, f"row {i}") for i, row in enumerate(_listed(rows, "rows"), start=1)]
         norm = []
         for i, row in enumerate(rows, start=1):
             if {*map(type, row)} - {int} or not universe.issuperset(row):  # True and 1.0 hash as 1
@@ -116,11 +110,13 @@ def time_graph(s: Schedule, t: int) -> BipartiteGraph:
 
 def _scan(
     rows: tuple[tuple[int, ...], ...], n: int, f: int
-) -> tuple[int, list[tuple[int, int]] | None]:
+) -> tuple[int, list | None]:
     """First t at which row t has a degree other than n, or its time
     graph over the earlier rows has matching number at least f.  Returns
     t with that maximum matching as sorted (step, member index) pairs
-    (None on a degree failure), or (0, None) when every row passes.
+    (None on a degree failure), or, when every row passes, 0 with the
+    last row's members' step lists, each ending with the last step (None
+    with no rows), from which ``reduce_instance`` reads its Ore lists.
     Callers validate their input first.  A row equal to the one before
     reuses that row's lists, to which its step is already appended.  The
     distinct earlier steps are one list's length when the members' step
@@ -130,7 +126,7 @@ def _scan(
     ``from_rows`` of those lists over ``range(1, t)``, with each pair
     flipped."""
     steps: dict[int, list[int]] = {}
-    prev = None
+    prev = lists = None
     for t, row in enumerate(rows, start=1):
         if len(row) != n:
             return t, None
@@ -143,7 +139,7 @@ def _scan(
                 return t, sorted((u, j + 1) for u, j in mate.items())
         for seen in lists:
             seen.append(t)
-    return 0, None
+    return 0, lists
 
 
 def first_killable_time(s: Schedule) -> int:
@@ -176,7 +172,7 @@ def minimal_adversary(s: Schedule) -> Adversary:
     _require_valid(s)
     t_star, pairs = _scan(s.sets, s.params.n, s.params.f)
     kills = [st[0] for st in s.sets]
-    if pairs is None:
+    if not t_star:
         return Adversary(kills=tuple(kills))
     right_ids = s.sets[t_star - 1]
     hit = set()
@@ -232,25 +228,21 @@ def reduce_instance(inst: PInstance) -> PInstance:
     """One-row reduction preserving membership.
 
     Let L be the row count and B the last row.  A deficiency witness C
-    of the time graph at L, over its right side B, read off each
-    member's earlier rows by ``_ore_witness`` with C as ids and no graph
-    built, satisfies |B - C| + |gamma(C)| = nu <= f - 1.  Dropping row L, every earlier
-    row meeting C, and the right vertices of C yields an instance with
-    L' = L - 1 - |gamma_{I_L}(C)| rows over |R| - |C| right ids that
-    still belongs.  Raises on non-members and on empty instances.
+    of the time graph at L, over its right side B, read off the scan's
+    lists of the members' earlier rows by ``_ore_witness`` with no graph
+    built, satisfies |B - C| + |gamma(C)| = nu <= f - 1.  Dropping row L,
+    every earlier row meeting C, and the right vertices of C yields an
+    instance with L' = L - 1 - |gamma_{I_L}(C)| rows over |R| - |C| right
+    ids that still belongs.  Raises on non-members and on empty instances.
     """
-    report = membership_in_P(inst)
-    if not report.member:
-        raise ValueError(f"instance is not reducible: {report.reason}")
+    t, lists = _scan(inst.rows, inst.n, inst.f)
+    if t:  # only a non-member scans twice, for the report's reason
+        raise ValueError(f"instance is not reducible: {membership_in_P(inst).reason}")
     if inst.left_count == 0:
         raise ValueError("cannot reduce an instance with no rows")
 
     *earlier, last_row = inst.rows
-    lefts: dict[int, list[int]] = {p: [] for p in last_row}
-    for u, row in enumerate(earlier, start=1):
-        for p in lefts.keys() & row:
-            lefts[p].append(u)
-    wit = _ore_witness([*lefts.values()], last_row)
+    wit = _ore_witness([seen[:-1] for seen in lists], last_row)
     keep_rows = tuple(row for u, row in enumerate(earlier, start=1) if u not in wit.gamma)
     keep_ids = tuple(p for p in inst.right_ids if p not in wit.C)
     reduced = PInstance(n=inst.n, f=inst.f, right_ids=keep_ids, rows=keep_rows)

@@ -19,6 +19,7 @@ from faultsched import (
     random_schedule,
     trivial_schedule,
 )
+from faultsched import oracle
 from faultsched.oracle import _class_matching_number
 
 
@@ -53,12 +54,9 @@ def plain_search(params):
 
 
 def test_budget_validation():
-    s = trivial_schedule(GameParams(4, 2, 1))
     for max_states in (0, -5):
         with pytest.raises(ValueError, match="max_states must be positive"):
             brute_optimum(GameParams(4, 2, 1), max_states)
-        with pytest.raises(ValueError, match="max_states must be positive"):
-            brute_adversary_min(s, max_states)
 
 
 @pytest.mark.parametrize("max_states", [20.5, 1e9, True, "100"])
@@ -67,11 +65,9 @@ def test_brute_optimum_rejects_non_int_budget(max_states):
         brute_optimum(GameParams(4, 2, 1), max_states=max_states)
 
 
-@pytest.mark.parametrize("max_states", [20.5, 1e9, True, "100"])
-def test_brute_adversary_min_rejects_non_int_budget(max_states):
-    s = trivial_schedule(GameParams(4, 2, 1))
-    with pytest.raises(ValueError, match=f"must be positive and an int, got {max_states!r}"):
-        brute_adversary_min(s, max_states=max_states)
+def test_brute_adversary_min_takes_only_a_schedule():
+    with pytest.raises(TypeError):
+        brute_adversary_min(trivial_schedule(GameParams(4, 2, 1)), 15)
 
 
 class TestBruteAdversaryMin:
@@ -98,10 +94,22 @@ class TestBruteAdversaryMin:
             s = random_schedule(GameParams(big_n, n, f), length, seed=i)
             assert brute_adversary_min(s) == minimal_survival_time(s)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        """Rounds 1 and 2 of the padded batch schedule each make two kill
+        sets from one, and round 3 ends the run: four kill sets in all."""
         s = trivial_schedule(GameParams(4, 2, 1))
-        with pytest.raises(BudgetExceededError):
-            brute_adversary_min(s, 15)
+        monkeypatch.setattr(oracle, "_MAX_KILL_SETS", 4)
+        assert brute_adversary_min(s) == 2
+        monkeypatch.setattr(oracle, "_MAX_KILL_SETS", 3)
+        with pytest.raises(BudgetExceededError, match="^over 3 kill sets by round 2$"):
+            brute_adversary_min(s)
+
+    def test_budget_counts_kill_sets_not_sequences(self):
+        """2^30 kill sequences, far past the budget, but disjoint sets
+        keep one kill set in each round, which makes two."""
+        s = Schedule(GameParams(60, 2, 1), [(2 * i + 1, 2 * i + 2) for i in range(30)])
+        assert 2**30 > oracle._MAX_KILL_SETS
+        assert brute_adversary_min(s) == minimal_survival_time(s) == 30
 
     def test_disjoint_sets(self):
         """No processor is used twice, so no kill set outlives its round:
@@ -114,7 +122,7 @@ class TestBruteAdversaryMin:
         set pairs processor 1 with a new one, so killing 1 and then the
         new member of round 2 ends the run after one round."""
         s = Schedule(GameParams(1501, 2, 1), tuple((1, t + 1) for t in range(1, 1501)))
-        assert brute_adversary_min(s, max_states=2**1500) == minimal_survival_time(s) == 1
+        assert brute_adversary_min(s) == minimal_survival_time(s) == 1
 
 
 class TestBruteOptimum:

@@ -218,6 +218,15 @@ def reference_killable(s):
     return 0, None
 
 
+def scan_reference(rows, t_star, pairs):
+    """``_scan``'s return, given the per-step reference's t* and pairs:
+    on a pass, 0 with the step lists of the last row's members, each
+    ending with the last step (None when there are no rows)."""
+    if t_star or not rows:
+        return t_star, pairs
+    return 0, [[u for u, row in enumerate(rows, 1) if p in row] for p in rows[-1]]
+
+
 def reference_kills(s, t_star, pairs):
     """Kills read off the t* matching, given as sorted (step, index) pairs."""
     kills = [min(st) for st in s.sets]
@@ -253,7 +262,7 @@ def test_scan_agrees_with_per_step_reference():
         pairs = sorted(m.pairs) if m else None
         killed += t_star > 0
         assert first_killable_time(s) == t_star
-        assert solver._scan(s.sets, s.params.n, s.params.f)[1] == pairs
+        assert solver._scan(s.sets, s.params.n, s.params.f) == scan_reference(s.sets, t_star, pairs)
         assert minimal_adversary(s).kills == reference_kills(s, t_star, pairs)
         p = s.params
         report = membership_in_P(PInstance(p.n, p.f, range(1, p.N + 1), s.sets))
@@ -310,7 +319,7 @@ def test_scan_searches_once_on_trivial(matching_calls):
 def assert_scan_matches_reference(s):
     t_star, m = reference_killable(s)
     pairs = sorted(m.pairs) if m else None
-    assert solver._scan(s.sets, s.params.n, s.params.f) == (t_star, pairs)
+    assert solver._scan(s.sets, s.params.n, s.params.f) == scan_reference(s.sets, t_star, pairs)
     assert minimal_adversary(s).kills == reference_kills(s, t_star, pairs)
     return t_star
 
@@ -449,7 +458,7 @@ def test_scan_on_runs_of_equal_rows(monkeypatch):
                 expected[t] = lists
         for sets in (s.sets, rows):
             searched.clear()
-            assert solver._scan(sets, n, f) == (t_star, pairs)
+            assert solver._scan(sets, n, f) == scan_reference(sets, t_star, pairs)
             assert searched == [*expected.values()]
         assert minimal_adversary(s).kills == reference_kills(s, t_star, pairs)
         killed += t_star > 0
@@ -638,10 +647,22 @@ def test_reduce_instance_postconditions():
     assert done >= 80
 
 
+def assert_not_reducible(inst, reason):
+    with pytest.raises(ValueError) as e:
+        reduce_instance(inst)
+    assert str(e.value) == f"instance is not reducible: {reason}"
+    assert membership_in_P(inst).reason == reason
+
+
 def test_reduce_rejects_non_member():
     s = trivial_schedule(GameParams(4, 2, 1))
-    with pytest.raises(ValueError):
-        reduce_instance(PInstance(2, 1, range(1, 5), s.sets))
+    assert_not_reducible(PInstance(2, 1, range(1, 5), s.sets),
+                         "time graph at t=3 has matching number 1 >= f=1")
+
+
+def test_reduce_names_a_degree_failure():
+    assert_not_reducible(PInstance(3, 1, range(1, 5), [(1, 2, 3), (2, 4)]),
+                         "row 2 has degree 2, expected 3")
 
 
 def test_reduce_rejects_empty():
@@ -705,6 +726,38 @@ def test_reduce_matches_graph_reference():
         partial_c += inst.right_count - reduced.right_count < inst.n
         rows_cut += reduced.left_count < inst.left_count - 1
     assert cases >= 300 and partial_c >= 40 and rows_cut >= 300
+
+
+@pytest.mark.parametrize("N,n,f,steps", [(3200, 40, 10, 80), (800, 8, 7, 100)])
+def test_reduce_chains_the_surviving_prefix_to_no_rows(N, n, f, steps):
+    """The induction behind the bound, step by step: every reduction of
+    the batch schedule's surviving prefix is a member and keeps
+    h(n, f, R') + (L - L') <= h(n, f, R)."""
+    inst = surviving_prefix_instance(trivial_schedule(GameParams(N, n, f)))
+    assert inst.left_count == h_value(n, f, N)
+    chain = 0
+    while inst.left_count:
+        reduced = reduce_instance(inst)
+        assert membership_in_P(reduced).member
+        assert (h_value(n, f, reduced.right_count) + inst.left_count - reduced.left_count
+                <= h_value(n, f, inst.right_count))
+        inst, chain = reduced, chain + 1
+    assert chain == steps
+
+
+def test_reduce_scans_once(monkeypatch):
+    """On a member the one membership scan hands over the Ore lists:
+    ``_scan`` runs once and ``membership_in_P`` not at all."""
+    calls = []
+    for name in ("_scan", "membership_in_P"):
+        monkeypatch.setattr(solver, name, lambda *args, name=name, real=getattr(solver, name):
+                            calls.append(name) or real(*args))
+    p = GameParams(800, 40, 10)
+    for inst in (PInstance(p.n, p.f, range(1, p.N + 1), trivial_schedule(p).sets[:200]),
+                 *itertools.islice(member_instances(), 100)):
+        calls.clear()
+        reduce_instance(inst)
+        assert calls == ["_scan"]
 
 
 def test_reduce_builds_no_graph_or_matching(monkeypatch):
