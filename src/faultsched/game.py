@@ -36,6 +36,29 @@ def _listed(items: Iterable, name: str) -> list:
         raise ValueError(f"{name} must be iterable, got {type(items).__name__}") from None
 
 
+def _rows(items: Iterable, name: str) -> tuple[tuple, ...]:
+    """``Schedule``'s sets or ``PInstance``'s rows, each read once into a
+    sorted tuple; a tuple object repeated is sorted once and shared (by
+    identity: ``(1.0, 2) == (1, 2)``); a row whose ids do not compare is
+    kept as its failed sort left it.  ValueError names what is not iterable."""
+    done, out = {}, []  # a tuple row's id -> its sorted copy (the read list keeps ids unique)
+    for row in _listed(items, name + "s"):
+        norm = done.get(id(row))
+        if norm is None:
+            try:
+                norm = [*row]
+                norm.sort()
+            except TypeError:  # a row that is not iterable, or ids that do not compare
+                if norm is None:
+                    raise ValueError(f"{name} {len(out) + 1} must be iterable, "
+                                     f"got {type(row).__name__}") from None
+            norm = tuple(norm)
+            if type(row) is tuple:
+                done[id(row)] = norm
+        out.append(norm)
+    return tuple(out)
+
+
 class _Frozen:
     """Base of the immutable value types, built without ``dataclasses`` so
     that importing them loads neither it nor ``inspect``.  A subclass lists
@@ -108,16 +131,14 @@ class GameParams(_Frozen):
 class Schedule(_Frozen):
     """Ordered operating sets; processor ids are 1-based, sets kept sorted.
 
-    Construction sorts each set into a tuple, once per tuple object,
-    and does not validate; :func:`validate_schedule` reports the first
-    violation so malformed input files can be diagnosed precisely.
-    Sets from the first one whose ids do not compare on stay unsorted;
-    validation reports that set, or an earlier one.  Only ``params``
-    that is not a ``GameParams``, or ``sets`` or a set in it that is
-    not iterable, raises here, a ``ValueError`` that names it.
-    The first library call that needs a valid schedule marks it on a
-    pass, outside the fields, so ``==``, ``hash`` and ``repr`` ignore
-    the mark.
+    Construction reads the sets through ``_rows`` and does not validate:
+    :func:`validate_schedule` reports the first violation, an unsorted
+    set whose ids do not compare included, so malformed input files can
+    be diagnosed precisely.  Only ``params`` that is not a
+    ``GameParams``, or ``sets`` or a set in it that is not iterable,
+    raises here, a ``ValueError`` that names it.  The first library
+    call that needs a valid schedule marks it on a pass, outside the
+    fields, so ``==``, ``hash`` and ``repr`` ignore the mark.
     """
 
     __match_args__ = ("params", "sets")
@@ -128,25 +149,8 @@ class Schedule(_Frozen):
     def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
         if not isinstance(params, GameParams):
             raise ValueError(f"params must be a GameParams, got {type(params).__name__}")
-        rows = _listed(sets, "sets")
-        done, out = {}, []  # done: a tuple row's id -> its sorted copy (rows keeps ids unique)
-        try:
-            for row in rows:
-                norm = done.get(id(row))
-                if norm is None:
-                    norm = [*row]
-                    norm.sort()
-                    norm = tuple(norm)
-                    if type(row) is tuple:
-                        done[id(row)] = norm
-                out.append(norm)
-        except TypeError:  # a set that is not iterable raises here; ids that do not compare
-            if norm is not None:  # are left to validate_schedule, and this set and the
-                out.append(tuple(norm))  # rest stay unsorted
-            t = len(out)
-            out += [tuple(_listed(row, f"set {u}")) for u, row in enumerate(rows[t:], t + 1)]
         _set(self, "params", params)
-        _set(self, "sets", tuple(out))
+        _set(self, "sets", _rows(sets, "set"))
         _set(self, "_valid", False)
 
     def __len__(self) -> int:

@@ -29,7 +29,8 @@ from .game import _Frozen
 class BipartiteGraph(_Frozen):
     """Left-ordered bipartite graph; ``adj[i - 1]`` lists the sorted right
     neighbors of left vertex i.  Left indices carry the total order of
-    their labels.  Counts and neighbours are ``int`` only."""
+    their labels.  Counts and neighbours are ``int`` only, and ``adj`` is
+    stored as tuples before the checks, so a graph hashes and stays checked."""
 
     __slots__ = __match_args__ = ("left_count", "right_count", "adj")
     left_count: int
@@ -37,9 +38,9 @@ class BipartiteGraph(_Frozen):
     adj: tuple[tuple[int, ...], ...]
 
     def __init__(
-        self, left_count: int, right_count: int, adj: tuple[tuple[int, ...], ...]
+        self, left_count: int, right_count: int, adj: Iterable[Iterable[int]]
     ) -> None:
-        _Frozen.__init__(self, left_count, right_count, adj)
+        _Frozen.__init__(self, left_count, right_count, tuple(map(tuple, adj)))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -67,8 +68,7 @@ class BipartiteGraph(_Frozen):
         to j iff ``right[j - 1]`` is in ``rows[u - 1]``.  ``right`` and every
         row are ascending ids; ids outside ``right`` are ignored."""
         col = {p: j for j, p in enumerate(right, start=1)}
-        adj = tuple(tuple(col[p] for p in row if p in col) for row in rows)
-        return cls(left_count=len(rows), right_count=len(right), adj=adj)
+        return cls(len(rows), len(right), ([col[p] for p in row if p in col] for row in rows))
 
 
 class Matching(_Frozen):

@@ -15,20 +15,19 @@ fewer than f distinct earlier steps among them (one list's length when
 all are equal, as in the batch schedule), settles the step.  Otherwise
 the augmenting-path search behind ``max_matching`` runs once, from the
 members over their own lists; at t* its maximum matching is returned as
-sorted (step, member index) pairs.  A row equal to the row before it
-has the same members, so it keeps that row's lists, to which the
-earlier step is already appended: the batch schedule uses each batch
-for f rows in a row and pads by repeating its last set, so its members
-are looked up once per run of equal rows, not once per row.
+sorted (step, member index) pairs.  A row equal to the row before keeps
+that row's lists, to which the earlier step is already appended, so the
+batch schedule, which uses each batch for f rows in a row and pads with
+its last set, looks its members up once per run of equal rows.
 
 ``PInstance`` packages the abstract form of a surviving prefix: rows of
 degree n whose time graphs all have matching number at most f - 1.  Its
-constructor is the one check of instance input, one pass per row, and
-``surviving_prefix_instance`` is one scan plus one instance of t* - 1
-rows.  ``reduce_instance`` shrinks a member by one row, trading rows
-against right vertices at the rate the survival function prescribes;
-its Ore witness comes from the step lists its one scan returns, less
-the last step, by the one witness routine of ``matching``.
+constructor, the one check of instance input, reads the rows through
+``Schedule``'s reader, which leaves ids that do not compare unsorted
+for the check to reject, and checks the very tuple of the row before
+only once.  ``reduce_instance`` shrinks a member by one row, trading
+rows against right vertices at the rate the survival function
+prescribes; its one scan gives its Ore lists or a non-member's reason.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from operator import lt
 from os import PathLike
 
 from .codec import read_document, write_document
-from .game import Adversary, Schedule, _Frozen, _listed, _require_valid
+from .game import Adversary, Schedule, _Frozen, _listed, _require_valid, _rows
 from .matching import BipartiteGraph, _grow_matching, _ore_witness
 from .matching import deficiency_witness, max_matching  # noqa: F401 - perfbench's tracer wraps them
 
@@ -69,15 +68,15 @@ class PInstance(_Frozen):
         if right_ids and right_ids[0] < 1:
             raise ValueError("right ids must be positive")
         universe = set(right_ids)
-        rows = [_listed(row, f"row {i}") for i, row in enumerate(_listed(rows, "rows"), start=1)]
-        norm = []
+        rows = _rows(rows, "row")
         for i, row in enumerate(rows, start=1):
+            if i > 1 and row is rows[i - 2]:  # the very tuple of the row before, already checked
+                continue
             if {*map(type, row)} - {int} or not universe.issuperset(row):  # True and 1.0 hash as 1
                 raise ValueError(f"row {i} uses ids outside right_ids")
-            norm.append(tuple(sorted(row)))
-            if not all(map(lt, norm[-1], norm[-1][1:])):
+            if not all(map(lt, row, row[1:])):
                 raise ValueError(f"row {i} repeats an id")
-        _Frozen.__init__(self, n, f, right_ids, tuple(norm))
+        _Frozen.__init__(self, n, f, right_ids, rows)
 
     @property
     def left_count(self) -> int:
@@ -117,14 +116,11 @@ def _scan(
     (None on a degree failure), or, when every row passes, 0 with the
     last row's members' step lists, each ending with the last step (None
     with no rows), from which ``reduce_instance`` reads its Ore lists.
-    Callers validate their input first.  A row equal to the one before
-    reuses that row's lists, to which its step is already appended.  The
-    distinct earlier steps are one list's length when the members' step
-    lists are all equal, and a set union's size otherwise.  At a
-    searched step the search runs from its members in order, each over
-    its ascending earlier steps, as ``max_matching`` does on
-    ``from_rows`` of those lists over ``range(1, t)``, with each pair
-    flipped."""
+    Callers validate their input first.  The module docstring says how a
+    step is settled.  At a searched step the search runs from its members
+    in order, each over its ascending earlier steps, as ``max_matching``
+    does on ``from_rows`` of those lists over ``range(1, t)``, with each
+    pair flipped."""
     steps: dict[int, list[int]] = {}
     prev = lists = None
     for t, row in enumerate(rows, start=1):
@@ -191,20 +187,19 @@ def surviving_prefix_instance(s: Schedule) -> PInstance:
 
 
 def membership_in_P(inst: PInstance) -> MembershipReport:
-    """Degree-and-matching membership test.
-
-    An instance belongs iff every row has exactly n entries and every
-    time graph has matching number at most f - 1.  The report names the
-    first left index violating either condition.
-    """
+    """Degree-and-matching membership test: an instance belongs iff every
+    row has exactly n entries and every time graph has matching number at
+    most f - 1.  The report names the first left index violating either."""
     t, pairs = _scan(inst.rows, inst.n, inst.f)
     if t == 0:
         return MembershipReport(member=True, violating_t=0, reason="")
-    if pairs is None:
-        reason = f"row {t} has degree {len(inst.rows[t - 1])}, expected {inst.n}"
-    else:
-        reason = f"time graph at t={t} has matching number {len(pairs)} >= f={inst.f}"
-    return MembershipReport(member=False, violating_t=t, reason=reason)
+    return MembershipReport(member=False, violating_t=t, reason=_reason(inst, t, pairs))
+
+
+def _reason(inst: PInstance, t: int, pairs: list | None) -> str:
+    """Why ``inst`` fails at row t, from ``_scan``'s return (t, pairs)."""
+    return (f"row {t} has degree {len(inst.rows[t - 1])}, expected {inst.n}" if pairs is None
+            else f"time graph at t={t} has matching number {len(pairs)} >= f={inst.f}")
 
 
 def instance_to_dict(inst: PInstance) -> dict:
@@ -235,9 +230,9 @@ def reduce_instance(inst: PInstance) -> PInstance:
     instance with L' = L - 1 - |gamma_{I_L}(C)| rows over |R| - |C| right
     ids that still belongs.  Raises on non-members and on empty instances.
     """
-    t, lists = _scan(inst.rows, inst.n, inst.f)
-    if t:  # only a non-member scans twice, for the report's reason
-        raise ValueError(f"instance is not reducible: {membership_in_P(inst).reason}")
+    t, lists = _scan(inst.rows, inst.n, inst.f)  # on a failure, lists holds the pairs
+    if t:
+        raise ValueError(f"instance is not reducible: {_reason(inst, t, lists)}")
     if inst.left_count == 0:
         raise ValueError("cannot reduce an instance with no rows")
 

@@ -69,14 +69,23 @@ def test_batch_schedule_rows_are_shared():
 
 
 def test_repeated_row_before_ids_that_do_not_compare():
-    """Sets from the first one whose ids do not compare stay unsorted,
-    a repeat of an earlier row included, and validation names that set."""
+    """Only a set whose ids do not compare stays unsorted: the sets after
+    it are sorted, a repeat of an earlier row included, and validation
+    names that set."""
     row = (2, 1)
     s = Schedule(GameParams(5, 2, 1), [row, row, (1, "a"), (4, 3), row])
-    assert s.sets == ((1, 2), (1, 2), (1, "a"), (4, 3), (2, 1))
+    assert s.sets == ((1, 2), (1, 2), (1, "a"), (3, 4), (1, 2))
+    assert s.sets[4] is s.sets[0]
     assert validate_schedule(s) == Violation(3, "non-integer-id", "non-integer id at t=3")
     with pytest.raises(ValueError, match="^set 4 must be iterable, got int$"):
         Schedule(GameParams(4, 2, 1), [row, row, ("a", 1), 5])
+
+
+def test_one_shot_set_whose_ids_do_not_compare_is_read_once():
+    """The set is kept as read, not read again into an empty set."""
+    s = Schedule(GameParams(4, 2, 1), [iter([2, "a"]), (4, 3)])
+    assert s.sets == ((2, "a"), (3, 4))
+    assert validate_schedule(s) == Violation(1, "non-integer-id", "non-integer id at t=1")
 
 
 def test_repeated_generator_row_is_read_twice():

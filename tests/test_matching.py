@@ -59,6 +59,17 @@ def test_adjacency_validation():
         BipartiteGraph(left_count=-1, right_count=2, adj=())
 
 
+def test_list_adjacency_is_stored_as_tuples():
+    """A graph built from lists hashes, equals the one built from tuples,
+    and gives no handle to change its edges after the checks."""
+    rows = [[1]]
+    g = BipartiteGraph(1, 1, rows)
+    assert g.adj == ((1,),) and g == BipartiteGraph(1, 1, ((1,),))
+    assert hash(g) == hash(BipartiteGraph(1, 1, ((1,),)))
+    rows[0].append(5)
+    assert g.adj == ((1,),)
+
+
 def test_non_int_counts_rejected():
     with pytest.raises(ValueError, match="vertex counts must be integers"):
         BipartiteGraph(2, 2.0, ((1.5,), (True,)))

@@ -618,6 +618,37 @@ def test_pinstance_rows_sorted():
     assert inst.rows == ((1, 5),)
 
 
+def test_shared_rows_are_read_and_checked_once():
+    """The batch schedule's surviving prefix at N=3200 (40, 10) repeats
+    each of its 80 rows ten times as one tuple; the instance keeps that
+    sharing, and so does each reduction of it."""
+    inst = surviving_prefix_instance(trivial_schedule(GameParams(3200, 40, 10)))
+    assert inst.left_count == 800 and len({id(row) for row in inst.rows}) == 80
+    reduced = reduce_instance(inst)
+    assert reduced.left_count == 790 and len({id(row) for row in reduced.rows}) == 79
+
+
+def test_shared_malformed_row_is_named_at_its_first_index():
+    row = (1, 1)
+    with pytest.raises(ValueError, match="^row 1 repeats an id$"):
+        PInstance(2, 1, (1, 2), [row, row])
+    with pytest.raises(ValueError, match="^row 2 uses ids outside right_ids$"):
+        PInstance(2, 1, (1, 2, 3), [(2, 1), (3.0, 2), (3.0, 2)])
+
+
+def test_equal_rows_are_each_checked():
+    """Only the very same tuple object skips the check: ``(1.0, 2)``
+    equals ``(1, 2)`` but is its own object, and is rejected."""
+    with pytest.raises(ValueError, match="^row 2 uses ids outside right_ids$"):
+        PInstance(2, 1, (1, 2), [(1, 2), (1.0, 2)])
+
+
+def test_one_shot_row_whose_ids_do_not_compare_is_read_once():
+    """Its ids are rejected, not read again into an empty row."""
+    with pytest.raises(ValueError, match="^row 1 uses ids outside right_ids$"):
+        PInstance(2, 1, (1, 2), [iter([2, "a"])])
+
+
 def test_pinstance_reads_one_shot_rows_once():
     """A row given as an iterator is read once, so its ids are not lost
     to the type check."""
@@ -746,8 +777,9 @@ def test_reduce_chains_the_surviving_prefix_to_no_rows(N, n, f, steps):
 
 
 def test_reduce_scans_once(monkeypatch):
-    """On a member the one membership scan hands over the Ore lists:
-    ``_scan`` runs once and ``membership_in_P`` not at all."""
+    """On a member the one membership scan hands over the Ore lists, and
+    on a non-member the reason: ``_scan`` runs once and
+    ``membership_in_P`` not at all."""
     calls = []
     for name in ("_scan", "membership_in_P"):
         monkeypatch.setattr(solver, name, lambda *args, name=name, real=getattr(solver, name):
@@ -757,6 +789,12 @@ def test_reduce_scans_once(monkeypatch):
                  *itertools.islice(member_instances(), 100)):
         calls.clear()
         reduce_instance(inst)
+        assert calls == ["_scan"]
+    for inst in (PInstance(3, 1, range(1, 5), [(1, 2, 3), (2, 4)]),
+                 PInstance(2, 1, range(1, 5), trivial_schedule(GameParams(4, 2, 1)).sets)):
+        calls.clear()
+        with pytest.raises(ValueError, match="^instance is not reducible: "):
+            reduce_instance(inst)
         assert calls == ["_scan"]
 
 
