@@ -57,9 +57,9 @@ printf '%s\n' 'N n f deterministic randomized support gain' \
   '4 2 1 2 9/4 4 1/4' '4 3 1 1 4/3 3 1/3' '4 3 2 2 8/3 3 2/3' \
   '4 4 1 1 1 1 0' '4 4 2 2 2 1 0' '4 4 3 3 3 1 0' | diff - "$tmp/online.txt"
 # The randomized supports themselves, byte for byte, for six of the
-# guarded cells (about 2 s): a change to either best response that
-# keeps the values but moves the double oracle's path, and so its
-# support, fails the diff.
+# guarded cells (about 1 s): a change to either best response or to
+# the LP's pivot rules that keeps the values but moves the double
+# oracle's path, and so its support, fails the diff.
 python -m faultsched online-value --N 3 --n 2 --f 1 --mode randomized \
   > "$tmp/online-321.txt"
 printf '%s\n' 'value=3/2' 'support:' \
@@ -68,35 +68,46 @@ printf '%s\n' 'value=3/2' 'support:' \
 python -m faultsched online-value --N 4 --n 2 --f 1 --mode randomized \
   > "$tmp/online-421.txt"
 printf '%s\n' 'value=9/4' 'support:' \
-  'p=1/4 sets=[[1,2],[3,4],[2,4],[1,2]]' \
-  'p=1/4 sets=[[1,2],[3,4],[2,3],[1,2]]' \
-  'p=1/4 sets=[[1,2],[3,4],[1,4],[1,2]]' \
-  'p=1/4 sets=[[1,2],[3,4],[1,3],[1,2]]' | diff - "$tmp/online-421.txt"
+  'p=1/4 sets=[[2,3],[1,4],[3,4],[1,2]]' \
+  'p=1/4 sets=[[2,3],[1,4],[2,4],[1,2]]' \
+  'p=1/4 sets=[[2,3],[1,4],[1,3],[1,2]]' \
+  'p=1/4 sets=[[2,3],[1,4],[1,2],[1,2]]' | diff - "$tmp/online-421.txt"
 python -m faultsched online-value --N 4 --n 3 --f 1 --mode randomized \
   > "$tmp/online-431.txt"
 printf '%s\n' 'value=4/3' 'support:' \
-  'p=1/3 sets=[[1,2,4],[2,3,4],[1,2,3],[1,2,3]]' \
-  'p=1/3 sets=[[1,2,4],[1,3,4],[1,2,3],[1,2,3]]' \
-  'p=1/3 sets=[[1,2,4],[1,2,3],[1,2,3],[1,2,3]]' | diff - "$tmp/online-431.txt"
+  'p=1/3 sets=[[1,2,3],[2,3,4],[1,2,3],[1,2,3]]' \
+  'p=1/3 sets=[[1,2,3],[1,3,4],[1,2,3],[1,2,3]]' \
+  'p=1/3 sets=[[1,2,3],[1,2,4],[1,2,3],[1,2,3]]' | diff - "$tmp/online-431.txt"
 python -m faultsched online-value --N 4 --n 3 --f 2 --mode randomized \
   > "$tmp/online-432.txt"
 printf '%s\n' 'value=8/3' 'support:' \
-  'p=1/3 sets=[[1,2,3],[1,2,3],[1,3,4],[1,2,3]]' \
-  'p=1/3 sets=[[1,2,3],[1,2,3],[1,2,4],[1,2,3]]' \
-  'p=1/3 sets=[[1,2,3],[1,2,3],[2,3,4],[1,2,3]]' | diff - "$tmp/online-432.txt"
+  'p=1/3 sets=[[1,2,3],[1,2,3],[2,3,4],[1,3,4]]' \
+  'p=1/3 sets=[[1,2,3],[1,2,3],[1,3,4],[1,3,4]]' \
+  'p=1/3 sets=[[1,2,3],[1,2,3],[1,2,4],[2,3,4]]' | diff - "$tmp/online-432.txt"
 python -m faultsched online-value --N 5 --n 4 --f 1 --mode randomized \
   > "$tmp/online-541.txt"
 printf '%s\n' 'value=5/4' 'support:' \
-  'p=1/4 sets=[[1,2,3,4],[2,3,4,5],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
-  'p=1/4 sets=[[1,2,3,4],[1,3,4,5],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
-  'p=1/4 sets=[[1,2,3,4],[1,2,4,5],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
-  'p=1/4 sets=[[1,2,3,4],[1,2,3,5],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
+  'p=1/4 sets=[[2,3,4,5],[1,3,4,5],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
+  'p=1/4 sets=[[2,3,4,5],[1,2,4,5],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
+  'p=1/4 sets=[[2,3,4,5],[1,2,3,5],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
+  'p=1/4 sets=[[2,3,4,5],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
   | diff - "$tmp/online-541.txt"
 python -m faultsched online-value --N 5 --n 5 --f 4 --mode randomized \
   > "$tmp/online-554.txt"
 printf '%s\n' 'value=4' 'support:' \
   'p=1 sets=[[1,2,3,4,5],[1,2,3,4,5],[1,2,3,4,5],[1,2,3,4,5],[1,2,3,4,5]]' \
   | diff - "$tmp/online-554.txt"
+# Randomized (5,4,2) outgrows the double oracle's budget of 100,000
+# payoff-matrix cells in about 1.5 s: exit 3, nothing on stdout, and
+# the budget message on stderr.  The tier-1 tests reach exit 3 only
+# under a lowered budget.
+code=0
+python -m faultsched online-value --N 5 --n 4 --f 2 --mode randomized \
+  > "$tmp/online-542.out" 2> "$tmp/online-542.err" || code=$?
+test "$code" -eq 3
+test ! -s "$tmp/online-542.out"
+test "$(tail -n 1 "$tmp/online-542.err")" = \
+  "error: double oracle exceeded its budget of 100000 payoff-matrix cells over all LP solves"
 # The deterministic value is the batch schedule with probability 1,
 # printed byte for byte; the library keeps each repeated row as one
 # shared tuple, and the printout must not show it.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from operator import lt
 from collections.abc import Iterable, Sequence
 
-from .game import _Frozen
+from .game import _Frozen, _listed
 
 
 class BipartiteGraph(_Frozen):
@@ -40,7 +40,9 @@ class BipartiteGraph(_Frozen):
     def __init__(
         self, left_count: int, right_count: int, adj: Iterable[Iterable[int]]
     ) -> None:
-        _Frozen.__init__(self, left_count, right_count, tuple(map(tuple, adj)))
+        rows = enumerate(_listed(adj, "adj"), start=1)
+        _Frozen.__init__(self, left_count, right_count, tuple(
+            tuple(_listed(nbrs, f"neighbors of left vertex {i}")) for i, nbrs in rows))
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -433,7 +433,7 @@ def test_online_value_guard_huge_pool(capsys):
 
 
 def test_online_value_cell_budget(capsys, monkeypatch):
-    """(3,2,1) solves payoff matrices of 143 cells in all; a smaller
+    """(3,2,1) solves payoff matrices of 93 cells in all; a smaller
     budget on that work exits 3 before the next LP."""
     monkeypatch.setattr(matrixgame, "_MAX_PAYOFF_CELLS", 50)
     assert main(["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "randomized"]) == 3

@@ -70,6 +70,19 @@ def test_list_adjacency_is_stored_as_tuples():
     assert g.adj == ((1,),)
 
 
+@pytest.mark.parametrize("adj,message", [
+    (5, "adj must be iterable, got int"),
+    ([5], "neighbors of left vertex 1 must be iterable, got int"),
+    (None, "adj must be iterable, got NoneType"),
+])
+def test_non_iterable_adjacency_named(adj, message):
+    """An adjacency, or a row of it, that is not iterable raises a
+    ValueError that names it, not a bare TypeError."""
+    with pytest.raises(ValueError) as e:
+        BipartiteGraph(1, 1, adj)
+    assert str(e.value) == message
+
+
 def test_non_int_counts_rejected():
     with pytest.raises(ValueError, match="vertex counts must be integers"):
         BipartiteGraph(2, 2.0, ((1.5,), (True,)))

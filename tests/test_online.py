@@ -101,13 +101,13 @@ class TestMatrixGame:
         strips those, and a corrupted simplex would go unnoticed."""
         script = textwrap.dedent("""
             from faultsched import matrixgame
-            simplex = matrixgame._simplex_max
+            pivot = matrixgame._Tableau.pivot
 
-            def doubled(a, k):
-                z, u, d = simplex(a, k)
+            def doubled(tableau):
+                z, u, d = pivot(tableau)
                 return [2 * x for x in z], u, d
 
-            matrixgame._simplex_max = doubled
+            matrixgame._Tableau.pivot = doubled
             try:
                 matrixgame.solve_zero_sum([[1, 0], [0, 1]])
             except ArithmeticError:
@@ -128,21 +128,21 @@ class TestMatrixGame:
         """Distributions that do not attain the value fail the integer
         certificate: here a pivot off by one, or either strategy reversed
         on a game whose optimal strategies are not symmetric."""
-        simplex = matrixgame._simplex_max
-        monkeypatch.setattr(matrixgame, "_simplex_max", lambda a, k: corrupt(*simplex(a, k)))
+        pivot = matrixgame._Tableau.pivot
+        monkeypatch.setattr(matrixgame._Tableau, "pivot", lambda t: corrupt(*pivot(t)))
         with pytest.raises(ArithmeticError, match="certificate failed"):
             solve_zero_sum([[3, 0], [0, 1]])
 
     def test_certificate_checks_strong_duality(self, monkeypatch):
         """On a game of value 0 doubled duals still attain the value, so only
         sum(u) = sum(z) rejects them."""
-        simplex = matrixgame._simplex_max
+        pivot = matrixgame._Tableau.pivot
 
-        def doubled_duals(a, k):
-            z, u, d = simplex(a, k)
+        def doubled_duals(tableau):
+            z, u, d = pivot(tableau)
             return z, [2 * x for x in u], d
 
-        monkeypatch.setattr(matrixgame, "_simplex_max", doubled_duals)
+        monkeypatch.setattr(matrixgame._Tableau, "pivot", doubled_duals)
         with pytest.raises(ArithmeticError, match="not distributions"):
             solve_zero_sum([[1, -1], [-1, 1]])
 
@@ -226,6 +226,46 @@ class TestDoubleOracle:
             double_oracle(*stand_in_oracle())
         assert str(e.value) == (
             "double oracle exceeded its budget of 20 payoff-matrix cells over all LP solves")
+
+
+def test_grown_tableau_matches_cold_solve(monkeypatch):
+    """A tableau grown one row or one column at a time, in random order,
+    to 1-8 rows and columns of ints and Fractions of either sign, has
+    after every step the value ``solve_zero_sum`` gives the same matrix,
+    and passes its certificate.  The games reach dual steps, whose
+    pivots are negative, and rebuilds for a new minimum or denominator."""
+    seen = {"dual": 0, "rebuild": 0}
+    pivot, rebuild = matrixgame._Tableau.pivot, matrixgame._Tableau.rebuild
+
+    def spied_pivot(tableau):
+        seen["dual"] += any(row[-1] < 0 for row in tableau.a[:-1])
+        return pivot(tableau)
+
+    def spied_rebuild(tableau):
+        seen["rebuild"] += hasattr(tableau, "a")
+        rebuild(tableau)
+
+    monkeypatch.setattr(matrixgame._Tableau, "pivot", spied_pivot)
+    monkeypatch.setattr(matrixgame._Tableau, "rebuild", spied_rebuild)
+    rng = random.Random(35)
+
+    def entry():
+        x = rng.randint(-9, 9)
+        return Fraction(x, rng.randint(2, 4)) if rng.random() < 0.1 else x
+
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        tableau = matrixgame._Tableau([[entry()]])
+        while len(tableau) < rows or len(tableau[0]) < cols:
+            if len(tableau[0]) == cols or (len(tableau) < rows and rng.random() < 0.5):
+                tableau.append([entry() for _ in tableau[0]])
+            else:
+                for row in tableau:
+                    row.append(entry())
+            matrix = [row[:] for row in tableau]
+            assert solve_zero_sum(tableau).value == solve_zero_sum(matrix).value, matrix
+            assert tableau.d > 0
+    assert seen["dual"] > 0 and seen["rebuild"] > 0, seen
 
 
 @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
@@ -509,30 +549,30 @@ class TestOnlineGameValue:
             (((1, 2), (1, 3), (1, 2)), Fraction(1, 2)),
         ]),
         (GameParams(4, 3, 1), Fraction(4, 3), [
-            (((1, 2, 4), (2, 3, 4), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
-            (((1, 2, 4), (1, 3, 4), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
-            (((1, 2, 4), (1, 2, 3), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
+            (((1, 2, 3), (2, 3, 4), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
+            (((1, 2, 3), (1, 3, 4), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
+            (((1, 2, 3), (1, 2, 4), (1, 2, 3), (1, 2, 3)), Fraction(1, 3)),
         ]),
         (GameParams(4, 2, 1), Fraction(9, 4), [
-            (((1, 2), (3, 4), (2, 4), (1, 2)), Fraction(1, 4)),
-            (((1, 2), (3, 4), (2, 3), (1, 2)), Fraction(1, 4)),
-            (((1, 2), (3, 4), (1, 4), (1, 2)), Fraction(1, 4)),
-            (((1, 2), (3, 4), (1, 3), (1, 2)), Fraction(1, 4)),
+            (((2, 3), (1, 4), (3, 4), (1, 2)), Fraction(1, 4)),
+            (((2, 3), (1, 4), (2, 4), (1, 2)), Fraction(1, 4)),
+            (((2, 3), (1, 4), (1, 3), (1, 2)), Fraction(1, 4)),
+            (((2, 3), (1, 4), (1, 2), (1, 2)), Fraction(1, 4)),
         ]),
         (GameParams(5, 4, 1), Fraction(5, 4), [
-            (((1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
+            (((2, 3, 4, 5), (1, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
              Fraction(1, 4)),
-            (((1, 2, 3, 4), (1, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
+            (((2, 3, 4, 5), (1, 2, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
              Fraction(1, 4)),
-            (((1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
+            (((2, 3, 4, 5), (1, 2, 3, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
              Fraction(1, 4)),
-            (((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
+            (((2, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)),
              Fraction(1, 4)),
         ]),
         (GameParams(4, 3, 2), Fraction(8, 3), [
-            (((1, 2, 3), (1, 2, 3), (1, 3, 4), (1, 2, 3)), Fraction(1, 3)),
-            (((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 3)), Fraction(1, 3)),
-            (((1, 2, 3), (1, 2, 3), (2, 3, 4), (1, 2, 3)), Fraction(1, 3)),
+            (((1, 2, 3), (1, 2, 3), (2, 3, 4), (1, 3, 4)), Fraction(1, 3)),
+            (((1, 2, 3), (1, 2, 3), (1, 3, 4), (1, 3, 4)), Fraction(1, 3)),
+            (((1, 2, 3), (1, 2, 3), (1, 2, 4), (2, 3, 4)), Fraction(1, 3)),
         ]),
     ] + [(GameParams(N, N, f), Fraction(f), [((tuple(range(1, N + 1)),) * N, Fraction(1))])
           for N in range(2, 6) for f in range(1, N)])
