@@ -1,0 +1,135 @@
+"""Mutation gate: the tests must keep killing faults that were once found.
+
+    python3 scripts/mutants.py
+
+Each entry of ``MUTANTS`` edits one module of src/faultsched, replacing
+an exact old text, which must occur there once, with a new one, and
+names the tests that must catch the edit and a wall bound in seconds.
+The script copies src/ and tests/ to a temporary directory.  For each
+entry it first runs the named tests on the unedited copy, where they
+must pass (once per set of tests), then applies the edit and runs them
+again, where they must fail within the bound; a run still going at the
+bound counts as the mutant surviving.  An entry whose old text is gone
+from its module fails too: a refactor must update the entry, not drop
+it.  Prints one line per entry and exits 0 when every mutant is killed,
+else 1.
+"""
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ONLINE = "tests/test_online.py"
+
+# (name, module, old text, new text, tests, wall bound in seconds)
+MUTANTS = [
+    # The warm-started LP: each fault was found to fail its test within 2 s.
+    ("column-objective-entry", "matrixgame", "                a[m][k] -= d\n", "",
+     [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
+    ("new-row-elimination", "matrixgame", "if b < k:\n                        line = [x -",
+     "if b < 0:\n                        line = [x -",
+     [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
+    ("rebuild-on-new-scale", "matrixgame", "if self.scale % den or min(ints) < self.scale:",
+     "if min(ints) < self.scale:", [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
+    ("rebuild-on-new-minimum", "matrixgame", "if self.scale % den or min(ints) < self.scale:",
+     "if self.scale % den:", [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
+    ("dual-step-skipped", "matrixgame",
+     "if dual := [(b, i) for i, b in enumerate(basis) if a[i][w] < 0]:", "if dual := []:",
+     [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
+    ("always-a-new-tableau", "matrixgame", "if not isinstance(game, _Tableau):", "if True:",
+     [f"{ONLINE}::TestOnlineGameValue::test_randomized_support_pinned"], 30),
+    ("never-grown", "matrixgame", "    game.grow()\n", "",
+     [f"{ONLINE}::TestDoubleOracle"], 30),
+    # Without the negation the pivot loop never ends; the pivot bound must
+    # stop it, or at worst the tests' wall-clock guard.
+    ("negative-pivot-row-kept", "matrixgame", "pivot_row = a[leave] = [-x for x in pivot_row]",
+     "pivot_row = a[leave]", [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 90),
+    # The LP certificate: reversed duals still lie between floor and ceil.
+    ("certificate-as-bounds", "matrixgame", "if not floor == d == ceil:",
+     "if not floor <= d <= ceil:",
+     [f"{ONLINE}::TestMatrixGame::test_certificate_rejects_wrong_value"], 30),
+    # The Ore witness: a matched neighbour's mate not reached, caught by the
+    # acceptance test that also compares tests/reference.py's brute_deficiency,
+    # which has no matching code; and only first neighbours explored, which
+    # keeps the value equal to the matching size, so the witness's own count
+    # check passes, and the test that recomputes gamma(C) must catch it.
+    ("ore-witness-mate-unreached", "matching", "if l in mate:", "if l not in mate:",
+     ["tests/test_acceptance.py::test_criterion_5_matching_deficiency_duality"], 30),
+    ("ore-witness-first-neighbour", "matching", "for l in lefts[stack.pop()]:",
+     "for l in lefts[stack.pop()][:1]:", ["tests/test_matching.py::test_witness_attains_formula"],
+     30),
+    ("h-leftover-slack", "survival", "max(r + f - n, 0)", "max(r + f - n + 1, 0)",
+     ["tests/test_survival.py"], 30),
+    # The scan's prefilter: f members with earlier steps can be killable.
+    ("scan-prefilter-strict", "solver", "n - lists.count([]) >= f", "n - lists.count([]) > f",
+     ["tests/test_solver.py::test_scan_agrees_with_per_step_reference"], 30),
+    # The on-line adversary's fallback kills the lowest live member.
+    ("kill-fallback-ignores-dead", "online", "live = row & ~killed or row", "live = row",
+     [f"{ONLINE}::TestAdversaryPolicy"], 30),
+    # An instance skips the check of a row only when it is the row before.
+    ("row-skipped-by-equality", "solver", "row is rows[i - 2]", "row == rows[i - 2]",
+     ["tests/test_solver.py::test_equal_rows_are_each_checked"], 30),
+]
+
+
+def run_tests(copy: Path, tests: list[str], seconds: float) -> str:
+    """'pass', 'fail' or 'timeout' for pytest on ``tests`` in ``copy``;
+    any other pytest outcome (a test id not found, say) is its exit code."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        code = proc.wait(timeout=seconds)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "timeout"
+    return {0: "pass", 1: "fail"}.get(code, f"pytest exit {code}")
+
+
+def check(copy: Path, passed: set, module: str, old: str, new: str, tests: list[str],
+          seconds: float) -> str:
+    """What became of one entry: 'killed', or why the gate fails on it.
+    ``passed`` holds the sets of tests already seen to pass unedited."""
+    path = copy / "src" / "faultsched" / f"{module}.py"
+    text = path.read_text()
+    if text.count(old) != 1:
+        return f"old text found {text.count(old)} times in {module}.py, not once"
+    if tuple(tests) not in passed:
+        outcome = run_tests(copy, tests, seconds)
+        if outcome != "pass":
+            return f"unedited tests: {outcome}"
+        passed.add(tuple(tests))
+    path.write_text(text.replace(old, new))
+    try:
+        outcome = run_tests(copy, tests, seconds)
+    finally:
+        path.write_text(text)
+    return "killed" if outcome == "fail" else f"survived: {outcome}"
+
+
+def main() -> int:
+    failed, passed = 0, set()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for folder in ("src", "tests"):
+            shutil.copytree(ROOT / folder, copy / folder,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        for entry in MUTANTS:
+            start = time.perf_counter()
+            result = check(copy, passed, *entry[1:])
+            failed += result != "killed"
+            print(f"{entry[0]:<30} {result} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,14 +25,14 @@ _HOMES = {
     ),
     "matrixgame": ("MatrixGameSolution", "solve_zero_sum"),
     "online": ("GameValue", "adversary_best_response", "online_game_value"),
-    "oracle": ("brute_adversary_min", "brute_deficiency", "brute_optimum", "random_schedule"),
+    "oracle": ("brute_adversary_min", "brute_optimum"),
     "solver": (
         "MembershipReport", "PInstance", "first_killable_time",
         "instance_to_dict", "load_instance", "membership_in_P", "minimal_adversary",
         "minimal_survival_time", "reduce_instance", "save_instance",
         "surviving_prefix_instance", "time_graph",
     ),
-    "survival": ("apriori_upper_bound", "h_value", "optimum_survival_time"),
+    "survival": ("h_value", "optimum_survival_time"),
     "twopool": (
         "TwoPoolParams", "two_pool_best_split", "two_pool_brute_optimum",
         "two_pool_lower_bound",

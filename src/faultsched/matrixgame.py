@@ -22,11 +22,15 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .game import BudgetExceededError, _Frozen
+from .game import BudgetExceededError, _Frozen, _listed
 
 # Payoff-matrix cells summed over all LP solves of one double oracle; it
 # bounds the rounds too, since a round that goes on adds a row or column.
 _MAX_PAYOFF_CELLS = 100_000
+# Pivots over a tableau's life, all its rounds included: a hang guard for
+# a rule that cycles, above the 3,081 that the on-line game's largest run
+# makes before the cell budget stops it.
+_MAX_PIVOTS = 10_000
 # The one zero of every returned strategy: most entries of a grown
 # game's strategies are 0, and a Fraction is immutable.
 _ZERO = Fraction(0)
@@ -88,6 +92,7 @@ class _Tableau(list):
 
     def __init__(self, matrix: Sequence) -> None:
         super().__init__(matrix)
+        self.pivots = 0
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -138,7 +143,9 @@ class _Tableau(list):
 
     def pivot(self) -> tuple[list[int], list[int], int]:
         """Pivot to an optimal basis; return the numerators of the primal z
-        and of the duals u (the objective's slack entries) over d, and d."""
+        and of the duals u (the objective's slack entries) over d, and d.
+        Raises ``BudgetExceededError`` once the tableau's pivots, over all
+        its calls, would pass ``_MAX_PIVOTS``."""
         a, basis, d = self.a, self.basis, self.d
         m = len(basis)
         w = len(a[0]) - 1
@@ -163,6 +170,9 @@ class _Tableau(list):
                 enter = best[1]
             else:
                 leave = best[1]
+            self.pivots += 1
+            if self.pivots > _MAX_PIVOTS:
+                raise BudgetExceededError(f"exact LP exceeded its budget of {_MAX_PIVOTS} pivots")
             pivot_row = a[leave]
             if pivot_row[enter] < 0:
                 pivot_row = a[leave] = [-x for x in pivot_row]
@@ -189,12 +199,18 @@ class _Tableau(list):
 def solve_zero_sum(matrix: Sequence[Sequence[Fraction | int]]) -> MatrixGameSolution:
     """Exact value and optimal strategies of the game with payoff
     ``matrix[i][j]`` paid by the column player to the row player.  A
-    ``_Tableau`` is grown and solved on from its last basis."""
-    if len(matrix) == 0 or len(matrix[0]) == 0:
-        raise ValueError("matrix must be nonempty")
-    if any(len(row) != len(matrix[0]) for row in matrix):
-        raise ValueError("matrix rows must have equal length")
-    game = matrix if isinstance(matrix, _Tableau) else _Tableau(matrix)
+    ``_Tableau`` is grown and solved on from its last basis; any other
+    matrix and its rows are read once, and ValueError names what is not
+    iterable."""
+    game = matrix
+    if not isinstance(game, _Tableau):
+        rows = [_listed(row, f"matrix row {i}")
+                for i, row in enumerate(_listed(matrix, "matrix"), 1)]
+        if not (rows and rows[0]):
+            raise ValueError("matrix must be nonempty")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("matrix rows must have equal length")
+        game = _Tableau(rows)
     game.grow()
     z, u, d = game.pivot()
     # Over the one denominator total, z is the column strategy, u the row

@@ -1,13 +1,11 @@
 """Brute-force reference implementations.
 
-Everything here recomputes a quantity the fast modules obtain through
-matchings or closed forms, by direct enumeration and independently of
-those modules wherever feasible.  ``brute_deficiency`` touches no
-matching code at all; ``brute_adversary_min`` plays out every kill
-sequence, round by round over the distinct sets of kills;
-``brute_optimum`` searches schedule prefixes up to relabeling, with
-Ore's formula on classes of ids as its dead test.  Budgets are hard
-caps, not hints: exceeding one raises instead of degrading.
+Everything here recomputes by direct enumeration, with no graph or
+matching code, what the fast modules obtain through matchings or closed
+forms: ``brute_adversary_min`` plays out every kill sequence, round by
+round over the distinct sets of kills; ``brute_optimum`` searches
+schedule prefixes up to relabeling, with Ore's formula on classes of
+ids as its dead test.  Budgets are hard caps: exceeding one raises.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from itertools import accumulate
 from operator import add, or_
 
 from .game import BudgetExceededError, GameParams, Schedule, _require_valid
-from .matching import BipartiteGraph, DeficiencyWitness
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps oracle.max_matching
 
 Prefix = tuple[tuple[int, ...], ...]
@@ -173,45 +170,3 @@ def brute_optimum(params: GameParams, max_states: int = 10**8) -> int:
         params.N,
         max_states,
     )
-
-
-def brute_deficiency(g: BipartiteGraph) -> DeficiencyWitness:
-    """Exact deficiency minimum by enumerating all subsets of the right
-    side B.
-
-    Matching-free on purpose: the value doubles as an independent check
-    of the matching number.  Ties break toward the smallest subset,
-    then lexicographically.
-    """
-    b_count = g.right_count
-    if b_count > 20:
-        raise BudgetExceededError(f"right side of size {b_count} exceeds the 2^20 subset cap")
-    rows = [[l for l, nbrs in enumerate(g.adj, 1) if b in nbrs] for b in range(1, b_count + 1)]
-
-    best_value = b_count + 1 + sum(len(r) for r in rows)
-    best_c: tuple[int, ...] = ()
-    best_gamma: set[int] = set()
-    for mask in range(1 << b_count):
-        members = tuple(b for b in range(1, b_count + 1) if mask >> (b - 1) & 1)
-        gamma: set[int] = set()
-        for b in members:
-            gamma.update(rows[b - 1])
-        value = (b_count - len(members)) + len(gamma)
-        key = (value, len(members), members)
-        if key < (best_value, len(best_c), best_c):
-            best_value, best_c, best_gamma = value, members, gamma
-    return DeficiencyWitness(C=frozenset(best_c), gamma=frozenset(best_gamma), value=best_value)
-
-
-def random_schedule(params: GameParams, length: int, seed: int) -> Schedule:
-    """Schedule of independent uniform size-n subsets, reproducible by seed."""
-    if not (type(length) is type(seed) is int and 1 <= length <= params.N):
-        raise ValueError(f"length must be an int in 1..{params.N} and seed an int, "
-                         f"got length={length!r}, seed={seed!r}")
-    import random  # here, so that the searches above never load it
-    rng = random.Random(seed)
-    pool = range(1, params.N + 1)
-    sets = tuple(
-        tuple(sorted(rng.sample(pool, params.n))) for _ in range(length)
-    )
-    return Schedule(params=params, sets=sets)

@@ -46,9 +46,3 @@ def h_value(n: int, f: int, k: int) -> int:
 def optimum_survival_time(params: GameParams) -> int:
     """Best worst-case survival time over all schedules for the game."""
     return h_value(params.n, params.f, params.N)
-
-
-def apriori_upper_bound(params: GameParams) -> int:
-    """Counting bound N - n + f + 1: once only n - f - 1 processors are
-    left alive no set can meet its quorum of n - f non-faulty members."""
-    return params.N - params.n + params.f + 1

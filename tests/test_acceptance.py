@@ -19,7 +19,6 @@ from faultsched import (
     TwoPoolParams,
     adversary_best_response,
     brute_adversary_min,
-    brute_deficiency,
     brute_optimum,
     deficiency_witness,
     h_value,
@@ -29,13 +28,13 @@ from faultsched import (
     minimal_survival_time,
     online_game_value,
     optimum_survival_time,
-    random_schedule,
     reduce_instance,
     survival_time,
     surviving_prefix_instance,
     trivial_schedule,
     two_pool_lower_bound,
 )
+from reference import brute_deficiency, random_schedule
 
 
 @contextmanager

@@ -441,6 +441,16 @@ def test_online_value_cell_budget(capsys, monkeypatch):
         "error: double oracle exceeded its budget of 50 payoff-matrix cells")
 
 
+def test_online_value_pivot_budget(capsys, monkeypatch):
+    """(3,2,1)'s LP solves make 10 pivots in all; a smaller bound stops
+    the run inside a solve, which exits 3 with the LP's own message."""
+    monkeypatch.setattr(matrixgame, "_MAX_PIVOTS", 5)
+    assert main(["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "randomized"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "error: exact LP exceeded its budget of 5 pivots"
+
+
 def test_sweep(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--f", "1", "--max-k", "5")
     assert code == 0

@@ -19,12 +19,12 @@ from faultsched import (
     load_adversary,
     load_instance,
     load_schedule,
-    random_schedule,
     save_adversary,
     save_instance,
     save_schedule,
     schedule_to_dict,
 )
+from reference import random_schedule
 
 FORMATS = {
     "schedule": (load_schedule, save_schedule, schedule_to_dict),

@@ -14,7 +14,6 @@ from faultsched import (
     load_adversary,
     load_schedule,
     minimal_adversary,
-    random_schedule,
     save_adversary,
     save_schedule,
     schedule_to_dict,
@@ -23,6 +22,7 @@ from faultsched import (
     validate_adversary,
     validate_schedule,
 )
+from reference import random_schedule
 
 
 @pytest.mark.parametrize("N,n,f", [(4, 5, 1), (4, 2, 2), (4, 2, 0), (4, 2, -1), (0, 0, 0)])

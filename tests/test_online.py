@@ -24,7 +24,6 @@ from faultsched import (
     MatrixGameSolution,
     Schedule,
     adversary_best_response,
-    apriori_upper_bound,
     online_game_value,
     solve_zero_sum,
     survival_time,
@@ -34,6 +33,7 @@ from faultsched import (
 from faultsched import matrixgame, online
 from faultsched.matrixgame import double_oracle, over_common_denominator
 from faultsched.online import _best_response, _kill, _policy_survival, _scheduler_best_response
+from reference import apriori_upper_bound
 
 
 class TestMatrixGame:
@@ -86,6 +86,21 @@ class TestMatrixGame:
             solve_zero_sum([[0.5]])
         with pytest.raises(ValueError):
             solve_zero_sum([[True]])
+
+    @pytest.mark.parametrize("matrix,message", [
+        (5, "matrix must be iterable, got int"),
+        (None, "matrix must be iterable, got NoneType"),
+        ([[1, 2], 3], "matrix row 2 must be iterable, got int"),
+    ])
+    def test_non_iterable_named(self, matrix, message):
+        # These raised a bare TypeError from len().
+        with pytest.raises(ValueError) as e:
+            solve_zero_sum(matrix)
+        assert str(e.value) == message
+
+    def test_rows_are_read_once(self):
+        # A one-shot row raised a bare TypeError from len(); it is read as a list.
+        assert solve_zero_sum([iter([1, 2])]) == solve_zero_sum([[1, 2]])
 
     @pytest.mark.parametrize("matrix,row,col", [
         ([[1, 1], [1, 1]], (1, 0), (1, 0)),
@@ -226,6 +241,29 @@ class TestDoubleOracle:
             double_oracle(*stand_in_oracle())
         assert str(e.value) == (
             "double oracle exceeded its budget of 20 payoff-matrix cells over all LP solves")
+
+    def test_pivot_budget_counts_a_tableaus_whole_life(self, monkeypatch):
+        """The bound holds over all of a tableau's solves: the double
+        oracle's pivots pass a bound of exactly their number, and one
+        fewer stops the solve that would make the last pivot."""
+        tableaus = []
+        init = matrixgame._Tableau.__init__
+
+        def kept(tableau, matrix):
+            init(tableau, matrix)
+            tableaus.append(tableau)
+
+        monkeypatch.setattr(matrixgame._Tableau, "__init__", kept)
+        double_oracle(*stand_in_oracle())
+        (tableau,) = tableaus
+        used = tableau.pivots
+        assert used > len(STAND_IN)
+        monkeypatch.setattr(matrixgame, "_MAX_PIVOTS", used)
+        assert double_oracle(*stand_in_oracle())[0] == Fraction(-931, 983)
+        monkeypatch.setattr(matrixgame, "_MAX_PIVOTS", used - 1)
+        with pytest.raises(BudgetExceededError) as e:
+            double_oracle(*stand_in_oracle())
+        assert str(e.value) == f"exact LP exceeded its budget of {used - 1} pivots"
 
 
 def test_grown_tableau_matches_cold_solve(monkeypatch):

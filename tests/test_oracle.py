@@ -11,16 +11,15 @@ from faultsched import (
     GameParams,
     Schedule,
     brute_adversary_min,
-    brute_deficiency,
     brute_optimum,
     h_value,
     max_matching,
     minimal_survival_time,
-    random_schedule,
     trivial_schedule,
 )
 from faultsched import oracle
 from faultsched.oracle import _class_matching_number
+from reference import brute_deficiency, random_schedule
 
 
 def grid(max_n):

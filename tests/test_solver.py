@@ -22,7 +22,6 @@ from faultsched import (
     membership_in_P,
     minimal_adversary,
     minimal_survival_time,
-    random_schedule,
     reduce_instance,
     save_instance,
     save_schedule,
@@ -33,6 +32,7 @@ from faultsched import (
 )
 from faultsched import matching, solver
 from faultsched.cli import main
+from reference import random_schedule
 
 
 def random_cases(count, seed, max_pool=8, max_n=3):

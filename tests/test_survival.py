@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from faultsched import GameParams, apriori_upper_bound, h_value, optimum_survival_time
+from faultsched import GameParams, h_value, optimum_survival_time
+from reference import apriori_upper_bound
 
 
 def test_known_values():
