@@ -9,10 +9,14 @@
 #
 # Small sweeps, so a script that no longer runs against the library
 # fails here; together they take about 5 s.  verify-theorem
-# --max-N 8 checks the closed form on all 84 cells up to N=8 by
-# the search over prefixes up to relabeling (about 1.5 s, 82,874
-# states, no matching code); the tier-1 tests compare that search
-# with a plain prefix search on the 35 cells up to N=6.
+# --max-N 9 checks the closed form on all 120 cells up to N=9 by
+# the search over prefixes up to relabeling, which skips most
+# prefixes that it has expanded in another order of their rows
+# (about 2-3 s and 189,474 states, no matching code; about 45 s
+# without that transposition table), and every match column must
+# read true.
+# The tier-1 tests compare that search with a plain prefix search
+# on the 35 cells up to N=6.
 # verify-theorem and two_pool_tightness.py exit 2 on a mismatch
 # and 3 when a cell is skipped.  two_pool_tightness.py at
 # --max-pool 7 searches all 259 two-type cells within the probe's
@@ -124,7 +128,8 @@ python scripts/two_pool_tightness.py --max-pool 7
 python -m faultsched two-pool --N1 8 --N2 0 --n 4 --g1 1 --g2 0 \
   --brute > "$tmp/two-pool.txt"
 printf 'bound=6\nsplit=4,0\nbrute_T_opt=6\n' | diff - "$tmp/two-pool.txt"
-python -m faultsched verify-theorem --max-N 8
+python -m faultsched verify-theorem --max-N 9 > "$tmp/theorem.csv"
+test "$(grep -c ',true' "$tmp/theorem.csv")" -eq 120
 # The optimal schedule at N=3200 survives h = 800 steps; one
 # killability scan finds t* = 801 in well under a second, and
 # the kills read off its matching replay to exactly 800.

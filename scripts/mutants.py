@@ -72,6 +72,15 @@ MUTANTS = [
     # The on-line adversary's fallback kills the lowest live member.
     ("kill-fallback-ignores-dead", "online", "live = row & ~killed or row", "live = row",
      [f"{ONLINE}::TestAdversaryPolicy"], 30),
+    # The class search's transposition table: a dead state recorded as
+    # expanded hides its live isomorphs (rows in another order), and a key
+    # must be a relabeling of its state, not a coarser summary of it.
+    ("dead-state-recorded", "oracle", "            if not dead(child):\n",
+     "            if dead(child):\n                expanded.add(key(child))\n            else:\n",
+     ["tests/test_oracle.py::test_dead_states_do_not_hide_their_live_isomorphs"], 30),
+    ("key-without-relabeling", "oracle", "    return tuple(sorted((sum(",
+     "    return tuple(sorted(c for v, c in state))\n    return tuple(sorted((sum(",
+     ["tests/test_oracle.py::TestBruteOptimum::test_class_key_is_a_relabeling"], 30),
     # An instance skips the check of a row only when it is the row before.
     ("row-skipped-by-equality", "solver", "row is rows[i - 2]", "row == rows[i - 2]",
      ["tests/test_solver.py::test_equal_rows_are_each_checked"], 30),

@@ -160,8 +160,8 @@ def _ore_witness(lefts: Sequence[Sequence[int]], right: Sequence[int]) -> Defici
     members of ``right`` (non-matching edges to the left, matching edges
     back); C is the reached members and gamma(C) the reached left
     vertices, as every neighbour of C is.  Raises ArithmeticError unless
-    the attained value equals the matching size, the certificate that
-    both are optimal.
+    gamma(C) is the whole neighbourhood of C and the attained value
+    equals the matching size, the certificate that both are optimal.
     """
     mate = _grow_matching(lefts)
     reached = set(range(len(right))).difference(mate.values())
@@ -175,6 +175,8 @@ def _ore_witness(lefts: Sequence[Sequence[int]], right: Sequence[int]) -> Defici
                     reached.add(mate[l])
                     stack.append(mate[l])
 
+    if gamma != set().union(*(lefts[k] for k in reached)):
+        raise ArithmeticError("gamma(C) is not the neighbourhood of the reached members")
     value = (len(right) - len(reached)) + len(gamma)
     if value != len(mate):
         raise ArithmeticError(f"deficiency value {value} is not the matching size {len(mate)}")

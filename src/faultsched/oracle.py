@@ -5,7 +5,8 @@ matching code, what the fast modules obtain through matchings or closed
 forms: ``brute_adversary_min`` plays out every kill sequence, round by
 round over the distinct sets of kills; ``brute_optimum`` searches
 schedule prefixes up to relabeling, with Ore's formula on classes of
-ids as its dead test.  Budgets are hard caps: exceeding one raises.
+ids as its dead test, skipping most prefixes that it has expanded in
+another order of their rows.  Budgets are hard caps: exceeding one raises.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ Prefix = tuple[tuple[int, ...], ...]
 Classes = tuple[tuple[int, int], ...]
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing (see survival.py)
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable
+    from collections.abc import Callable, Hashable, Iterable
     from typing import TypeVar
     Node = TypeVar("Node")
 
@@ -81,6 +82,7 @@ def prefix_search(
     root: Node,
     children: Callable[[Node], Iterable[Node]],
     dead: Callable[[Node], bool],
+    key: Callable[[Node], Hashable],
     depth: int,
     max_states: int,
     label: str = "prefix search",
@@ -89,17 +91,30 @@ def prefix_search(
     ``root``, each one of ``children`` of the one before, none of them
     ``dead``.
 
-    Depth first, in the order ``children`` gives.  Only the open
-    iterators of the current path are kept.  Every child that is tested
-    counts as a state; more than ``max_states`` of them raises
-    ``BudgetExceededError``; a ``max_states`` that is not an int of at
-    least 1 raises ``ValueError``.  ``brute_optimum`` and the two-pool
-    probe both run it.
+    Depth first, in the order ``children`` gives, with a transposition
+    table of the keys of the states it has expanded: a live child whose
+    ``key`` is among them is not expanded again.  Two states with equal
+    keys must have the same depth and the same subtrees up to that
+    equality, children and dead tests alike; the class searches' key is
+    a relabeling of the state (``_class_key``), so equal keys are
+    isomorphic states, and the subtree of the one expanded first holds
+    a chain as deep as any below the other (isomorph rejection, McKay
+    1998).  ``key`` is read only on live children: a dead test may read
+    what a key leaves out (the class searches' reads which row is the
+    newest), and a dead state recorded as expanded would hide its live
+    isomorphs.  Besides the table, only the open iterators of the
+    current path are kept.  Every child that is tested counts as a
+    state; more than ``max_states`` of them raises
+    ``BudgetExceededError``, so the table, one key per expanded state,
+    holds fewer; a ``max_states`` that is not an int of at least 1
+    raises ``ValueError``.  ``brute_optimum`` and the two-pool probe
+    both run it.
     """
     if type(max_states) is not int or max_states < 1:
         raise ValueError(f"max_states must be positive and an int, got {max_states!r}")
     states = 0
     best = 0
+    expanded: set[Hashable] = set()
     stack = [iter(children(root))]
     while stack:
         for child in stack[-1]:
@@ -108,7 +123,8 @@ def prefix_search(
                 raise BudgetExceededError(f"{label} exceeded max_states={max_states}")
             if not dead(child):
                 best = max(best, len(stack))
-                if len(stack) < depth:
+                if len(stack) < depth and (k := key(child)) not in expanded:
+                    expanded.add(k)
                     stack.append(iter(children(child)))
                     break
         else:
@@ -150,6 +166,33 @@ def _class_matching_number(state: Classes) -> int:
     return min(map(add, taken, map(int.bit_count, unions))) - taken[-1]
 
 
+def _class_key(state: Classes, low: int = 0) -> Classes:
+    """``state`` with its row bits, those from bit ``low`` up, put in
+    descending order of a signature that relabeling keeps, ties broken
+    by bit: the sorted ``(count, popcount)`` of the classes holding the
+    row.  Descending relabels fewer states than ascending (1,132 and
+    1,271 of the 1,640 keys built on the cells up to N=8); a state left
+    in its own order needs no copy.
+
+    The key is a relabeled copy of the state, rows and ids alike, so
+    states with equal keys are isomorphic, and a miss only costs time;
+    bits below ``low`` stay in place.  A dead test that reads only the
+    newest row against the set of the rows before it gives isomorphic
+    states the same subtrees.  A state of one class (all its rows are
+    equal) or of fewer than 3 rows, and one whose rows are in order, is
+    its own key."""
+    if len(state) < 2 or state[-1][0] >> low < 4:
+        return state
+    rows = range(low, state[-1][0].bit_length())
+    order = sorted(rows, key=lambda u: sorted((c, v.bit_count()) for v, c in state if v >> u & 1),
+                   reverse=True)
+    if order == [*rows]:
+        return state
+    fixed = (1 << low) - 1
+    return tuple(sorted((sum(1 << i for i, u in enumerate(order, low) if v >> u & 1) | v & fixed, c)
+                        for v, c in state))
+
+
 def brute_optimum(params: GameParams, max_states: int = 10**8) -> int:
     """Exact optimum worst-case survival by prefix search up to
     relabeling of the ids.
@@ -159,14 +202,15 @@ def brute_optimum(params: GameParams, max_states: int = 10**8) -> int:
     equals the deepest such prefix (never deeper than N).  A state is
     the multiset of the ids' incidence vectors (bit u set iff the id is
     in S_{u+1}), as ``(vector, count)`` pairs sorted by vector; its
-    children are ``_class_children`` and it is dead, and pruned, when
-    ``_class_matching_number`` reaches f.  ``prefix_search`` enforces
-    ``max_states``.
+    children are ``_class_children``, it is dead, and pruned, when
+    ``_class_matching_number`` reaches f, and its key is ``_class_key``.
+    ``prefix_search`` enforces ``max_states``.
     """
     return prefix_search(
         ((0, params.N),),
         lambda state: _class_children(state, params.n),
         lambda state: _class_matching_number(state) >= params.f,
+        _class_key,
         params.N,
         max_states,
     )

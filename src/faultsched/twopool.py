@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .game import BudgetExceededError, _Frozen
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps twopool.max_matching
-from .oracle import Classes, _class_children, _class_matching_number, prefix_search
+from .oracle import Classes, _class_children, _class_key, _class_matching_number, prefix_search
 from .survival import h_value
 
 # Size guard of two_pool_brute_optimum: N1 + N2 <= PROBE_MAX_POOL, n <= PROBE_MAX_N.
@@ -123,11 +123,11 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
     Experimental probe only: N1 + N2 > PROBE_MAX_POOL or n > PROBE_MAX_N
     raises ``BudgetExceededError``.  It runs the class search of
     ``brute_optimum`` with the pool type in the class key: bit 0 of an
-    id's incidence vector is its type, so row bits start at bit 1 and
-    no class mixes the types.  Only rows already meeting both quorums
-    with zero faults are drawn, and a state is dead when ``_killable``
-    says so.  ``prefix_search`` enforces ``max_states``, which must be
-    an int of at least 1.
+    id's incidence vector is its type, so row bits start at bit 1, no
+    class mixes the types, and ``_class_key`` keeps bit 0 in place.
+    Only rows already meeting both quorums with zero faults are drawn,
+    and a state is dead when ``_killable`` says so.  ``prefix_search``
+    enforces ``max_states``, which must be an int of at least 1.
     """
     total = tp.N1 + tp.N2
     if total > PROBE_MAX_POOL or tp.n > PROBE_MAX_N:
@@ -150,6 +150,7 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
         ((0, tp.N1), (1, tp.N2)),
         children,
         lambda state: _killable(state, tp),
+        lambda state: _class_key(state, 1),
         total,
         max_states,
         label="two-pool probe",

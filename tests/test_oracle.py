@@ -18,7 +18,12 @@ from faultsched import (
     trivial_schedule,
 )
 from faultsched import oracle
-from faultsched.oracle import _class_matching_number
+from faultsched.oracle import (
+    _class_children,
+    _class_key,
+    _class_matching_number,
+    prefix_search,
+)
 from reference import brute_deficiency, random_schedule
 
 
@@ -52,6 +57,33 @@ def plain_search(params):
     return grow(())
 
 
+def class_state(data, sizes):
+    """A drawn class state with rows of the given sizes, its ``low`` (1
+    when bit 0 is a two-pool type bit below the row bits) and its row
+    bits.  The key reads no row size, so the sizes may differ."""
+    big_n = max(sizes)
+    low = data.draw(st.integers(0, 1))
+    kinds = data.draw(st.lists(st.integers(0, low), min_size=big_n, max_size=big_n))
+    prefix = [data.draw(st.sets(st.integers(1, big_n), min_size=n, max_size=n)) for n in sizes]
+    vectors = Counter(kinds[p - 1] | sum(1 << u for u, row in enumerate(prefix, low) if p in row)
+                      for p in range(1, big_n + 1))
+    return tuple(sorted(vectors.items())), low, range(low, low + len(prefix))
+
+
+def relabel(state, moved):
+    """``state`` with each row bit u moved to ``moved[u]``, other bits in place."""
+    return tuple(sorted((sum(1 << moved.get(u, u) for u in range(v.bit_length()) if v >> u & 1), c)
+                        for v, c in state))
+
+
+def unmerged_search(params, max_states):
+    """``brute_optimum``'s class search with a key that never merges two
+    states, so that it tests every class state it reaches."""
+    return prefix_search(((0, params.N),), lambda state: _class_children(state, params.n),
+                         lambda state: _class_matching_number(state) >= params.f,
+                         lambda state: state, params.N, max_states)
+
+
 def test_budget_validation():
     for max_states in (0, -5):
         with pytest.raises(ValueError, match="max_states must be positive"):
@@ -67,6 +99,17 @@ def test_brute_optimum_rejects_non_int_budget(max_states):
 def test_brute_adversary_min_takes_only_a_schedule():
     with pytest.raises(TypeError):
         brute_adversary_min(trivial_schedule(GameParams(4, 2, 1)), 15)
+
+
+def test_dead_states_do_not_hide_their_live_isomorphs():
+    # Rows x and y; a state is dead by its newest row against the set of
+    # the rows before it, and its key forgets the rows' order.  "yx" is
+    # dead and tested before "xy", which has the same key and is the
+    # only way to depth 3 ("xyy").
+    dead_pairs = {("y", frozenset("y")), ("x", frozenset("y")), ("x", frozenset("x"))}
+    assert prefix_search("", lambda s: (s + "y", s + "x"),
+                         lambda s: (s[-1], frozenset(s[:-1])) in dead_pairs,
+                         lambda s: "".join(sorted(s)), 3, 100) == 3
 
 
 class TestBruteAdversaryMin:
@@ -150,9 +193,10 @@ class TestBruteOptimum:
 
     @pytest.mark.parametrize("params", grid(5), ids=str)
     def test_states_are_orbits(self, params):
-        # The search up to relabeling tests one state per orbit of the
-        # prefixes the plain search tests, the orbit's representative
-        # being its least relabeling over all N! permutations of the ids.
+        # The class search tests one state per orbit of the prefixes the
+        # plain search tests, the orbit's representative being its least
+        # relabeling over all N! permutations of the ids, when its key
+        # never merges states; the transposition table only removes some.
         relabelings = [dict(zip(range(1, params.N + 1), q))
                        for q in itertools.permutations(range(1, params.N + 1))]
         orbits = {min(tuple(tuple(sorted(m[p] for p in row)) for row in prefix)
@@ -160,8 +204,51 @@ class TestBruteOptimum:
                   for prefix, _ in plain_search(params)}
         value = h_value(params.n, params.f, params.N)
         assert brute_optimum(params, len(orbits)) == value
+        assert unmerged_search(params, len(orbits)) == value
         with pytest.raises(BudgetExceededError):
-            brute_optimum(params, len(orbits) - 1)
+            unmerged_search(params, len(orbits) - 1)
+
+    def test_matches_closed_form_to_eight(self):
+        cells = grid(8)
+        assert len(cells) == 84
+        for p in cells:
+            assert brute_optimum(p) == h_value(p.n, p.f, p.N)
+
+    def test_transposition_table_merges_isomorphs(self):
+        # (8,6,5) tests 1,808 states, where the search that never merges
+        # tests 30,336.
+        params = GameParams(8, 6, 5)
+        assert brute_optimum(params, 1808) == h_value(6, 5, 8) == 6
+        with pytest.raises(BudgetExceededError):
+            brute_optimum(params, 1807)
+        with pytest.raises(BudgetExceededError):
+            unmerged_search(params, 1808)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_class_key_is_a_relabeling(self, data):
+        # Some order of the row bits maps the state onto its key, so equal
+        # keys are isomorphic states, and the counts, the multiset of
+        # (popcount, count) and the type bit below ``low`` are kept.
+        sizes = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
+        state, low, bits = class_state(data, sizes)
+        key = _class_key(state, low)
+        assert sorted((v.bit_count(), c) for v, c in key) == sorted(
+            (v.bit_count(), c) for v, c in state)
+        assert sorted((v & low, c) for v, c in key) == sorted((v & low, c) for v, c in state)
+        assert any(relabel(state, dict(zip(bits, q))) == key for q in itertools.permutations(bits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_class_key_forgets_row_order_when_signatures_differ(self, data):
+        # The signature of a row is the sorted (count, popcount) of the
+        # classes holding it; when no two rows share one, every order of
+        # the rows has the same key.  Its counts sum to the row's size, so
+        # rows of distinct sizes have distinct signatures.
+        sizes = data.draw(st.lists(st.integers(1, 7), min_size=3, max_size=6, unique=True))
+        state, low, bits = class_state(data, sizes)
+        order = data.draw(st.permutations(bits))
+        assert _class_key(relabel(state, dict(zip(bits, order))), low) == _class_key(state, low)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -179,8 +266,9 @@ class TestBruteOptimum:
             brute_optimum(GameParams(5, 2, 1), 3)
 
     def test_memory_is_bounded_by_the_path(self):
-        # Only the siblings of the prefixes on the current path are kept,
-        # not every state the search has visited (1.26 MB here when they were).
+        # Only the siblings of the prefixes on the current path and the
+        # keys of the expanded states are kept, not every state the search
+        # has tested (1.26 MB here when they were; about 4.6 kB now).
         tracemalloc.start()
         try:
             assert brute_optimum(GameParams(6, 4, 3)) == h_value(4, 3, 6)

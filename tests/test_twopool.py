@@ -14,6 +14,7 @@ from faultsched import (
     two_pool_brute_optimum,
     two_pool_lower_bound,
 )
+from faultsched import oracle, twopool
 from faultsched.twopool import MAX_SPLITS
 
 
@@ -258,11 +259,12 @@ class TestBruteProbe:
         [tp for tp in guarded_cells() if tp.N1 + tp.N2 <= 5],
         ids=lambda tp: f"{tp.N1}-{tp.N2}-{tp.n}-{tp.g1}-{tp.g2}",
     )
-    def test_states_are_orbits(self, tp):
+    def test_states_are_orbits(self, tp, monkeypatch):
         # The probe tests one state per orbit of the prefixes the plain
         # search tests, under every relabeling that keeps each pool's
         # ids in that pool, the orbit's representative being its least
-        # relabeling.
+        # relabeling, when its key never merges states; the
+        # transposition table only removes some.
         total = tp.N1 + tp.N2
         relabelings = [
             dict(zip(range(1, total + 1), q1 + q2))
@@ -275,6 +277,10 @@ class TestBruteProbe:
             for prefix, _ in tested
         }
         value = deepest_live(tested)
+        assert two_pool_brute_optimum(tp, max_states=max(len(orbits), 1)) == value
+        monkeypatch.setattr(twopool, "prefix_search",
+                            lambda root, children, dead, key, *rest, **kw:
+                            oracle.prefix_search(root, children, dead, lambda s: s, *rest, **kw))
         assert two_pool_brute_optimum(tp, max_states=max(len(orbits), 1)) == value
         if len(orbits) > 1:
             with pytest.raises(BudgetExceededError):
