@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ONLINE = "tests/test_online.py"
+ORACLE = "tests/test_oracle.py"
 
 # (name, module, old text, new text, tests, wall bound in seconds)
 MUTANTS = [
@@ -81,6 +82,18 @@ MUTANTS = [
     ("key-without-relabeling", "oracle", "    return tuple(sorted((sum(",
      "    return tuple(sorted(c for v, c in state))\n    return tuple(sorted((sum(",
      ["tests/test_oracle.py::TestBruteOptimum::test_class_key_is_a_relabeling"], 30),
+    # The class search's dead test.  A greedy that reuses taken steps still
+    # counts distinct steps, a matching's size, so it keeps every verdict
+    # and only leaves more states to Ore's formula, which the count pins;
+    # the two counts bound nu from above, so a state where either equals
+    # nu and the greedy falls short is dead.
+    ("greedy-reuses-a-step", "oracle", "free = v & ~used", "free = v",
+     [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state",
+      f"{ORACLE}::TestBruteOptimum::test_class_dead_rarely_needs_ore"], 30),
+    ("seen-bound-not-strict", "oracle", "seen < f", "seen <= f",
+     [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
+    ("union-bound-not-strict", "oracle", "union.bit_count() < f", "union.bit_count() <= f",
+     [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
     # An instance skips the check of a row only when it is the row before.
     ("row-skipped-by-equality", "solver", "row is rows[i - 2]", "row == rows[i - 2]",
      ["tests/test_solver.py::test_equal_rows_are_each_checked"], 30),

@@ -4,9 +4,10 @@ Everything here recomputes by direct enumeration, with no graph or
 matching code, what the fast modules obtain through matchings or closed
 forms: ``brute_adversary_min`` plays out every kill sequence, round by
 round over the distinct sets of kills; ``brute_optimum`` searches
-schedule prefixes up to relabeling, with Ore's formula on classes of
-ids as its dead test, skipping most prefixes that it has expanded in
-another order of their rows.  Budgets are hard caps: exceeding one raises.
+schedule prefixes up to relabeling, with a greedy matching and two
+counts on classes of ids as its dead test and Ore's formula for the
+few states they leave open, skipping most prefixes that it has expanded
+in another order of their rows.  Budgets are hard caps: exceeding one raises.
 """
 
 from __future__ import annotations
@@ -166,6 +167,32 @@ def _class_matching_number(state: Classes) -> int:
     return min(map(add, taken, map(int.bit_count, unions))) - taken[-1]
 
 
+def _class_dead(state: Classes, f: int) -> bool:
+    """Whether the newest row's time graph has matching number at least
+    ``f``, settled by three counts over the classes the row meets before
+    Ore's formula: a greedy matching of their ids to distinct earlier
+    steps, lowest bit first, is a lower bound on nu; their number and
+    the size of the union of their earlier steps are upper bounds.  The
+    fresh class (ids in no earlier row) has no steps and is skipped.
+    Only a state none of them settles runs ``_class_matching_number``."""
+    top = 1 << (state[-1][0].bit_length() - 1)
+    seen = union = 0
+    used = top  # the steps the greedy has taken, and the row's own bit
+    for v, k in state:
+        if v > top:
+            seen += k
+            union |= v ^ top
+            free = v & ~used
+            for _ in range(k):
+                used |= free & -free
+                free &= free - 1
+    if used.bit_count() > f:
+        return True
+    if seen < f or union.bit_count() < f:
+        return False
+    return _class_matching_number(state) >= f
+
+
 def _class_key(state: Classes, low: int = 0) -> Classes:
     """``state`` with its row bits, those from bit ``low`` up, put in
     descending order of a signature that relabeling keeps, ties broken
@@ -203,13 +230,14 @@ def brute_optimum(params: GameParams, max_states: int = 10**8) -> int:
     the multiset of the ids' incidence vectors (bit u set iff the id is
     in S_{u+1}), as ``(vector, count)`` pairs sorted by vector; its
     children are ``_class_children``, it is dead, and pruned, when
-    ``_class_matching_number`` reaches f, and its key is ``_class_key``.
+    ``_class_dead`` finds its matching number at least f, and its key
+    is ``_class_key``.
     ``prefix_search`` enforces ``max_states``.
     """
     return prefix_search(
         ((0, params.N),),
         lambda state: _class_children(state, params.n),
-        lambda state: _class_matching_number(state) >= params.f,
+        lambda state: _class_dead(state, params.f),
         _class_key,
         params.N,
         max_states,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .game import BudgetExceededError, _Frozen
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps twopool.max_matching
-from .oracle import Classes, _class_children, _class_key, _class_matching_number, prefix_search
+from .oracle import Classes, _class_children, _class_dead, _class_key, prefix_search
 from .survival import h_value
 
 # Size guard of two_pool_brute_optimum: N1 + N2 <= PROBE_MAX_POOL, n <= PROBE_MAX_N.
@@ -100,10 +100,10 @@ def _killable(state: Classes, tp: TwoPoolParams) -> bool:
     always remains at that point, since g_i >= 1); the rest must come
     from earlier rounds, one per round, each a member of that round's
     set, which is a matching of the row's type-i members into the
-    earlier rows: its largest size is the class Ore minimum on the
-    type-i classes with the type bit cleared.  A row at its quorum
-    needs no earlier kill and is dead at once.  A zero quorum demands
-    nothing and cannot break.
+    earlier rows: ``_class_dead`` on the type-i classes with the type
+    bit cleared says whether one that large exists.  A row at its
+    quorum needs no earlier kill (a need of 0 or less) and is dead at
+    once.  A zero quorum demands nothing and cannot break.
     """
     top = 1 << (state[-1][0].bit_length() - 1)
     for kind, quorum in ((0, tp.g1), (1, tp.g2)):
@@ -111,7 +111,7 @@ def _killable(state: Classes, tp: TwoPoolParams) -> bool:
             continue
         classes = tuple((v ^ kind, c) for v, c in state if v & 1 == kind)
         need = sum(c for v, c in classes if v & top) - quorum
-        if _class_matching_number(classes) >= need:
+        if _class_dead(classes, need):
             return True
     return False
 

@@ -20,6 +20,7 @@ from faultsched import (
 from faultsched import oracle
 from faultsched.oracle import (
     _class_children,
+    _class_dead,
     _class_key,
     _class_matching_number,
     prefix_search,
@@ -82,6 +83,20 @@ def unmerged_search(params, max_states):
     return prefix_search(((0, params.N),), lambda state: _class_children(state, params.n),
                          lambda state: _class_matching_number(state) >= params.f,
                          lambda state: state, params.N, max_states)
+
+
+def searched_states(monkeypatch, max_n):
+    """Every state ``brute_optimum`` tests on the grid up to ``max_n``,
+    as (state, n, f), and how many of them ran Ore's formula."""
+    tested, ore = [], []
+    dead, exact = oracle._class_dead, oracle._class_matching_number
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_class_matching_number", lambda state: ore.append(state) or exact(state))
+        for p in grid(max_n):
+            m.setattr(oracle, "_class_dead",
+                      lambda state, f, n=p.n: tested.append((state, n, f)) or dead(state, f))
+            brute_optimum(p)
+    return tested, len(ore)
 
 
 def test_budget_validation():
@@ -260,6 +275,32 @@ class TestBruteOptimum:
         g = BipartiteGraph.from_rows(prefix[:-1], prefix[-1])
         nu = _class_matching_number(classes(prefix, big_n))
         assert nu == max_matching(g).size == brute_deficiency(g).value
+
+    def test_class_dead_agrees_with_ore_on_every_tested_state(self, monkeypatch):
+        tested, _ = searched_states(monkeypatch, 7)
+        assert len(tested) == 1940
+        for state, n, _ in tested:
+            nu = _class_matching_number(state)
+            for f in range(-1, n + 2):
+                assert _class_dead(state, f) == (nu >= f), (state, f)
+
+    def test_class_dead_rarely_needs_ore(self, monkeypatch):
+        # The greedy matching and the two counts settle all but 11 of the
+        # 1,940 states tested up to N=7; a dropped bound raises the count.
+        tested, ore = searched_states(monkeypatch, 7)
+        assert (ore, len(tested), sum(_class_matching_number(s) >= f for s, _, f in tested)) == (
+            11, 1940, 1504)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_class_dead_is_the_matching_number_at_least_f(self, data):
+        big_n = data.draw(st.integers(2, 7))
+        n = data.draw(st.integers(1, big_n))
+        row = st.sets(st.integers(1, big_n), min_size=n, max_size=n)
+        state = classes(data.draw(st.lists(row, min_size=1, max_size=big_n)), big_n)
+        nu = _class_matching_number(state)
+        for f in range(-1, n + 2):
+            assert _class_dead(state, f) == (nu >= f)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
