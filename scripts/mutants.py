@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ONLINE = "tests/test_online.py"
 ORACLE = "tests/test_oracle.py"
+BORN = "tests/test_born_checked.py"
 
 # (name, module, old text, new text, tests, wall bound in seconds)
 MUTANTS = [
@@ -94,9 +95,44 @@ MUTANTS = [
      [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
     ("union-bound-not-strict", "oracle", "union.bit_count() < f", "union.bit_count() <= f",
      [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
-    # An instance skips the check of a row only when it is the row before.
+    # An instance skips the check of a row only when it is the row before,
+    # never the first row, and the reader shares only a tuple object's
+    # sorted copy, never an equal row's or a generator's.
     ("row-skipped-by-equality", "solver", "row is rows[i - 2]", "row == rows[i - 2]",
      ["tests/test_solver.py::test_equal_rows_are_each_checked"], 30),
+    ("first-row-skipped-as-a-repeat", "solver", "if i > 1 and row is rows[i - 2]:",
+     "if row is rows[i - 2]:",
+     ["tests/test_solver.py::test_shared_malformed_row_is_named_at_its_first_index"], 30),
+    ("rows-shared-by-equality", "game", "done, out = {}, []",
+     "done, out = {}, []\n    id = lambda row: row if type(row) is tuple else object()",
+     ["tests/test_solver.py::test_equal_rows_are_each_checked"], 30),
+    ("generator-rows-shared", "game", "if type(row) is tuple:", "if True:",
+     ["tests/test_game.py::test_repeated_generator_row_is_read_twice"], 30),
+    # Values built from checked values skip the checking constructors, so
+    # the tests that rebuild them through those constructors must catch a
+    # fault in the building: a batch row that repeats an id or leaves 1..N,
+    # a reduction that keeps a row of gamma(C) (the row count still right)
+    # or an id of C, and a randomized support that lost a probability.
+    ("batch-row-repeats-an-id", "game", "batch = tuple(range(i * n + 1, (i + 1) * n + 1))",
+     "batch = tuple(range(i * n + 1, (i + 1) * n)) + (i * n + 1,)",
+     [f"{BORN}::test_batch_schedules_up_to_40_are_born_valid"], 30),
+    ("batch-leftover-beyond-N", "game", "tuple(range(N - p + 1, N + 1))",
+     "tuple(range(N - p + 2, N + 2))", [f"{BORN}::test_batch_schedules_up_to_40_are_born_valid"],
+     30),
+    ("reduce-keeps-a-gamma-row", "solver", "enumerate(earlier, start=1) if u not in wit.gamma",
+     "enumerate(earlier, start=2) if u not in wit.gamma",
+     [f"{BORN}::test_batch_reduce_chain_is_born_checked"], 30),
+    ("reduce-keeps-an-id-of-C", "solver", "if p not in wit.C)",
+     "if p not in wit.C or p == min(wit.C))", [f"{BORN}::test_batch_reduce_chain_is_born_checked"],
+     30),
+    ("support-probability-dropped", "online", "for (sets, _), p in support))",
+     "for (sets, _), p in support[1:]))", [f"{BORN}::test_game_values_are_born_checked"], 30),
+    # A schedule born checked is marked valid, and the batch schedule checks
+    # its own params, as no constructor does it for it.
+    ("born-schedule-not-marked", "game", "(*fields, True)", "(*fields, False)",
+     ["tests/test_solver.py::test_schedule_validated_once"], 30),
+    ("batch-params-unchecked", "game", "    _check_params(params)\n    N, n, f", "    N, n, f",
+     ["tests/test_game.py::test_schedule_params_must_be_game_params"], 30),
 ]
 
 

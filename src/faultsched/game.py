@@ -5,9 +5,12 @@ processors; the adversary kills one member of each set in turn.  The
 system survives time t if no prefix of kills ever leaves more than f
 dead processors inside the set in use.
 
-All value types are immutable; operations are pure.  A ``Schedule``
-cannot change after construction, so neither can its validity: entry
-points validate each object once and remember a pass, never a failure.
+All value types are immutable; operations are pure.  Input is checked
+once, at the boundary: the public constructors check what they are
+given, and a ``Schedule`` cannot change after construction, so neither
+can its validity: entry points validate each object once and remember a
+pass, never a failure.  A value the library builds from values already
+checked is born checked, through ``_Frozen._from_checked``.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ class _Frozen:
     ``__init__`` that checks, then passes its fields to this one, or, in
     ``Schedule`` and ``GameValue``, stores each with ``_set`` at a third
     of the cost; only ``BipartiteGraph`` checks in a ``__post_init__``,
-    for perfbench/tracer.py to wrap.  Equality and hash go by the exact
-    class and the field tuple, ``repr`` is ``Name(field=value, ...)``,
-    and copies and pickles are rebuilt through the constructor."""
+    for perfbench/tracer.py to wrap.  The constructors are the boundary;
+    ``_from_checked`` binds fields that the library built from checked
+    values, and checks nothing.  Equality and hash go by the exact class
+    and the field tuple, ``repr`` is ``Name(field=value, ...)``, and
+    copies and pickles are rebuilt through the constructor."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -84,6 +89,17 @@ class _Frozen:
                 raise TypeError(f"{self.__class__.__name__}() takes each of {names} once")
         for name, value in zip(names, args):
             _set(self, name, value)
+
+    @classmethod
+    def _from_checked(cls, *fields: object) -> _Frozen:
+        """An instance bound to ``fields``, in order, which the caller built
+        from values already checked, so that they would pass the checking
+        constructor unchanged; a slot after the fields, ``Schedule``'s
+        validity mark, is set as a pass would set it."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (*fields, True)):
+            _set(self, name, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -128,6 +144,11 @@ class GameParams(_Frozen):
         _Frozen.__init__(self, N, n, f)
 
 
+def _check_params(params: GameParams) -> None:
+    if not isinstance(params, GameParams):
+        raise ValueError(f"params must be a GameParams, got {type(params).__name__}")
+
+
 class Schedule(_Frozen):
     """Ordered operating sets; processor ids are 1-based, sets kept sorted.
 
@@ -147,8 +168,7 @@ class Schedule(_Frozen):
     sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
-        if not isinstance(params, GameParams):
-            raise ValueError(f"params must be a GameParams, got {type(params).__name__}")
+        _check_params(params)
         _set(self, "params", params)
         _set(self, "sets", _rows(sets, "set"))
         _set(self, "_valid", False)
@@ -247,8 +267,10 @@ def trivial_schedule(params: GameParams) -> Schedule:
     last full batch, are used (f + p - n)^+ periods.  That meaningful
     prefix has length h(n, f, N); it is padded to length N by repeating
     the last emitted set, which cannot lower the minimal survival time
-    below the optimum.
+    below the optimum.  Its rows are sorted ids in 1..N, so it is built
+    valid and never validated.
     """
+    _check_params(params)
     N, n, f = params.N, params.n, params.f
     q, p = divmod(N, n)
     sets: list[tuple[int, ...]] = []
@@ -261,7 +283,7 @@ def trivial_schedule(params: GameParams) -> Schedule:
     if len(sets) != h:
         raise RuntimeError(f"batch prefix has {len(sets)} sets, expected h = {h}")
     sets.extend([sets[-1]] * (N - len(sets)))
-    return Schedule(params, sets)
+    return Schedule._from_checked(params, tuple(sets))
 
 
 # The field maps of the schedule and adversary wire formats (see ``codec``).

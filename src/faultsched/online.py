@@ -28,6 +28,7 @@ from itertools import combinations
 from math import comb
 
 from .game import BudgetExceededError, GameParams, Schedule, _Frozen, _listed, _require_valid, _set
+from .game import _check_params
 from .game import survival_time, trivial_schedule  # noqa: F401 - perfbench wraps survival_time
 from .matrixgame import double_oracle, over_common_denominator
 from .matrixgame import solve_zero_sum  # noqa: F401 - perfbench wraps online.solve_zero_sum
@@ -250,8 +251,7 @@ def _scheduler_best_response(
 
 
 def _check_guard(params: GameParams) -> None:
-    if not isinstance(params, GameParams):
-        raise ValueError(f"params must be a GameParams, got {type(params).__name__}")
+    _check_params(params)
     # N first, so that a huge N never computes its binomial.
     if params.N > _MAX_POOL or comb(params.N, params.n) > _MAX_DISTINCT_SETS:
         got = f"C={comb(params.N, params.n)}, " if params.N <= _MAX_POOL else ""
@@ -270,17 +270,24 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
     over pure schedules and pure policies, opening with the batch
     schedule.  Raises ``BudgetExceededError`` beyond the size guard, or
     when the double oracle runs out of payoff-matrix cells to solve.
+
+    ``params`` and ``mode`` are the input, checked here; the result is
+    built from checked values and checks nothing again: each support
+    schedule is the batch schedule or a best response, N sets of n
+    sorted ids in 1..N, and the LP certificate has proved the
+    probabilities nonnegative with sum 1.
     """
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"mode must be deterministic or randomized, got {mode!r}")
     _check_guard(params)
     if mode == "deterministic":
-        return GameValue(Fraction(h_value(params.n, params.f, params.N)),
-                         ((trivial_schedule(params), Fraction(1)),))
+        return GameValue._from_checked(Fraction(h_value(params.n, params.f, params.N)),
+                                       ((trivial_schedule(params), Fraction(1)),))
     start = trivial_schedule(params).sets
     value, support = double_oracle(
         (start, tuple(sum(1 << p for p in row) for row in start)),
         lambda schedule, policy: _policy_survival(params, schedule[1], policy),
         lambda mix: _scheduler_best_response(params, mix),
         lambda mix: _best_response(params, [(sets, p) for (sets, _), p in mix]))
-    return GameValue(value, ((Schedule(params, sets), p) for (sets, _), p in support))
+    return GameValue._from_checked(
+        value, tuple((Schedule._from_checked(params, sets), p) for (sets, _), p in support))

@@ -28,6 +28,8 @@ for the check to reject, and checks the very tuple of the row before
 only once.  ``reduce_instance`` shrinks a member by one row, trading
 rows against right vertices at the rate the survival function
 prescribes; its one scan gives its Ore lists or a non-member's reason.
+The instances and kill sequences built here come from a checked
+instance or a validated schedule, and are born checked.
 """
 
 from __future__ import annotations
@@ -169,21 +171,23 @@ def minimal_adversary(s: Schedule) -> Adversary:
     t_star, pairs = _scan(s.sets, s.params.n, s.params.f)
     kills = [st[0] for st in s.sets]
     if not t_star:
-        return Adversary(kills=tuple(kills))
+        return Adversary._from_checked(tuple(kills))
     right_ids = s.sets[t_star - 1]
     hit = set()
     for u, j in pairs[: s.params.f]:
         kills[u - 1] = right_ids[j - 1]
         hit.add(right_ids[j - 1])
     kills[t_star - 1] = min(p for p in right_ids if p not in hit)
-    return Adversary(kills=tuple(kills))
+    return Adversary._from_checked(tuple(kills))
 
 
 def surviving_prefix_instance(s: Schedule) -> PInstance:
     """Instance formed by the rounds strictly before the first killable
-    one (the whole schedule when none is killable)."""
+    one (the whole schedule when none is killable): rows of the validated
+    schedule, over right ids 1..N."""
     p = s.params
-    return PInstance(p.n, p.f, range(1, p.N + 1), s.sets[: minimal_survival_time(s)])
+    rows = s.sets[: minimal_survival_time(s)]
+    return PInstance._from_checked(p.n, p.f, tuple(range(1, p.N + 1)), rows)
 
 
 def membership_in_P(inst: PInstance) -> MembershipReport:
@@ -228,7 +232,9 @@ def reduce_instance(inst: PInstance) -> PInstance:
     built, satisfies |B - C| + |gamma(C)| = nu <= f - 1.  Dropping row L,
     every earlier row meeting C, and the right vertices of C yields an
     instance with L' = L - 1 - |gamma_{I_L}(C)| rows over |R| - |C| right
-    ids that still belongs.  Raises on non-members and on empty instances.
+    ids that still belongs; its rows and ids are those of ``inst`` that
+    are kept, so it is not checked again.  Raises on non-members and on
+    empty instances.
     """
     t, lists = _scan(inst.rows, inst.n, inst.f)  # on a failure, lists holds the pairs
     if t:
@@ -240,7 +246,7 @@ def reduce_instance(inst: PInstance) -> PInstance:
     wit = _ore_witness([seen[:-1] for seen in lists], last_row)
     keep_rows = tuple(row for u, row in enumerate(earlier, start=1) if u not in wit.gamma)
     keep_ids = tuple(p for p in inst.right_ids if p not in wit.C)
-    reduced = PInstance(n=inst.n, f=inst.f, right_ids=keep_ids, rows=keep_rows)
+    reduced = PInstance._from_checked(inst.n, inst.f, keep_ids, keep_rows)
 
     if reduced.left_count != len(earlier) - len(wit.gamma):
         raise RuntimeError(

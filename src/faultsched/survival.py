@@ -44,5 +44,9 @@ def h_value(n: int, f: int, k: int) -> int:
 
 
 def optimum_survival_time(params: GameParams) -> int:
-    """Best worst-case survival time over all schedules for the game."""
+    """Best worst-case survival time over all schedules for the game;
+    ValueError unless ``params`` is a ``GameParams``."""
+    from .game import _check_params  # here, as ``game`` imports this module
+
+    _check_params(params)
     return h_value(params.n, params.f, params.N)

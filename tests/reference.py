@@ -2,9 +2,10 @@
 that no command runs, kept beside the tests that use them.
 
 ``brute_deficiency`` checks the matching number and ``_ore_witness`` by
-enumerating subsets, with no matching code; ``random_schedule`` draws
-seeded schedules for the property tests; ``apriori_upper_bound`` is the
-counting bound the on-line values must stay below.  The tests import
+enumerating subsets, with no matching code; ``random_schedule`` and
+``random_cases`` draw seeded schedules for the property tests;
+``apriori_upper_bound`` is the counting bound the on-line values must
+stay below.  The tests import
 this module as ``reference``: pytest puts this directory on ``sys.path``.
 """
 
@@ -54,6 +55,19 @@ def random_schedule(params: GameParams, length: int, seed: int) -> Schedule:
         tuple(sorted(rng.sample(pool, params.n))) for _ in range(length)
     )
     return Schedule(params=params, sets=sets)
+
+
+def random_cases(count: int, seed: int, max_pool: int = 8, max_n: int = 3):
+    """``count`` seeded schedules of random parameters (n <= ``max_n``,
+    N <= ``max_pool``) and length, drawn by ``random_schedule``."""
+    import random
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, max_n)
+        f = rng.randint(1, n - 1)
+        big_n = rng.randint(n, max_pool)
+        length = rng.randint(1, big_n)
+        yield random_schedule(GameParams(N=big_n, n=n, f=f), length, seed=1000 + i)
 
 
 def apriori_upper_bound(params: GameParams) -> int:

@@ -14,6 +14,7 @@ from faultsched import (
     load_adversary,
     load_schedule,
     minimal_adversary,
+    optimum_survival_time,
     save_adversary,
     save_schedule,
     schedule_to_dict,
@@ -216,9 +217,12 @@ def test_input_that_is_not_iterable_is_named(build, name):
                          ids=["tuple", "none", "dict"])
 def test_schedule_params_must_be_game_params(params, name):
     """Parameters of another type fail at construction, not later in
-    validation with a bare AttributeError."""
-    with pytest.raises(ValueError, match=f"^params must be a GameParams, got {name}$"):
-        Schedule(params, [[1, 2], [3, 4]])
+    validation with a bare AttributeError; so do the batch schedule and
+    the optimum, which read ``params.N`` and ``params.n``."""
+    for call in (lambda: Schedule(params, [[1, 2], [3, 4]]), lambda: trivial_schedule(params),
+                 lambda: optimum_survival_time(params)):
+        with pytest.raises(ValueError, match=f"^params must be a GameParams, got {name}$"):
+            call()
 
 
 def test_repeat_kill_wastes_round():

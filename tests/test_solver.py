@@ -32,17 +32,7 @@ from faultsched import (
 )
 from faultsched import matching, solver
 from faultsched.cli import main
-from reference import random_schedule
-
-
-def random_cases(count, seed, max_pool=8, max_n=3):
-    rng = random.Random(seed)
-    for i in range(count):
-        n = rng.randint(2, max_n)
-        f = rng.randint(1, n - 1)
-        big_n = rng.randint(n, max_pool)
-        length = rng.randint(1, big_n)
-        yield random_schedule(GameParams(N=big_n, n=n, f=f), length, seed=1000 + i)
+from reference import random_cases
 
 
 def test_time_graph_padded_trivial():
@@ -153,9 +143,14 @@ VALIDATING_ENTRIES = {
 @pytest.mark.parametrize("entry", VALIDATING_ENTRIES)
 def test_schedule_validated_once(validations, entry):
     """The first call validates a fresh schedule; no later call on the
-    same object does, and an equal new object is validated again."""
+    same object does, and an equal new object is validated again.  The
+    batch schedule is born valid: neither ``trivial_schedule`` nor any
+    entry validates it."""
+    for other_params, other_call in VALIDATING_ENTRIES.values():
+        other_call(trivial_schedule(other_params))
+    assert validations == []
     params, call = VALIDATING_ENTRIES[entry]
-    s = trivial_schedule(params)
+    s = Schedule(params, trivial_schedule(params).sets)
     call(s)
     assert len(validations) == 1 and validations[0] is s
     for other_params, other_call in VALIDATING_ENTRIES.values():
@@ -525,12 +520,15 @@ def test_surviving_prefix_instance_is_member():
 
 
 def test_surviving_prefix_builds_one_instance(monkeypatch):
-    """One checked instance of the t* - 1 surviving rows, never one of the
+    """One instance of the t* - 1 surviving rows, built once, by the
+    checking constructor or from the validated rows, never one of the
     whole schedule: the result is the whole schedule's instance cut to them."""
     built = []
-    init = PInstance.__init__
+    init, made = PInstance.__init__, PInstance._from_checked
     monkeypatch.setattr(PInstance, "__init__",
                         lambda inst, *args, **kw: built.append(inst) or init(inst, *args, **kw))
+    monkeypatch.setattr(PInstance, "_from_checked",
+                        lambda *args: built.append(made(*args)) or built[-1])
     unkillable = Schedule(params=GameParams(6, 3, 2), sets=((1, 2, 3), (4, 5, 6), (1, 2, 3)))
     assert first_killable_time(unkillable) == 0
     cases = [unkillable, *random_cases(150, seed=5, max_pool=16, max_n=6)]
