@@ -145,6 +145,8 @@ class GameParams(_Frozen):
 
 
 def _check_params(params: GameParams) -> None:
+    """ValueError unless ``params`` is a ``GameParams``, which its
+    constructor has checked."""
     if not isinstance(params, GameParams):
         raise ValueError(f"params must be a GameParams, got {type(params).__name__}")
 

@@ -5,8 +5,8 @@ that no command runs, kept beside the tests that use them.
 enumerating subsets, with no matching code; ``random_schedule`` and
 ``random_cases`` draw seeded schedules for the property tests;
 ``apriori_upper_bound`` is the counting bound the on-line values must
-stay below.  The tests import
-this module as ``reference``: pytest puts this directory on ``sys.path``.
+stay below.  The tests import this module as ``reference``: pytest puts
+this directory on ``sys.path``.
 """
 
 from __future__ import annotations
