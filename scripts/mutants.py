@@ -85,9 +85,10 @@ MUTANTS = [
      ["tests/test_oracle.py::TestBruteOptimum::test_class_key_is_a_relabeling"], 30),
     # The class search's dead test.  A greedy that reuses taken steps still
     # counts distinct steps, a matching's size, so it keeps every verdict
-    # and only leaves more states to Ore's formula, which the count pins;
+    # and only leaves more states to the exact test, which the count pins;
     # the two counts bound nu from above, so a state where either equals
-    # nu and the greedy falls short is dead.
+    # nu and the greedy falls short is dead.  The exact test matches every
+    # member of the row, k of them per class, not one per class.
     ("greedy-reuses-a-step", "oracle", "free = v & ~used", "free = v",
      [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state",
       f"{ORACLE}::TestBruteOptimum::test_class_dead_rarely_needs_ore"], 30),
@@ -95,14 +96,10 @@ MUTANTS = [
      [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
     ("union-bound-not-strict", "oracle", "union.bit_count() < f", "union.bit_count() <= f",
      [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
-    # An instance skips the check of a row only when it is the row before,
-    # never the first row, and the reader shares only a tuple object's
-    # sorted copy, never an equal row's or a generator's.
-    ("row-skipped-by-equality", "solver", "row is rows[i - 2]", "row == rows[i - 2]",
-     ["tests/test_solver.py::test_equal_rows_are_each_checked"], 30),
-    ("first-row-skipped-as-a-repeat", "solver", "if i > 1 and row is rows[i - 2]:",
-     "if row is rows[i - 2]:",
-     ["tests/test_solver.py::test_shared_malformed_row_is_named_at_its_first_index"], 30),
+    ("one-member-per-class", "oracle", "v >> u & 1]] * k", "v >> u & 1]]",
+     [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
+    # The row reader shares only a tuple object's sorted copy, never an
+    # equal row's or a generator's, and an instance checks every row.
     ("rows-shared-by-equality", "game", "done, out = {}, []",
      "done, out = {}, []\n    id = lambda row: row if type(row) is tuple else object()",
      ["tests/test_solver.py::test_equal_rows_are_each_checked"], 30),
@@ -131,7 +128,8 @@ MUTANTS = [
     # its own params, as no constructor does it for it.
     ("born-schedule-not-marked", "game", "(*fields, True)", "(*fields, False)",
      ["tests/test_solver.py::test_schedule_validated_once"], 30),
-    ("batch-params-unchecked", "game", "    _check_params(params)\n    N, n, f", "    N, n, f",
+    ("batch-params-unchecked", "game", "    _check_params(params)\n    return _batch_schedule",
+     "    return _batch_schedule",
      ["tests/test_game.py::test_schedule_params_must_be_game_params"], 30),
 ]
 

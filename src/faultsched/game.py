@@ -68,10 +68,9 @@ class _Frozen:
     its fields in order as ``__match_args__`` and holds them in
     ``__slots__``; ``__init__`` binds arguments to them as a signature of
     those names would.  A type that checks its input keeps a named
-    ``__init__`` that checks, then passes its fields to this one, or, in
-    ``Schedule`` and ``GameValue``, stores each with ``_set`` at a third
-    of the cost; only ``BipartiteGraph`` checks in a ``__post_init__``,
-    for perfbench/tracer.py to wrap.  The constructors are the boundary;
+    ``__init__`` that checks, then passes its fields to this one; only
+    ``BipartiteGraph`` checks in a ``__post_init__``, for
+    perfbench/tracer.py to wrap.  The constructors are the boundary;
     ``_from_checked`` binds fields that the library built from checked
     values, and checks nothing.  Equality and hash go by the exact class
     and the field tuple, ``repr`` is ``Name(field=value, ...)``, and
@@ -171,8 +170,7 @@ class Schedule(_Frozen):
 
     def __init__(self, params: GameParams, sets: Iterable[Iterable[int]]) -> None:
         _check_params(params)
-        _set(self, "params", params)
-        _set(self, "sets", _rows(sets, "set"))
+        _Frozen.__init__(self, params, _rows(sets, "set"))
         _set(self, "_valid", False)
 
     def __len__(self) -> int:
@@ -273,6 +271,11 @@ def trivial_schedule(params: GameParams) -> Schedule:
     valid and never validated.
     """
     _check_params(params)
+    return _batch_schedule(params)[0]
+
+
+def _batch_schedule(params: GameParams) -> tuple[Schedule, int]:
+    """``trivial_schedule`` of ``params`` already checked, with h(n, f, N)."""
     N, n, f = params.N, params.n, params.f
     q, p = divmod(N, n)
     sets: list[tuple[int, ...]] = []
@@ -285,7 +288,7 @@ def trivial_schedule(params: GameParams) -> Schedule:
     if len(sets) != h:
         raise RuntimeError(f"batch prefix has {len(sets)} sets, expected h = {h}")
     sets.extend([sets[-1]] * (N - len(sets)))
-    return Schedule._from_checked(params, tuple(sets))
+    return Schedule._from_checked(params, tuple(sets)), h
 
 
 # The field maps of the schedule and adversary wire formats (see ``codec``).

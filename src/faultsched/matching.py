@@ -1,8 +1,9 @@
 """Bipartite graphs, maximum matching, and deficiency witnesses.
 
 There is one matcher, Kuhn's augmenting-path search ``_grow_matching``:
-``max_matching`` runs it from a graph's left vertices, and the solver's
-killability scan from the members of S_t, on their lists of earlier steps.
+``max_matching`` runs it from a graph's left vertices, the solver's
+killability scan from the members of S_t and the class search's exact
+dead test from the newest row's members, on their lists of earlier steps.
 
 The matching size nu of a bipartite graph equals, by Ore's deficiency
 formula, the minimum over subsets C of the right side B of

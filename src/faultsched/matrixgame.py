@@ -31,9 +31,9 @@ _MAX_PAYOFF_CELLS = 100_000
 # a rule that cycles, above the 3,081 that the on-line game's largest run
 # makes before the cell budget stops it.
 _MAX_PIVOTS = 10_000
-# The one zero of every returned strategy: most entries of a grown
-# game's strategies are 0, and a Fraction is immutable.
-_ZERO = Fraction(0)
+# The one zero of every returned strategy (most entries of a grown game's
+# strategies are 0) and the one 1 of a pure one: a Fraction is immutable.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class MatrixGameSolution(_Frozen):
@@ -243,7 +243,7 @@ def double_oracle(first_row: object, payoff: Callable, row_response: Callable,
     ``solve_zero_sum`` then solves on from the round before's basis.
     Raises ``BudgetExceededError`` once the LP solves would pass
     ``_MAX_PAYOFF_CELLS`` cells in all."""
-    br_col, col = col_response([(first_row, Fraction(1))])
+    br_col, col = col_response([(first_row, _ONE)])
     rows, cols, matrix, cells = [first_row], [col], _Tableau([[payoff(first_row, col)]]), 0
     while True:
         cells += len(rows) * len(cols)

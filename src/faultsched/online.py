@@ -27,12 +27,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .game import BudgetExceededError, GameParams, Schedule, _Frozen, _listed, _require_valid, _set
-from .game import _check_params
-from .game import survival_time, trivial_schedule  # noqa: F401 - perfbench wraps survival_time
-from .matrixgame import double_oracle, over_common_denominator
+from .game import BudgetExceededError, GameParams, Schedule, _Frozen, _listed, _require_valid
+from .game import _batch_schedule, _check_params
+from .game import survival_time  # noqa: F401 - perfbench wraps survival_time
+from .matrixgame import _ONE, double_oracle, over_common_denominator
 from .matrixgame import solve_zero_sum  # noqa: F401 - perfbench wraps online.solve_zero_sum
-from .survival import h_value
 
 Ints = tuple[int, ...]  # a set's ids, or a schedule's set masks
 Sets = tuple[Ints, ...]
@@ -56,8 +55,7 @@ class GameValue(_Frozen):
     strategy_support: Support
 
     def __init__(self, value: Fraction, strategy_support: Support) -> None:
-        _set(self, "strategy_support", _distribution(strategy_support, "strategy_support", value))
-        _set(self, "value", value)
+        _Frozen.__init__(self, value, _distribution(strategy_support, "strategy_support", value))
 
 
 def _distribution(items: Support, name: str, value: Fraction = 0) -> Support:
@@ -280,10 +278,10 @@ def online_game_value(params: GameParams, mode: str) -> GameValue:
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"mode must be deterministic or randomized, got {mode!r}")
     _check_guard(params)
+    batch, h = _batch_schedule(params)
     if mode == "deterministic":
-        return GameValue._from_checked(Fraction(h_value(params.n, params.f, params.N)),
-                                       ((trivial_schedule(params), Fraction(1)),))
-    start = trivial_schedule(params).sets
+        return GameValue._from_checked(Fraction(h), ((batch, _ONE),))
+    start = batch.sets
     value, support = double_oracle(
         (start, tuple(sum(1 << p for p in row) for row in start)),
         lambda schedule, policy: _policy_survival(params, schedule[1], policy),

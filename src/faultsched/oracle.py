@@ -1,11 +1,11 @@
 """Brute-force reference implementations.
 
-Everything here recomputes by direct enumeration, with no graph or
-matching code, what the fast modules obtain through matchings or closed
-forms: ``brute_adversary_min`` plays out every kill sequence, round by
-round over the distinct sets of kills; ``brute_optimum`` searches
-schedule prefixes up to relabeling, with a greedy matching and two
-counts on classes of ids as its dead test and Ore's formula for the
+Everything here recomputes by direct enumeration what the fast modules
+obtain through matchings or closed forms: ``brute_adversary_min`` plays
+out every kill sequence, round by round over the distinct sets of kills,
+with no matching code; ``brute_optimum`` searches schedule prefixes up to
+relabeling, with a greedy matching and two counts on classes of ids as
+its dead test and the library's one matcher, ``_grow_matching``, for the
 few states they leave open, skipping most prefixes that it has expanded
 in another order of their rows.  Budgets are hard caps: exceeding one raises.
 """
@@ -13,9 +13,10 @@ in another order of their rows.  Budgets are hard caps: exceeding one raises.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, or_
+from operator import or_
 
 from .game import BudgetExceededError, GameParams, Schedule, _require_valid
+from .matching import _grow_matching
 from .matching import max_matching  # noqa: F401 - perfbench/tracer.py wraps oracle.max_matching
 
 Prefix = tuple[tuple[int, ...], ...]
@@ -153,24 +154,21 @@ def _class_children(state: Classes, n: int) -> list[Classes]:
 
 
 def _class_matching_number(state: Classes) -> int:
-    """Matching number of the newest row's time graph, by Ore's formula
-    on whole classes: the row's members drawn from one class have the
-    same earlier steps as neighbours, so nu is the minimum over sets Q of
-    the classes the row meets of (n - sum of k_v over Q) + |union of
-    the supports of Q|."""
-    top = 1 << (state[-1][0].bit_length() - 1)
-    taken, unions = [0], [0]  # over Q: minus the sum of k_v, the union
+    """Matching number of the newest row's time graph, by
+    ``_grow_matching`` on the row's members: the k of them drawn from
+    class v share one list, the earlier steps (bits) of v."""
+    top = state[-1][0].bit_length() - 1
+    members = []
     for v, k in state:
-        if v & top:
-            taken += [t - k for t in taken]
-            unions += [u | (v ^ top) for u in unions]
-    return min(map(add, taken, map(int.bit_count, unions))) - taken[-1]
+        if v >> top:
+            members += [[u for u in range(top) if v >> u & 1]] * k
+    return len(_grow_matching(members))
 
 
 def _class_dead(state: Classes, f: int) -> bool:
     """Whether the newest row's time graph has matching number at least
     ``f``, settled by three counts over the classes the row meets before
-    Ore's formula: a greedy matching of their ids to distinct earlier
+    the exact test: a greedy matching of their ids to distinct earlier
     steps, lowest bit first, is a lower bound on nu; their number and
     the size of the union of their earlier steps are upper bounds.  The
     fresh class (ids in no earlier row) has no steps and is skipped.

@@ -24,12 +24,11 @@ its last set, looks its members up once per run of equal rows.
 degree n whose time graphs all have matching number at most f - 1.  Its
 constructor, the one check of instance input, reads the rows through
 ``Schedule``'s reader, which leaves ids that do not compare unsorted
-for the check to reject, and checks the very tuple of the row before
-only once.  ``reduce_instance`` shrinks a member by one row, trading
-rows against right vertices at the rate the survival function
-prescribes; its one scan gives its Ore lists or a non-member's reason.
-The instances and kill sequences built here come from a checked
-instance or a validated schedule, and are born checked.
+for the check to reject.  ``reduce_instance`` shrinks a member by one
+row, trading rows against right vertices at the rate the survival
+function prescribes; its one scan gives its Ore lists or a non-member's
+reason.  The instances and kill sequences built here come from a
+checked instance or a validated schedule, and are born checked.
 """
 
 from __future__ import annotations
@@ -72,8 +71,6 @@ class PInstance(_Frozen):
         universe = set(right_ids)
         rows = _rows(rows, "row")
         for i, row in enumerate(rows, start=1):
-            if i > 1 and row is rows[i - 2]:  # the very tuple of the row before, already checked
-                continue
             if {*map(type, row)} - {int} or not universe.issuperset(row):  # True and 1.0 hash as 1
                 raise ValueError(f"row {i} uses ids outside right_ids")
             if not all(map(lt, row, row[1:])):

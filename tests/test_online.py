@@ -30,7 +30,7 @@ from faultsched import (
     trivial_schedule,
     two_pool_brute_optimum,
 )
-from faultsched import matrixgame, online
+from faultsched import game, matrixgame, online
 from faultsched.matrixgame import double_oracle, over_common_denominator
 from faultsched.online import _best_response, _kill, _policy_survival, _scheduler_best_response
 from reference import apriori_upper_bound
@@ -565,6 +565,20 @@ class TestOnlineGameValue:
         sched, p = gv.strategy_support[0]
         assert p == 1
         assert sched == trivial_schedule(GameParams(4, 2, 1))
+
+    def test_deterministic_solve_checks_params_and_computes_h_once(self, monkeypatch):
+        calls = []
+        for mod in (game, online):
+            for name in ("_check_params", "h_value"):
+                if hasattr(mod, name):
+                    fn = getattr(mod, name)
+                    monkeypatch.setattr(mod, name,
+                                        lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        first = online_game_value(GameParams(5, 5, 3), "deterministic")
+        assert sorted(calls) == ["_check_params", "h_value"]
+        assert first.value == 3
+        second = online_game_value(GameParams(4, 2, 1), "deterministic")
+        assert first.strategy_support[0][1] is second.strategy_support[0][1] == 1
 
     @pytest.mark.parametrize("n,f", [(3, 1), (3, 2), (4, 2)])
     def test_single_set_pool_randomized(self, n, f):

@@ -87,16 +87,28 @@ def unmerged_search(params, max_states):
 
 def searched_states(monkeypatch, max_n):
     """Every state ``brute_optimum`` tests on the grid up to ``max_n``,
-    as (state, n, f), and how many of them ran Ore's formula."""
-    tested, ore = [], []
+    as (state, n, f), and those of them that ran the exact test."""
+    tested, exact_tested = [], []
     dead, exact = oracle._class_dead, oracle._class_matching_number
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_class_matching_number", lambda state: ore.append(state) or exact(state))
+        m.setattr(oracle, "_class_matching_number",
+                  lambda state: exact_tested.append(state) or exact(state))
         for p in grid(max_n):
             m.setattr(oracle, "_class_dead",
                       lambda state, f, n=p.n: tested.append((state, n, f)) or dead(state, f))
             brute_optimum(p)
-    return tested, len(ore)
+    return tested, exact_tested
+
+
+def deficiency_of(state):
+    """Matching number of the newest row's time graph of a class state,
+    by ``brute_deficiency``, which has no matching code, on the graph of
+    the state's ids and rows: class (v, c) stands for c ids, each in the
+    rows u with bit u of v set."""
+    ids = [v for v, c in state for _ in range(c)]
+    rows = [tuple(p for p, v in enumerate(ids, 1) if v >> u & 1)
+            for u in range(state[-1][0].bit_length())]
+    return brute_deficiency(BipartiteGraph.from_rows(rows[:-1], rows[-1])).value
 
 
 def test_budget_validation():
@@ -277,19 +289,28 @@ class TestBruteOptimum:
         assert nu == max_matching(g).size == brute_deficiency(g).value
 
     def test_class_dead_agrees_with_ore_on_every_tested_state(self, monkeypatch):
+        # Ore's deficiency formula by subset enumeration is the reference
+        # of both the exact test and the dead test that it backs.
         tested, _ = searched_states(monkeypatch, 7)
         assert len(tested) == 1940
         for state, n, _ in tested:
-            nu = _class_matching_number(state)
+            nu = deficiency_of(state)
+            assert _class_matching_number(state) == nu, state
             for f in range(-1, n + 2):
                 assert _class_dead(state, f) == (nu >= f), (state, f)
+
+    def test_exact_test_agrees_with_ore_on_every_state_it_settles_to_eight(self, monkeypatch):
+        _, exact_tested = searched_states(monkeypatch, 8)
+        assert len(exact_tested) == 127
+        for state in exact_tested:
+            assert _class_matching_number(state) == deficiency_of(state), state
 
     def test_class_dead_rarely_needs_ore(self, monkeypatch):
         # The greedy matching and the two counts settle all but 11 of the
         # 1,940 states tested up to N=7; a dropped bound raises the count.
-        tested, ore = searched_states(monkeypatch, 7)
-        assert (ore, len(tested), sum(_class_matching_number(s) >= f for s, _, f in tested)) == (
-            11, 1940, 1504)
+        tested, exact_tested = searched_states(monkeypatch, 7)
+        dead = sum(_class_matching_number(s) >= f for s, _, f in tested)
+        assert (len(exact_tested), len(tested), dead) == (11, 1940, 1504)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
