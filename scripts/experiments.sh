@@ -8,14 +8,15 @@
 # check that fails ends the script with a non-zero exit.
 #
 # Small sweeps, so a script that no longer runs against the library
-# fails here; together they take about 15 s on a shared 2-vCPU VM.
-# verify-theorem --max-N 9 checks the closed form on all 120 cells
-# up to N=9 by the search over prefixes up to relabeling, which
-# skips most prefixes that it has expanded in another order of their
-# rows (about 1.2-1.5 s and 189,474 states, of which the one matcher
-# settles the 2,019 that a greedy matching and two counts leave open;
-# about 45 s without that transposition table), and every match
-# column must read true.
+# fails here; together they take about 20 s on a shared 2-vCPU VM.
+# verify-theorem --max-N 10 checks the closed form on all 165 cells
+# up to N=10 by the search over prefixes up to relabeling, which
+# draws no row that a greedy matching already calls dead and skips
+# most prefixes that it has expanded in another order of their rows
+# (about 9-10 s; up to N=9, 13,563 states, of which the one matcher
+# settles the 2,019 that the greedy and two counts leave open, where
+# drawing every row tests 189,474 and takes about twice as long),
+# and every match column must read true.
 # The tier-1 tests compare that search with a plain prefix search
 # on the 35 cells up to N=6.
 # verify-theorem and two_pool_tightness.py exit 2 on a mismatch
@@ -129,8 +130,8 @@ python scripts/two_pool_tightness.py --max-pool 7
 python -m faultsched two-pool --N1 8 --N2 0 --n 4 --g1 1 --g2 0 \
   --brute > "$tmp/two-pool.txt"
 printf 'bound=6\nsplit=4,0\nbrute_T_opt=6\n' | diff - "$tmp/two-pool.txt"
-python -m faultsched verify-theorem --max-N 9 > "$tmp/theorem.csv"
-test "$(grep -c ',true' "$tmp/theorem.csv")" -eq 120
+python -m faultsched verify-theorem --max-N 10 > "$tmp/theorem.csv"
+test "$(grep -c ',true' "$tmp/theorem.csv")" -eq 165
 # The optimal schedule at N=3200 survives h = 800 steps; one
 # killability scan finds t* = 801 in well under a second, and
 # the kills read off its matching replay to exactly 800.

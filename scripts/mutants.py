@@ -98,6 +98,13 @@ MUTANTS = [
      [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
     ("one-member-per-class", "oracle", "v >> u & 1]] * k", "v >> u & 1]]",
      [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
+    # The children drawn with f leave out exactly the children whose greedy
+    # holds more than f steps: stopping at f steps loses live children, and
+    # a greedy that reuses taken steps keeps dead ones.
+    ("prune-at-f-steps", "oracle", "if steps.bit_count() > cap:", "if steps.bit_count() >= cap:",
+     [f"{ORACLE}::TestBruteOptimum::test_pruned_children_are_the_children_the_greedy_keeps"], 30),
+    ("prune-greedy-reuses-a-step", "oracle", "free = v & ~steps", "free = v",
+     [f"{ORACLE}::TestBruteOptimum::test_pruned_children_are_the_children_the_greedy_keeps"], 30),
     # The row reader shares only a tuple object's sorted copy, never an
     # equal row's or a generator's, and an instance checks every row.
     ("rows-shared-by-equality", "game", "done, out = {}, []",

@@ -77,22 +77,28 @@ def relabel(state, moved):
                         for v, c in state))
 
 
-def unmerged_search(params, max_states):
+def unmerged_search(params, max_states, prune=False):
     """``brute_optimum``'s class search with a key that never merges two
-    states, so that it tests every class state it reaches."""
-    return prefix_search(((0, params.N),), lambda state: _class_children(state, params.n),
+    states, so that it tests every class state it reaches; its children
+    are pruned by the greedy only when ``prune`` is set."""
+    return prefix_search(((0, params.N),),
+                         lambda state: _class_children(state, params.n, params.f if prune else None),
                          lambda state: _class_matching_number(state) >= params.f,
                          lambda state: state, params.N, max_states)
 
 
-def searched_states(monkeypatch, max_n):
+def searched_states(monkeypatch, max_n, prune=True):
     """Every state ``brute_optimum`` tests on the grid up to ``max_n``,
-    as (state, n, f), and those of them that ran the exact test."""
+    as (state, n, f), and those of them that ran the exact test.  Without
+    ``prune`` its children are drawn without f, so it also tests the
+    children that the greedy calls dead."""
     tested, exact_tested = [], []
-    dead, exact = oracle._class_dead, oracle._class_matching_number
+    children, dead, exact = _class_children, oracle._class_dead, oracle._class_matching_number
     with monkeypatch.context() as m:
         m.setattr(oracle, "_class_matching_number",
                   lambda state: exact_tested.append(state) or exact(state))
+        if not prune:
+            m.setattr(oracle, "_class_children", lambda state, n, f: children(state, n))
         for p in grid(max_n):
             m.setattr(oracle, "_class_dead",
                       lambda state, f, n=p.n: tested.append((state, n, f)) or dead(state, f))
@@ -242,14 +248,15 @@ class TestBruteOptimum:
             assert brute_optimum(p) == h_value(p.n, p.f, p.N)
 
     def test_transposition_table_merges_isomorphs(self):
-        # (8,6,5) tests 1,808 states, where the search that never merges
-        # tests 30,336.
+        # (8,6,5) tests 394 states, where the search that never merges
+        # tests 1,899 (30,336 when its children are not pruned).
         params = GameParams(8, 6, 5)
-        assert brute_optimum(params, 1808) == h_value(6, 5, 8) == 6
+        assert brute_optimum(params, 394) == h_value(6, 5, 8) == 6
         with pytest.raises(BudgetExceededError):
-            brute_optimum(params, 1807)
+            brute_optimum(params, 393)
+        assert unmerged_search(params, 1899, prune=True) == 6
         with pytest.raises(BudgetExceededError):
-            unmerged_search(params, 1808)
+            unmerged_search(params, 1898, prune=True)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -290,8 +297,10 @@ class TestBruteOptimum:
 
     def test_class_dead_agrees_with_ore_on_every_tested_state(self, monkeypatch):
         # Ore's deficiency formula by subset enumeration is the reference
-        # of both the exact test and the dead test that it backs.
-        tested, _ = searched_states(monkeypatch, 7)
+        # of both the exact test and the dead test that it backs, on the
+        # states tested when the children are drawn without f, so that
+        # the greedy's verdicts are checked too.
+        tested, _ = searched_states(monkeypatch, 7, prune=False)
         assert len(tested) == 1940
         for state, n, _ in tested:
             nu = deficiency_of(state)
@@ -307,10 +316,31 @@ class TestBruteOptimum:
 
     def test_class_dead_rarely_needs_ore(self, monkeypatch):
         # The greedy matching and the two counts settle all but 11 of the
-        # 1,940 states tested up to N=7; a dropped bound raises the count.
-        tested, exact_tested = searched_states(monkeypatch, 7)
-        dead = sum(_class_matching_number(s) >= f for s, _, f in tested)
-        assert (len(exact_tested), len(tested), dead) == (11, 1940, 1504)
+        # 1,940 states tested up to N=7 when the children are drawn
+        # without f; a dropped bound raises the count.  Drawn with f, the
+        # greedy leaves out 1,501 of those states, all dead, and none of
+        # the 11.
+        for prune, pinned in ((False, (11, 1940, 1504)), (True, (11, 439, 3))):
+            tested, exact_tested = searched_states(monkeypatch, 7, prune)
+            dead = sum(_class_matching_number(s) >= f for s, _, f in tested)
+            assert (len(exact_tested), len(tested), dead) == pinned
+
+    def test_pruned_children_are_the_children_the_greedy_keeps(self, monkeypatch):
+        # With an exact test below every f, _class_dead is its greedy
+        # alone; for every state brute_optimum expands up to N=7 and every
+        # f, the children drawn with f are the others, in the same order.
+        expanded = []
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_class_children",
+                      lambda state, n, f: expanded.append((state, n)) or _class_children(state, n, f))
+            for p in grid(7):
+                brute_optimum(p)
+        assert len(expanded) == 354  # the 56 roots among them
+        monkeypatch.setattr(oracle, "_class_matching_number", lambda state: -2)
+        for state, n in expanded:
+            drawn = _class_children(state, n)
+            for f in range(-1, n + 2):
+                assert _class_children(state, n, f) == [c for c in drawn if not _class_dead(c, f)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -324,8 +354,11 @@ class TestBruteOptimum:
             assert _class_dead(state, f) == (nu >= f)
 
     def test_budget_guard(self):
+        # (5,2,1) tests 2 states: only rows that meet no earlier row are
+        # drawn, {1,2} and then {3,4}.
+        assert brute_optimum(GameParams(5, 2, 1), 2) == 2
         with pytest.raises(BudgetExceededError):
-            brute_optimum(GameParams(5, 2, 1), 3)
+            brute_optimum(GameParams(5, 2, 1), 1)
 
     def test_memory_is_bounded_by_the_path(self):
         # Only the siblings of the prefixes on the current path and the

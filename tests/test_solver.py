@@ -635,8 +635,10 @@ def test_shared_malformed_row_is_named_at_its_first_index():
 
 
 def test_equal_rows_are_each_checked():
-    """Only the very same tuple object skips the check: ``(1.0, 2)``
-    equals ``(1, 2)`` but is its own object, and is rejected."""
+    """``PInstance`` checks every row it reads: ``(1.0, 2)`` equals
+    ``(1, 2)``, but the row reader shares a sorted copy only with the
+    very same tuple object, so the float row is read, and rejected, on
+    its own."""
     with pytest.raises(ValueError, match="^row 2 uses ids outside right_ids$"):
         PInstance(2, 1, (1, 2), [(1, 2), (1.0, 2)])
 
