@@ -13,7 +13,7 @@
 # up to N=10 by the search over prefixes up to relabeling, which
 # draws no row that a greedy matching already calls dead and skips
 # most prefixes that it has expanded in another order of their rows
-# (about 9-10 s; up to N=9, 13,563 states, of which the one matcher
+# (about 8.5 s; up to N=9, 13,563 states, of which the one matcher
 # settles the 2,019 that the greedy and two counts leave open, where
 # drawing every row tests 189,474 and takes about twice as long),
 # and every match column must read true.
@@ -22,9 +22,13 @@
 # verify-theorem and two_pool_tightness.py exit 2 on a mismatch
 # and 3 when a cell is skipped.  two_pool_tightness.py at
 # --max-pool 7 searches all 259 two-type cells within the probe's
-# size guard in well under a second, by the same class search;
-# the degenerate two-pool cell N1=8, N2=0, n=4, g1=1 is the
-# probe's largest search and must equal the single-pool h.  The
+# size guard in well under a second, by the same class search,
+# drawing each pool's part of a row on its own and none that a
+# greedy matching already calls dead; its stdout, 260 CSV lines
+# with \r\n line ends, is pinned by SHA-256, so a change that moves
+# any searched optimum, bound or split fails here.  The degenerate
+# two-pool cell N1=8, N2=0, n=4, g1=1 is the probe's largest
+# search and must equal the single-pool h.  The
 # instance commands also run at scale: the surviving 800 rows of
 # the N=3200 optimal schedule, built without library code, pass
 # check-p, reduce to 790 rows over 3160 ids, the batch formula's
@@ -126,7 +130,8 @@ python -m faultsched online-value --N 5 --n 4 --f 3 --mode deterministic \
 printf '%s\n' 'value=3' 'support:' \
   'p=1 sets=[[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4]]' \
   | diff - "$tmp/online-543-det.txt"
-python scripts/two_pool_tightness.py --max-pool 7
+python scripts/two_pool_tightness.py --max-pool 7 > "$tmp/two-pool-sweep.csv"
+test "$(sha256 "$tmp/two-pool-sweep.csv")" = 1007e9840b7eaade57f17af118886ff81e827fe9ba6f358228957f8b46b595c9
 python -m faultsched two-pool --N1 8 --N2 0 --n 4 --g1 1 --g2 0 \
   --brute > "$tmp/two-pool.txt"
 printf 'bound=6\nsplit=4,0\nbrute_T_opt=6\n' | diff - "$tmp/two-pool.txt"

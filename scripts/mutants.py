@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ONLINE = "tests/test_online.py"
 ORACLE = "tests/test_oracle.py"
 BORN = "tests/test_born_checked.py"
+TWOPOOL = "tests/test_twopool.py"
 
 # (name, module, old text, new text, tests, wall bound in seconds)
 MUTANTS = [
@@ -83,15 +84,10 @@ MUTANTS = [
     ("key-without-relabeling", "oracle", "    return tuple(sorted((sum(",
      "    return tuple(sorted(c for v, c in state))\n    return tuple(sorted((sum(",
      ["tests/test_oracle.py::TestBruteOptimum::test_class_key_is_a_relabeling"], 30),
-    # The class search's dead test.  A greedy that reuses taken steps still
-    # counts distinct steps, a matching's size, so it keeps every verdict
-    # and only leaves more states to the exact test, which the count pins;
-    # the two counts bound nu from above, so a state where either equals
-    # nu and the greedy falls short is dead.  The exact test matches every
-    # member of the row, k of them per class, not one per class.
-    ("greedy-reuses-a-step", "oracle", "free = v & ~used", "free = v",
-     [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state",
-      f"{ORACLE}::TestBruteOptimum::test_class_dead_rarely_needs_ore"], 30),
+    # The class search's dead test: the two counts bound nu from above, so
+    # a state where either equals f can still be dead.  The exact test
+    # matches every member of the row, k of them per class, not one per
+    # class.
     ("seen-bound-not-strict", "oracle", "seen < f", "seen <= f",
      [f"{ORACLE}::TestBruteOptimum::test_class_dead_agrees_with_ore_on_every_tested_state"], 30),
     ("union-bound-not-strict", "oracle", "union.bit_count() < f", "union.bit_count() <= f",
@@ -101,10 +97,18 @@ MUTANTS = [
     # The children drawn with f leave out exactly the children whose greedy
     # holds more than f steps: stopping at f steps loses live children, and
     # a greedy that reuses taken steps keeps dead ones.
-    ("prune-at-f-steps", "oracle", "if steps.bit_count() > cap:", "if steps.bit_count() >= cap:",
+    ("prune-at-f-steps", "oracle", "if steps.bit_count() > f:", "if steps.bit_count() >= f:",
      [f"{ORACLE}::TestBruteOptimum::test_pruned_children_are_the_children_the_greedy_keeps"], 30),
     ("prune-greedy-reuses-a-step", "oracle", "free = v & ~steps", "free = v",
      [f"{ORACLE}::TestBruteOptimum::test_pruned_children_are_the_children_the_greedy_keeps"], 30),
+    # The two-pool probe draws each pool's part of the row at its own need
+    # and sets pool 2's type bit again on its part: a need one too high
+    # keeps rows the greedy calls dead, and a part without its type bit
+    # puts pool-2 ids in pool 1.
+    ("probe-need-off-by-one", "twopool", "k - tp.g2, bit)", "k - tp.g2 + 1, bit)",
+     [f"{TWOPOOL}::TestBruteProbe::test_draw_leaves_out_only_greedy_dead_rows"], 30),
+    ("probe-merge-drops-type-bit", "twopool", "(v | 1, c)", "(v, c)",
+     [f"{TWOPOOL}::TestBruteProbe::test_draw_leaves_out_only_greedy_dead_rows"], 30),
     # The row reader shares only a tuple object's sorted copy, never an
     # equal row's or a generator's, and an instance checks every row.
     ("rows-shared-by-equality", "game", "done, out = {}, []",

@@ -4,12 +4,13 @@ Everything here recomputes by direct enumeration what the fast modules
 obtain through matchings or closed forms: ``brute_adversary_min`` plays
 out every kill sequence, round by round over the distinct sets of kills,
 with no matching code; ``brute_optimum`` searches schedule prefixes up to
-relabeling, with a greedy matching and two counts on classes of ids as
-its dead test and the library's one matcher, ``_grow_matching``, for the
-few states they leave open, running the greedy while it draws each row
-so that it never builds a row the greedy calls dead, and skipping most
-prefixes that it has expanded in another order of their rows.  Budgets
-are hard caps: exceeding one raises.
+relabeling: it runs a greedy matching while it draws each row, so that
+it never builds a row the greedy calls dead, settles most of the rows it
+builds by two counts on classes of ids and the few they leave open by
+the library's one matcher, ``_grow_matching``, and skips most prefixes
+that it has expanded in another order of their rows.  The two-pool probe
+runs the same draw and dead test.  Budgets are hard caps: exceeding one
+raises.
 """
 
 from __future__ import annotations
@@ -137,20 +138,23 @@ def prefix_search(
     return best
 
 
-def _class_children(state: Classes, n: int, f: int | None = None) -> list[Classes]:
+def _class_children(state: Classes, n: int, f: int, bit: int) -> list[Classes]:
     """Every way to draw the next row's n ids from the classes of
-    ``state``: k_v of class v, 0 <= k_v <= count_v.  The row's bit sits
-    above every bit set so far, so the children stay sorted by vector
-    and distinct compositions give distinct children.
+    ``state``, k_v of class v, 0 <= k_v <= count_v, but those that a
+    greedy matching already calls dead: ``bit`` is the row's, above
+    every bit set so far, so the children stay sorted by vector and
+    distinct compositions give distinct children.
 
-    Given ``f``, it leaves out every child that ``_class_dead`` calls
-    dead by its greedy alone: it runs that greedy while it draws, in the
-    same class order (the row's own bit, then the lowest free earlier
-    steps of each drawn class), and stops raising k_v once the greedy
-    holds more than f steps.  Later classes only add steps, so the
-    children it keeps are the others, in the same order."""
-    bit = 1 << state[-1][0].bit_length()
-    cap = bit.bit_length() if f is None else f  # without f, a cap the greedy cannot pass
+    The greedy matches the row's ids to distinct earlier steps while it
+    draws, in class order, each id taking the lowest free step of its
+    class; the row's own bit counts as one step (the kill at the row
+    itself).  Once it holds more than f steps, its matching number is
+    at least f, so the row is dead, and it stops raising k_v; later
+    classes only add steps, so the children it keeps are the others, in
+    the same order.  The class searches' dead test runs no greedy: this
+    draw is its only copy.  The two-pool probe draws each pool's part of
+    a row from that pool's classes alone, whose top class need not hold
+    the newest row, so the caller gives the bit."""
     room = sum(c for _, c in state)  # ids in the classes not yet drawn from
     partial = [(n, (), (), bit)]  # (ids left to draw, classes kept, classes drawn, greedy's steps)
     for v, c in state:
@@ -159,7 +163,7 @@ def _class_children(state: Classes, n: int, f: int | None = None) -> list[Classe
         for rest, kept, drawn, steps in partial:
             free = v & ~steps
             for k in range(min(c, rest) + 1):
-                if steps.bit_count() > cap:
+                if steps.bit_count() > f:
                     break
                 if k >= rest - room:
                     grown.append((rest - k, kept + ((v, c - k),) if k < c else kept,
@@ -184,25 +188,19 @@ def _class_matching_number(state: Classes) -> int:
 
 def _class_dead(state: Classes, f: int) -> bool:
     """Whether the newest row's time graph has matching number at least
-    ``f``, settled by three counts over the classes the row meets before
-    the exact test: a greedy matching of their ids to distinct earlier
-    steps, lowest bit first, is a lower bound on nu; their number and
-    the size of the union of their earlier steps are upper bounds.  The
-    fresh class (ids in no earlier row) has no steps and is skipped.
-    Only a state none of them settles runs ``_class_matching_number``."""
+    ``f``.  Two counts over the classes the row meets are upper bounds
+    on nu, so each settles only live states: the number of the row's ids
+    that meet an earlier row, and the size of the union of their earlier
+    steps (the fresh class, ids in no earlier row, has no steps and is
+    skipped).  A state neither settles, every dead one among them, runs
+    ``_class_matching_number``.  No greedy runs here: ``_class_children``
+    builds no row that a greedy matching calls dead."""
     top = 1 << (state[-1][0].bit_length() - 1)
     seen = union = 0
-    used = top  # the steps the greedy has taken, and the row's own bit
     for v, k in state:
         if v > top:
             seen += k
             union |= v ^ top
-            free = v & ~used
-            for _ in range(k):
-                used |= free & -free
-                free &= free - 1
-    if used.bit_count() > f:
-        return True
     if seen < f or union.bit_count() < f:
         return False
     return _class_matching_number(state) >= f
@@ -245,16 +243,16 @@ def brute_optimum(params: GameParams, max_states: int = 10**8) -> int:
     the multiset of the ids' incidence vectors (bit u set iff the id is
     in S_{u+1}), as ``(vector, count)`` pairs sorted by vector; its
     children are ``_class_children`` drawn with f, which builds none
-    that ``_class_dead``'s greedy calls dead, it is dead, and pruned,
-    when ``_class_dead`` finds its matching number at least f, and its
-    key is ``_class_key``.  ``prefix_search`` enforces ``max_states``,
-    which counts only the children built: up to N=7, 8 and 9 they are
-    439, 1,934 and 13,563 states, where drawing without f builds
-    1,940, 14,897 and 189,474.
+    that its greedy matching calls dead, it is dead, and pruned, when
+    ``_class_dead`` finds its matching number at least f, and its key is
+    ``_class_key``.  ``prefix_search`` enforces ``max_states``, which
+    counts only the children built: up to N=7, 8 and 9 they are 439,
+    1,934 and 13,563 states, of which 11, 127 and 2,019 run the exact
+    test, where drawing every row builds 1,940, 14,897 and 189,474.
     """
     return prefix_search(
         ((0, params.N),),
-        lambda state: _class_children(state, params.n, params.f),
+        lambda state: _class_children(state, params.n, params.f, 1 << state[-1][0].bit_length()),
         lambda state: _class_dead(state, params.f),
         _class_key,
         params.N,

@@ -9,7 +9,9 @@ a lower bound on the two-pool optimum.  It is not tight: at N1 = N2 = 5,
 n = 5, g1 = g2 = 1 (pool 1 is ids 1-5) it is 2, and (1,2,3,6,7),
 (1,2,3,8,9), (4,5,6,7,10) survives 3 rounds.  ``two_pool_brute_optimum``
 searches tiny pools by the class search of ``oracle.brute_optimum`` with
-the pool type in the class key, reported beside the bound, never equated.
+the pool type in the class key, drawing each pool's part of a row on its
+own, at that pool's need, with the same pruned draw and dead test; its
+optimum is reported beside the bound, never equated.
 """
 
 from __future__ import annotations
@@ -97,13 +99,15 @@ def _killable(state: Classes, tp: TwoPoolParams) -> bool:
 
     Breaking quorum i at round t takes count_i - g_i + 1 dead type-i
     members of S_t.  One kill lands at t itself (a live type-i member
-    always remains at that point, since g_i >= 1); the rest must come
-    from earlier rounds, one per round, each a member of that round's
-    set, which is a matching of the row's type-i members into the
-    earlier rows: ``_class_dead`` on the type-i classes with the type
-    bit cleared says whether one that large exists.  A row at its
-    quorum needs no earlier kill (a need of 0 or less) and is dead at
-    once.  A zero quorum demands nothing and cannot break.
+    always remains at that point, since g_i >= 1); the rest, the need
+    count_i - g_i, must come from earlier rounds, one per round, each a
+    member of that round's set, which is a matching of the row's type-i
+    members into the earlier rows: ``_class_dead`` on the type-i classes
+    with the type bit cleared says whether one that large exists.  A row
+    at its quorum (a need of 0) is dead at once; the probe never draws
+    one, as its draw counts the kill at the row itself as one step,
+    already more than the need.  A zero quorum demands nothing and
+    cannot break.
     """
     top = 1 << (state[-1][0].bit_length() - 1)
     for kind, quorum in ((0, tp.g1), (1, tp.g2)):
@@ -125,9 +129,14 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
     ``brute_optimum`` with the pool type in the class key: bit 0 of an
     id's incidence vector is its type, so row bits start at bit 1, no
     class mixes the types, and ``_class_key`` keeps bit 0 in place.
-    Only rows already meeting both quorums with zero faults are drawn,
-    and a state is dead when ``_killable`` says so.  ``prefix_search``
-    enforces ``max_states``, which must be an int of at least 1.
+    Only rows already meeting both quorums with zero faults are drawn:
+    for each count k of pool-2 ids with g2 <= k <= n - g1, each pool's
+    part is drawn by ``_class_children`` from that pool's classes, at
+    that pool's need (k - g2 and n - k - g1), so no row is built that a
+    greedy matching within one pool calls dead, and the parts are
+    merged.  A state is dead when ``_killable`` says so.
+    ``prefix_search`` enforces ``max_states``, which must be an int of
+    at least 1.
     """
     total = tp.N1 + tp.N2
     if total > PROBE_MAX_POOL or tp.n > PROBE_MAX_N:
@@ -137,14 +146,19 @@ def two_pool_brute_optimum(tp: TwoPoolParams, max_states: int = 10**7) -> int:
         )
 
     def children(state: Classes) -> list[Classes]:
-        # Only rows that meet both quorums with zero faults: the sum
-        # counts the new row's type-2 ids.
+        # An empty pool 2 leaves out its root class of 0 ids, so that its
+        # part, of k = 0 ids (k <= N2), is drawn from no class and never
+        # pruned.
         bit = 1 << state[-1][0].bit_length()
-        return [
-            child
-            for child in _class_children(state, tp.n)
-            if tp.g2 <= sum(c for v, c in child if v & bit and v & 1) <= tp.n - tp.g1
-        ]
+        pool1 = tuple((v, c) for v, c in state if not v & 1)
+        pool2 = tuple((v ^ 1, c) for v, c in state if v & 1 and c)
+        out = []
+        for k in range(tp.g2, min(tp.n - tp.g1, tp.N2) + 1):
+            twos = [tuple((v | 1, c) for v, c in two)
+                    for two in _class_children(pool2, k, k - tp.g2, bit)]
+            for ones in _class_children(pool1, tp.n - k, tp.n - k - tp.g1, bit) if twos else ():
+                out += [tuple(sorted(ones + two)) for two in twos]
+        return out
 
     return prefix_search(
         ((0, tp.N1), (1, tp.N2)),

@@ -2,7 +2,9 @@
 that no command runs, kept beside the tests that use them.
 
 ``brute_deficiency`` checks the matching number and ``_ore_witness`` by
-enumerating subsets, with no matching code; ``random_schedule`` and
+enumerating subsets, with no matching code; ``greedy_matching_size`` is
+the greedy that the class searches run while they draw a row, over
+plain lists of earlier steps; ``random_schedule`` and
 ``random_cases`` draw seeded schedules for the property tests;
 ``apriori_upper_bound`` is the counting bound the on-line values must
 stay below.  The tests import this module as ``reference``: pytest puts
@@ -41,6 +43,17 @@ def brute_deficiency(g: BipartiteGraph) -> DeficiencyWitness:
         if key < (best_value, len(best_c), best_c):
             best_value, best_c, best_gamma = value, members, gamma
     return DeficiencyWitness(C=frozenset(best_c), gamma=frozenset(best_gamma), value=best_value)
+
+
+def greedy_matching_size(members: list[list[int]]) -> int:
+    """Size of the greedy matching of a row's members to distinct earlier
+    steps, given each member's list of earlier steps: the members in
+    ascending order of their incidence vectors (bit u for step u), each
+    taking its lowest step that no member before it took."""
+    taken: set[int] = set()
+    for steps in sorted(members, key=lambda us: sum(1 << u for u in us)):
+        taken.update([u for u in steps if u not in taken][:1])
+    return len(taken)
 
 
 def random_schedule(params: GameParams, length: int, seed: int) -> Schedule:

@@ -742,7 +742,7 @@ def test_scripts_reject_out_of_range_arguments(monkeypatch, capsys, script_name,
 
 @pytest.mark.parametrize("argv,code,blank", [
     (["--max-pool", "2"], 0, 0),
-    (["--max-pool", "2", "--max-states", "1"], 3, 2),
+    (["--max-pool", "4", "--max-states", "1"], 3, 1),
     (["--max-pool", "3"], 0, 0),
 ])
 def test_two_pool_tightness_exit_code(monkeypatch, capsys, argv, code, blank):
@@ -753,7 +753,7 @@ def test_two_pool_tightness_exit_code(monkeypatch, capsys, argv, code, blank):
     monkeypatch.setattr(sys, "argv", ["two_pool_tightness.py", *argv])
     assert script.main() == code
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == {"2": 19, "3": 69}[argv[1]]
+    assert len(rows) == {"2": 19, "3": 69, "4": 139}[argv[1]]
     assert sum(r["brute"] == "" for r in rows) == blank
 
 

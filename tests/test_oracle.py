@@ -25,7 +25,7 @@ from faultsched.oracle import (
     _class_matching_number,
     prefix_search,
 )
-from reference import brute_deficiency, random_schedule
+from reference import brute_deficiency, greedy_matching_size, random_schedule
 
 
 def grid(max_n):
@@ -77,12 +77,26 @@ def relabel(state, moved):
                         for v, c in state))
 
 
+def new_bit(state):
+    """The bit of the row drawn next from ``state``, above every bit set."""
+    return 1 << state[-1][0].bit_length()
+
+
+def newest_members(state):
+    """Each member of the newest row of a class state, as its list of
+    earlier steps: the k drawn from class v share the earlier bits of v."""
+    top = state[-1][0].bit_length() - 1
+    return [[u for u in range(top) if v >> u & 1] for v, k in state if v >> top for _ in range(k)]
+
+
 def unmerged_search(params, max_states, prune=False):
     """``brute_optimum``'s class search with a key that never merges two
     states, so that it tests every class state it reaches; its children
-    are pruned by the greedy only when ``prune`` is set."""
+    are pruned by the greedy only when ``prune`` is set, and drawn with a
+    cap of n + 1 steps, which no greedy passes, when it is not."""
+    cap = params.f if prune else params.n + 1
     return prefix_search(((0, params.N),),
-                         lambda state: _class_children(state, params.n, params.f if prune else None),
+                         lambda state: _class_children(state, params.n, cap, new_bit(state)),
                          lambda state: _class_matching_number(state) >= params.f,
                          lambda state: state, params.N, max_states)
 
@@ -90,15 +104,17 @@ def unmerged_search(params, max_states, prune=False):
 def searched_states(monkeypatch, max_n, prune=True):
     """Every state ``brute_optimum`` tests on the grid up to ``max_n``,
     as (state, n, f), and those of them that ran the exact test.  Without
-    ``prune`` its children are drawn without f, so it also tests the
-    children that the greedy calls dead."""
+    ``prune`` its children are drawn with a cap of n + 1 steps, which no
+    greedy passes, so it also tests the children that the greedy calls
+    dead."""
     tested, exact_tested = [], []
     children, dead, exact = _class_children, oracle._class_dead, oracle._class_matching_number
     with monkeypatch.context() as m:
         m.setattr(oracle, "_class_matching_number",
                   lambda state: exact_tested.append(state) or exact(state))
         if not prune:
-            m.setattr(oracle, "_class_children", lambda state, n, f: children(state, n))
+            m.setattr(oracle, "_class_children",
+                      lambda state, n, f, bit: children(state, n, n + 1, bit))
         for p in grid(max_n):
             m.setattr(oracle, "_class_dead",
                       lambda state, f, n=p.n: tested.append((state, n, f)) or dead(state, f))
@@ -298,8 +314,9 @@ class TestBruteOptimum:
     def test_class_dead_agrees_with_ore_on_every_tested_state(self, monkeypatch):
         # Ore's deficiency formula by subset enumeration is the reference
         # of both the exact test and the dead test that it backs, on the
-        # states tested when the children are drawn without f, so that
-        # the greedy's verdicts are checked too.
+        # states tested when the children are drawn with a cap that no
+        # greedy passes, so that the dead states, which the draw with f
+        # never builds, are checked too.
         tested, _ = searched_states(monkeypatch, 7, prune=False)
         assert len(tested) == 1940
         for state, n, _ in tested:
@@ -315,32 +332,38 @@ class TestBruteOptimum:
             assert _class_matching_number(state) == deficiency_of(state), state
 
     def test_class_dead_rarely_needs_ore(self, monkeypatch):
-        # The greedy matching and the two counts settle all but 11 of the
-        # 1,940 states tested up to N=7 when the children are drawn
-        # without f; a dropped bound raises the count.  Drawn with f, the
-        # greedy leaves out 1,501 of those states, all dead, and none of
-        # the 11.
-        for prune, pinned in ((False, (11, 1940, 1504)), (True, (11, 439, 3))):
+        # Drawn with f, the greedy leaves out 1,501 of the 1,940 states
+        # that the draw with a cap no greedy passes tests up to N=7, all
+        # dead, and the two counts settle all but 11 of the other 439; a
+        # dropped bound raises the count.  The counts bound the matching
+        # number from above, so they settle only live states: every dead
+        # state runs the exact test, the 1,504 of the 1,940 as the 3 of
+        # the 439, and the same 8 live states are left open in both.
+        for prune, pinned in ((False, (1512, 1940, 1504)), (True, (11, 439, 3))):
             tested, exact_tested = searched_states(monkeypatch, 7, prune)
             dead = sum(_class_matching_number(s) >= f for s, _, f in tested)
             assert (len(exact_tested), len(tested), dead) == pinned
 
     def test_pruned_children_are_the_children_the_greedy_keeps(self, monkeypatch):
-        # With an exact test below every f, _class_dead is its greedy
-        # alone; for every state brute_optimum expands up to N=7 and every
-        # f, the children drawn with f are the others, in the same order.
+        # For every state brute_optimum expands up to N=7 and every f, the
+        # children drawn with f are those drawn with a cap that no greedy
+        # passes less the ones whose greedy matching, recomputed on plain
+        # lists by tests/reference.py, is at least f, in the same order.
         expanded = []
         with monkeypatch.context() as m:
             m.setattr(oracle, "_class_children",
-                      lambda state, n, f: expanded.append((state, n)) or _class_children(state, n, f))
+                      lambda state, n, f, bit: expanded.append((state, n, bit))
+                      or _class_children(state, n, f, bit))
             for p in grid(7):
                 brute_optimum(p)
         assert len(expanded) == 354  # the 56 roots among them
-        monkeypatch.setattr(oracle, "_class_matching_number", lambda state: -2)
-        for state, n in expanded:
-            drawn = _class_children(state, n)
+        for state, n, bit in expanded:
+            assert bit == new_bit(state)
+            drawn = _class_children(state, n, n + 1, bit)
+            greedy = [greedy_matching_size(newest_members(c)) for c in drawn]
             for f in range(-1, n + 2):
-                assert _class_children(state, n, f) == [c for c in drawn if not _class_dead(c, f)]
+                assert _class_children(state, n, f, bit) == [
+                    c for c, size in zip(drawn, greedy) if size < f]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -15,7 +15,9 @@ from faultsched import (
     two_pool_lower_bound,
 )
 from faultsched import oracle, twopool
+from faultsched.oracle import _class_children
 from faultsched.twopool import MAX_SPLITS
+from reference import greedy_matching_size
 
 
 def guarded_cells():
@@ -31,37 +33,56 @@ def guarded_cells():
     ]
 
 
+def per_type(tp, c):
+    """Each pool's members of row ``c``, with that pool's quorum."""
+    return ((tuple(p for p in c if p <= tp.N1), tp.g1), (tuple(p for p in c if p > tp.N1), tp.g2))
+
+
+def killable(tp, prefix, c):
+    """Whether some kill sequence breaks a quorum at row ``c`` after
+    ``prefix``: a maximum matching of the row's type-i members into the
+    earlier rows reaches count_i - g_i for a type i with g_i > 0."""
+    return any(quorum and max_matching(BipartiteGraph.from_rows(prefix, ids)).size
+               >= len(ids) - quorum for ids, quorum in per_type(tp, c))
+
+
+def greedy_dead(tp, prefix, c):
+    """``killable`` with the greedy matching of tests/reference.py in
+    place of the maximum one: the rows that the probe never draws."""
+    return any(quorum and greedy_matching_size([[u for u, row in enumerate(prefix) if p in row]
+                                                for p in ids])
+               >= len(ids) - quorum for ids, quorum in per_type(tp, c))
+
+
 def plain_two_pool_search(tp):
     """The plain two-pool prefix search, the reference for
     ``two_pool_brute_optimum``: yields every prefix it tests, each
     extension of a live prefix by one of the n-subsets that meet both
     quorums with zero faults, up to length N1 + N2, with whether it is
-    live.  No relabeling; the dead test is a maximum matching per type
-    of the newest row's type-i members into the earlier rows, which
-    breaks quorum i when it reaches count_i - g_i."""
+    live.  No relabeling; the dead test is ``killable``."""
     total = tp.N1 + tp.N2
     candidates = [
         c for c in itertools.combinations(range(1, total + 1), tp.n)
         if sum(p <= tp.N1 for p in c) >= tp.g1 and sum(p > tp.N1 for p in c) >= tp.g2
     ]
 
-    def live(prefix, c):
-        for is_type1, quorum in ((True, tp.g1), (False, tp.g2)):
-            rights = tuple(p for p in c if (p <= tp.N1) == is_type1)
-            if quorum and max_matching(
-                BipartiteGraph.from_rows(prefix, rights)
-            ).size >= len(rights) - quorum:
-                return False
-        return True
-
     def grow(prefix):
         for c in candidates:
-            ok = live(prefix, c)
+            ok = not killable(tp, prefix, c)
             yield prefix + (c,), ok
             if ok and len(prefix) + 1 < total:
                 yield from grow(prefix + (c,))
 
     return grow(())
+
+
+def prefix_of(tp, state):
+    """A prefix whose class state is ``state``: pool 1's ids 1..N1 and
+    pool 2's after them, dealt out to the classes in order."""
+    ids = [iter(range(1, tp.N1 + 1)), iter(range(tp.N1 + 1, tp.N1 + tp.N2 + 1))]
+    members = [(next(ids[v & 1]), v) for v, c in state for _ in range(c)]
+    return [tuple(sorted(p for p, v in members if v >> u & 1))
+            for u in range(1, state[-1][0].bit_length())]
 
 
 def deepest_live(tested):
@@ -263,7 +284,9 @@ class TestBruteProbe:
         # The probe tests one state per orbit of the prefixes the plain
         # search tests, under every relabeling that keeps each pool's
         # ids in that pool, the orbit's representative being its least
-        # relabeling, when its key never merges states; the
+        # relabeling, when its key never merges states, less the orbits
+        # whose newest row the greedy of tests/reference.py already
+        # calls dead (a verdict that relabeling keeps); the
         # transposition table only removes some.
         total = tp.N1 + tp.N2
         relabelings = [
@@ -273,18 +296,51 @@ class TestBruteProbe:
         ]
         tested = list(plain_two_pool_search(tp))
         orbits = {
-            min(tuple(tuple(sorted(m[p] for p in row)) for row in prefix) for m in relabelings)
+            min(tuple(tuple(sorted(m[p] for p in row)) for row in prefix) for m in relabelings):
+            prefix
             for prefix, _ in tested
         }
+        drawn = sum(not greedy_dead(tp, prefix[:-1], prefix[-1]) for prefix in orbits.values())
         value = deepest_live(tested)
-        assert two_pool_brute_optimum(tp, max_states=max(len(orbits), 1)) == value
+        assert two_pool_brute_optimum(tp, max_states=max(drawn, 1)) == value
         monkeypatch.setattr(twopool, "prefix_search",
                             lambda root, children, dead, key, *rest, **kw:
                             oracle.prefix_search(root, children, dead, lambda s: s, *rest, **kw))
-        assert two_pool_brute_optimum(tp, max_states=max(len(orbits), 1)) == value
-        if len(orbits) > 1:
+        assert two_pool_brute_optimum(tp, max_states=max(drawn, 1)) == value
+        if drawn > 1:
             with pytest.raises(BudgetExceededError):
-                two_pool_brute_optimum(tp, max_states=len(orbits) - 1)
+                two_pool_brute_optimum(tp, max_states=drawn - 1)
+
+    def test_draw_leaves_out_only_greedy_dead_rows(self, monkeypatch):
+        # For every state the probe expands on the guarded cells, its
+        # children are the children drawn with a cap that no greedy
+        # passes, less those that miss a quorum with zero faults and
+        # those that the greedy of tests/reference.py calls dead for
+        # either type, each once and sorted by vector; a child left out
+        # that meets both quorums is killable by a maximum matching.
+        expanded = []
+        monkeypatch.setattr(twopool, "prefix_search",
+                            lambda root, children, *rest, **kw: oracle.prefix_search(
+                                root, lambda s: expanded.append((s, children(s))) or expanded[-1][1],
+                                *rest, **kw))
+        drawn = kept = 0
+        for tp in guarded_cells():
+            expanded.clear()
+            two_pool_brute_optimum(tp)
+            for state, children in expanded:
+                bit = 1 << state[-1][0].bit_length()
+                meets = {c: prefix_of(tp, c)
+                         for c in _class_children(state, tp.n, tp.n + 1, bit)
+                         if tp.g2 <= sum(k for v, k in c if v & bit and v & 1) <= tp.n - tp.g1}
+                assert len(set(children)) == len(children)
+                assert all(list(c) == sorted(c) for c in children)
+                assert set(children) == {c for c, prefix in meets.items()
+                                         if not greedy_dead(tp, prefix[:-1], prefix[-1])}, state
+                for c in meets.keys() - set(children):
+                    assert killable(tp, meets[c][:-1], meets[c][-1]), (tp, c)
+                drawn += len(meets)
+                kept += len(children)
+        assert (drawn, kept) == (7778, 582)
 
     def test_guard(self):
         with pytest.raises(BudgetExceededError):
