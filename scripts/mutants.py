@@ -29,6 +29,7 @@ ONLINE = "tests/test_online.py"
 ORACLE = "tests/test_oracle.py"
 BORN = "tests/test_born_checked.py"
 TWOPOOL = "tests/test_twopool.py"
+CODEC = "tests/test_codec.py"
 
 # (name, module, old text, new text, tests, wall bound in seconds)
 MUTANTS = [
@@ -142,6 +143,13 @@ MUTANTS = [
     ("batch-params-unchecked", "game", "    _check_params(params)\n    return _batch_schedule",
      "    return _batch_schedule",
      ["tests/test_game.py::test_schedule_params_must_be_game_params"], 30),
+    # The strict reader: a JSON true or false is a bool, which isinstance
+    # takes for an int, in a list of ids or as a single number, and a field
+    # given twice must not be read as its last value.
+    ("bool-in-int-list", "codec", "all(type(y) is int for y in x)",
+     "all(isinstance(y, int) for y in x)", [CODEC], 30),
+    ("bool-as-int", "codec", "if type(x) is not int:", "if not isinstance(x, int):", [CODEC], 30),
+    ("duplicate-field-kept", "codec", "if key in doc:", "if False:", [CODEC], 30),
 ]
 
 

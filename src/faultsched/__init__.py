@@ -13,11 +13,14 @@ command loads only the modules it runs.
 """
 
 _HOMES = {
+    "codec": (
+        "adversary_to_dict", "instance_to_dict", "load_adversary", "load_instance",
+        "load_schedule", "save_adversary", "save_instance", "save_schedule",
+        "schedule_to_dict",
+    ),
     "game": (
         "Adversary", "BudgetExceededError", "GameParams", "Schedule", "Violation",
-        "adversary_to_dict", "load_adversary", "load_schedule", "save_adversary",
-        "save_schedule", "schedule_to_dict", "survival_time", "trivial_schedule",
-        "validate_adversary", "validate_schedule",
+        "survival_time", "trivial_schedule", "validate_adversary", "validate_schedule",
     ),
     "matching": (
         "BipartiteGraph", "DeficiencyWitness", "Matching", "deficiency_witness",
@@ -27,9 +30,8 @@ _HOMES = {
     "online": ("GameValue", "adversary_best_response", "online_game_value"),
     "oracle": ("brute_adversary_min", "brute_optimum"),
     "solver": (
-        "MembershipReport", "PInstance", "first_killable_time",
-        "instance_to_dict", "load_instance", "membership_in_P", "minimal_adversary",
-        "minimal_survival_time", "reduce_instance", "save_instance",
+        "MembershipReport", "PInstance", "first_killable_time", "membership_in_P",
+        "minimal_adversary", "minimal_survival_time", "reduce_instance",
         "surviving_prefix_instance", "time_graph",
     ),
     "survival": ("h_value", "optimum_survival_time"),
@@ -39,7 +41,7 @@ _HOMES = {
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = frozenset(_HOMES) | {"cli", "codec"}
+_SUBMODULES = frozenset(_HOMES) | {"cli"}
 
 __all__ = sorted(_HOME)
 

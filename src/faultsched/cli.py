@@ -11,9 +11,9 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace as Namespace
 
-from .codec import to_json
-from .game import (BudgetExceededError, GameParams, adversary_to_dict, load_adversary,
-                   load_schedule, save_adversary, save_schedule, survival_time, trivial_schedule)
+from .codec import (adversary_to_dict, instance_to_dict, load_adversary, load_instance,
+                    load_schedule, save_adversary, save_instance, save_schedule, to_json)
+from .game import BudgetExceededError, GameParams, survival_time, trivial_schedule
 from .survival import h_value, optimum_survival_time
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def _cmd_solve_adversary(ns: Namespace) -> None:
 
 
 def _cmd_check_p(ns: Namespace) -> int | None:
-    from .solver import load_instance, membership_in_P
+    from .solver import membership_in_P
 
     report = membership_in_P(load_instance(ns.instance))
     if not report.member:
@@ -71,7 +71,7 @@ def _cmd_check_p(ns: Namespace) -> int | None:
 
 
 def _cmd_reduce(ns: Namespace) -> None:
-    from .solver import instance_to_dict, load_instance, reduce_instance, save_instance
+    from .solver import reduce_instance
 
     inst = load_instance(ns.instance)
     reduced = reduce_instance(inst)
@@ -119,10 +119,10 @@ def _cmd_two_pool(ns: Namespace) -> None:
 
     tp = TwoPoolParams(N1=ns.N1, N2=ns.N2, n=ns.n, g1=ns.g1, g2=ns.g2)
     bound, split = two_pool_best_split(tp)
-    print(f"bound={bound}")
-    print(f"split={split[0]},{split[1]}" if split else "split=none")
-    if ns.brute:
-        print(f"brute_T_opt={two_pool_brute_optimum(tp)}")
+    # The probe runs before any print, so that its size guard leaves stdout empty.
+    brute = [f"brute_T_opt={two_pool_brute_optimum(tp)}"] if ns.brute else []
+    print(f"bound={bound}", f"split={split[0]},{split[1]}" if split else "split=none", *brute,
+          sep="\n")
 
 
 def _cmd_online_value(ns: Namespace) -> None:
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def __getattr__(name: str) -> object:
     """perfbench/tracer.py wraps library names on this module, such as
-    ``cli.load_instance``; resolve those not imported above lazily."""
+    ``cli.membership_in_P``; resolve those not imported above lazily."""
     package = sys.modules[__package__]
     if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

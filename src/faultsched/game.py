@@ -10,16 +10,17 @@ once, at the boundary: the public constructors check what they are
 given, and a ``Schedule`` cannot change after construction, so neither
 can its validity: entry points validate each object once and remember a
 pass, never a failure.  A value the library builds from values already
-checked is born checked, through ``_Frozen._from_checked``.
+checked is born checked, through ``_Frozen._from_checked``.  The JSON
+files of schedules and adversaries are read and written by ``codec``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from operator import lt
-from os import PathLike
 
-from .codec import read_document, write_document
+from .codec import (  # noqa: F401 - perfbench/workloads.py calls them on fs.game
+    adversary_to_dict, load_adversary, load_schedule, schedule_to_dict)
 from .survival import h_value
 
 
@@ -290,35 +291,3 @@ def _batch_schedule(params: GameParams) -> tuple[Schedule, int]:
     sets.extend([sets[-1]] * (N - len(sets)))
     return Schedule._from_checked(params, tuple(sets)), h
 
-
-# The field maps of the schedule and adversary wire formats (see ``codec``).
-
-
-def schedule_to_dict(s: Schedule) -> dict:
-    return {
-        "N": s.params.N,
-        "n": s.params.n,
-        "f": s.params.f,
-        "sets": [list(row) for row in s.sets],
-    }
-
-
-def adversary_to_dict(a: Adversary) -> dict:
-    return {"kills": list(a.kills)}
-
-
-def load_schedule(path: str | PathLike[str]) -> Schedule:
-    d = read_document(path, N=0, n=0, f=0, sets=2)
-    return Schedule(GameParams(d["N"], d["n"], d["f"]), d["sets"])
-
-
-def save_schedule(s: Schedule, path: str | PathLike[str]) -> None:
-    write_document(schedule_to_dict(s), path)
-
-
-def load_adversary(path: str | PathLike[str]) -> Adversary:
-    return Adversary(read_document(path, kills=1)["kills"])
-
-
-def save_adversary(a: Adversary, path: str | PathLike[str]) -> None:
-    write_document(adversary_to_dict(a), path)

@@ -22,7 +22,8 @@ its last set, looks its members up once per run of equal rows.
 
 ``PInstance`` packages the abstract form of a surviving prefix: rows of
 degree n whose time graphs all have matching number at most f - 1.  Its
-constructor, the one check of instance input, reads the rows through
+constructor, the one check of instance input (``codec.load_instance``
+passes it the fields of a JSON file), reads the rows through
 ``Schedule``'s reader, which leaves ids that do not compare unsorted
 for the check to reject.  ``reduce_instance`` shrinks a member by one
 row, trading rows against right vertices at the rate the survival
@@ -35,9 +36,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from operator import lt
-from os import PathLike
 
-from .codec import read_document, write_document
+from .codec import instance_to_dict, load_instance  # noqa: F401 - perfbench/workloads.py calls them
 from .game import Adversary, Schedule, _Frozen, _listed, _require_valid, _rows
 from .matching import BipartiteGraph, _grow_matching, _ore_witness
 from .matching import deficiency_witness, max_matching  # noqa: F401 - perfbench's tracer wraps them
@@ -201,23 +201,6 @@ def _reason(inst: PInstance, t: int, pairs: list | None) -> str:
     """Why ``inst`` fails at row t, from ``_scan``'s return (t, pairs)."""
     return (f"row {t} has degree {len(inst.rows[t - 1])}, expected {inst.n}" if pairs is None
             else f"time graph at t={t} has matching number {len(pairs)} >= f={inst.f}")
-
-
-def instance_to_dict(inst: PInstance) -> dict:
-    return {
-        "n": inst.n,
-        "f": inst.f,
-        "right_ids": list(inst.right_ids),
-        "rows": [list(row) for row in inst.rows],
-    }
-
-
-def load_instance(path: str | PathLike[str]) -> PInstance:
-    return PInstance(**read_document(path, n=0, f=0, right_ids=1, rows=2))
-
-
-def save_instance(inst: PInstance, path: str | PathLike[str]) -> None:
-    write_document(instance_to_dict(inst), path)
 
 
 def reduce_instance(inst: PInstance) -> PInstance:

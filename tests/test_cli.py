@@ -366,13 +366,15 @@ def test_two_pool_brute(capsys):
 
 
 def test_two_pool_brute_guard(capsys):
-    code, _, err = run_cli(
+    """Past the probe's size guard: exit 3, and the bound and split that
+    were computed before it are not printed either."""
+    code, out, err = run_cli(
         capsys,
         "two-pool",
         "--N1", "8", "--N2", "8", "--n", "4", "--g1", "1", "--g2", "1", "--brute",
     )
-    assert code == 3
-    assert "error" in err
+    assert (code, out) == (3, "")
+    assert "probe limited to N1+N2 <= 8 and n <= 4, got 16 and 4" in err
 
 
 def test_two_pool_split_cap(capsys):

@@ -141,13 +141,39 @@ def test_duplicate_field_rejected(tmp_path, load, text, field):
         load(path)
 
 
-def test_only_codec_imports_json():
-    """``codec`` is the one module that knows the wire format."""
-    importers = set()
+def _modules_using(wanted):
+    """Stems of the package's modules that import a module in ``wanted``
+    or use a name in it, by an AST scan of their source."""
+    users = set()
     for path in Path(faultsched.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            if any(name.split(".")[0] == "json" for name in names):
-                importers.add(path.stem)
-    assert importers == {"codec"}
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name) else [])
+            if wanted.intersection(name.split(".")[0] for name in names):
+                users.add(path.stem)
+    return users
+
+
+def test_only_codec_imports_json():
+    """``codec`` is the one module that knows the wire format."""
+    assert _modules_using({"json"}) == {"codec"}
+
+
+def test_codec_is_the_one_home_of_the_wire_functions():
+    """Every field map, loader and saver is defined in ``codec``, no other
+    module calls its reader or writer, and the names the benchmark looks
+    up on ``game`` and ``solver`` are ``codec``'s own functions, so that
+    it times the code the CLI runs."""
+    from faultsched import codec, game, solver
+
+    for load, save, to_dict in FORMATS.values():
+        for func in (load, save, to_dict):
+            assert func.__module__ == "faultsched.codec", func.__name__
+            assert getattr(codec, func.__name__) is func
+    assert _modules_using({"read_document", "write_document"}) == {"codec"}
+    for module, names in ((game, ["adversary_to_dict", "load_adversary", "load_schedule",
+                                  "schedule_to_dict"]),
+                          (solver, ["instance_to_dict", "load_instance"])):
+        for name in names:
+            assert getattr(module, name) is getattr(codec, name), f"{module.__name__}.{name}"
