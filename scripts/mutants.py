@@ -30,20 +30,21 @@ ORACLE = "tests/test_oracle.py"
 BORN = "tests/test_born_checked.py"
 TWOPOOL = "tests/test_twopool.py"
 CODEC = "tests/test_codec.py"
+PARSER = "tests/test_cli.py::test_parser_matches_argparse"
 
 # (name, module, old text, new text, tests, wall bound in seconds)
 MUTANTS = [
     # The warm-started LP: each fault was found to fail its test within 2 s.
-    ("column-objective-entry", "matrixgame", "                a[m][k] -= d\n", "",
+    ("column-objective-entry", "tableau", "                a[m][k] -= d\n", "",
      [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
-    ("new-row-elimination", "matrixgame", "if b < k:\n                        line = [x -",
+    ("new-row-elimination", "tableau", "if b < k:\n                        line = [x -",
      "if b < 0:\n                        line = [x -",
      [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
-    ("rebuild-on-new-scale", "matrixgame", "if self.scale % den or min(ints) < self.scale:",
+    ("rebuild-on-new-scale", "tableau", "if self.scale % den or min(ints) < self.scale:",
      "if min(ints) < self.scale:", [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
-    ("rebuild-on-new-minimum", "matrixgame", "if self.scale % den or min(ints) < self.scale:",
+    ("rebuild-on-new-minimum", "tableau", "if self.scale % den or min(ints) < self.scale:",
      "if self.scale % den:", [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
-    ("dual-step-skipped", "matrixgame",
+    ("dual-step-skipped", "tableau",
      "if dual := [(b, i) for i, b in enumerate(basis) if a[i][w] < 0]:", "if dual := []:",
      [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 30),
     ("always-a-new-tableau", "matrixgame", "if not isinstance(game, _Tableau):", "if True:",
@@ -52,7 +53,7 @@ MUTANTS = [
      [f"{ONLINE}::TestDoubleOracle"], 30),
     # Without the negation the pivot loop never ends; the pivot bound must
     # stop it, or at worst the tests' wall-clock guard.
-    ("negative-pivot-row-kept", "matrixgame", "pivot_row = a[leave] = [-x for x in pivot_row]",
+    ("negative-pivot-row-kept", "tableau", "pivot_row = a[leave] = [-x for x in pivot_row]",
      "pivot_row = a[leave]", [f"{ONLINE}::test_grown_tableau_matches_cold_solve"], 90),
     # The LP certificate: reversed duals still lie between floor and ceil.
     ("certificate-as-bounds", "matrixgame", "if not floor == d == ceil:",
@@ -150,6 +151,14 @@ MUTANTS = [
      "all(isinstance(y, int) for y in x)", [CODEC], 30),
     ("bool-as-int", "codec", "if type(x) is not int:", "if not isinstance(x, int):", [CODEC], 30),
     ("duplicate-field-kept", "codec", "if key in doc:", "if False:", [CODEC], 30),
+    # The argument parser, against the argparse parser it replaced: a value
+    # may be a negative integer, a missing flag is an error, and a choice
+    # must be one of its words.
+    ("negative-value-taken-as-flag", "cliargs", 'value[:1] == "-" and not value[1:].isdigit()',
+     'value[:1] == "-"', [PARSER], 30),
+    ("missing-flag-accepted", "cliargs", "if missing or extras:", "if extras:", [PARSER], 30),
+    ("any-choice-accepted", "cliargs",
+     'kind[0] == "{" and value not in kind[1:-1].split(",")', "False", [PARSER], 30),
 ]
 
 

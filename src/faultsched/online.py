@@ -30,8 +30,9 @@ from math import comb
 from .game import BudgetExceededError, GameParams, Schedule, _Frozen, _listed, _require_valid
 from .game import _batch_schedule, _check_params
 from .game import survival_time  # noqa: F401 - perfbench wraps survival_time
-from .matrixgame import _ONE, double_oracle, over_common_denominator
+from .matrixgame import _ONE, double_oracle
 from .matrixgame import solve_zero_sum  # noqa: F401 - perfbench wraps online.solve_zero_sum
+from .tableau import over_common_denominator
 
 Ints = tuple[int, ...]  # a set's ids, or a schedule's set masks
 Sets = tuple[Ints, ...]

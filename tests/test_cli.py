@@ -24,7 +24,7 @@ from faultsched import (
     surviving_prefix_instance,
     trivial_schedule,
 )
-from faultsched import cli, matrixgame
+from faultsched import cli, cliargs, matrixgame, tableau
 from faultsched.cli import (
     EXIT_INVALID,
     _cmd_check_p,
@@ -446,7 +446,7 @@ def test_online_value_cell_budget(capsys, monkeypatch):
 def test_online_value_pivot_budget(capsys, monkeypatch):
     """(3,2,1)'s LP solves make 10 pivots in all; a smaller bound stops
     the run inside a solve, which exits 3 with the LP's own message."""
-    monkeypatch.setattr(matrixgame, "_MAX_PIVOTS", 5)
+    monkeypatch.setattr(tableau, "_MAX_PIVOTS", 5)
     assert main(["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "randomized"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -477,8 +477,8 @@ def test_module_entry_point():
     assert "seed=0" in proc.stderr
 
 
-LOADED_BY_ALL = ["faultsched", "faultsched.cli", "faultsched.codec", "faultsched.game",
-                 "faultsched.survival"]
+LOADED_BY_ALL = ["faultsched", "faultsched.cli", "faultsched.cliargs", "faultsched.codec",
+                 "faultsched.game", "faultsched.survival"]
 SOLVER = ["faultsched.matching", "faultsched.solver"]
 
 
@@ -495,7 +495,7 @@ IMPORT_CASES = [
     (["two-pool", "--N1", "2", "--N2", "2", "--n", "2", "--g1", "1", "--g2", "1"],
      ["faultsched.matching", "faultsched.oracle", "faultsched.twopool"]),
     (["online-value", "--N", "3", "--n", "2", "--f", "1", "--mode", "deterministic"],
-     ["faultsched.matrixgame", "faultsched.online"]),
+     ["faultsched.matrixgame", "faultsched.online", "faultsched.tableau"]),
 ]
 
 
@@ -637,12 +637,32 @@ def build_parser() -> _Parser:
 
 
 def parse_outcome(parser, argv):
-    """``("exit", code)`` when parsing exits, else the namespace's fields."""
+    """``("exit", code)`` when parsing exits, else the namespace's fields but
+    the argparse reference's handler ``func``, which ``main`` looks up by
+    the command instead (``test_main_runs_each_commands_handler``)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(parser.parse_args(argv))
+            fields = vars(parser.parse_args(argv))
         except SystemExit as exc:
             return ("exit", exc.code)
+    fields.pop("func", None)
+    return fields
+
+
+@pytest.mark.parametrize("row", cliargs.COMMANDS.splitlines(), ids=lambda row: row.split()[0])
+def test_main_runs_each_commands_handler(monkeypatch, row):
+    """For each command row, ``main`` runs ``cli._cmd_<name>``, the handler
+    the argparse reference gave that command, and returns its exit code."""
+    name, *words = row.split()
+    argv = [name]
+    for flag in (word for word in words if word[:2] == "--"):  # the required ones
+        kind = cliargs._row(cliargs.FLAGS, flag).split()[1]
+        argv += [flag, "1" if kind == "INT" else kind.strip("{}").split(",")[0]]
+    handler = "_cmd_" + name.replace("-", "_")
+    assert build_parser().parse_args(argv).func is getattr(cli, handler)
+    ran = []
+    monkeypatch.setattr(cli, handler, lambda ns: ran.append(ns.command) or 7)
+    assert main(argv) == 7 and ran == [name]
 
 
 GAME = ["--N", "7", "--n", "4", "--f", "3"]
@@ -746,17 +766,17 @@ def test_help_names_every_command_and_flag(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert (code, err) == (0, "")
     assert out.startswith("usage: faultsched [-h] [--seed INT] <command> ...\n")
-    assert cli.COMMANDS in out and cli._row(cli.FLAGS, "--seed") in out
+    assert cliargs.COMMANDS in out and cliargs._row(cliargs.FLAGS, "--seed") in out
     shown = set()
-    for row in cli.COMMANDS.splitlines():
+    for row in cliargs.COMMANDS.splitlines():
         name, *words = row.split()
         code, out, err = run_cli(capsys, name, "--help")
         assert (code, err) == (0, "")
         assert out.startswith(f"usage: faultsched {name} [-h] --") and row in out.splitlines()
         for flag in (word.strip("[]") for word in words if "--" in word):
-            assert f"\n{cli._row(cli.FLAGS, flag)}\n" in out
+            assert f"\n{cliargs._row(cliargs.FLAGS, flag)}\n" in out
             shown.add(flag)
-    assert shown | {"--seed"} == {row.split()[0] for row in cli.FLAGS.splitlines()}
+    assert shown | {"--seed"} == {row.split()[0] for row in cliargs.FLAGS.splitlines()}
 
 
 @pytest.mark.parametrize("argv", [

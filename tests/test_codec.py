@@ -126,6 +126,20 @@ def test_error_names_the_field(tmp_path):
 
 
 @pytest.mark.parametrize("load,text,field", [
+    (load_schedule, '{"N": 2, "n": 2, "f": 1, "sets": [[1, true]]}', r"sets\[0\]\[1\]"),
+    (load_adversary, '{"kills": [true]}', r"kills\[0\]"),
+    (load_instance, '{"n": 2, "f": 1, "right_ids": [1, true], "rows": []}', r"right_ids\[1\]"),
+])
+def test_bool_in_an_id_list_rejected(tmp_path, load, text, field):
+    """JSON ``true`` reads as a bool, which ``isinstance`` takes for an int;
+    the mutated-document test draws it in a list only now and then."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        load(path)
+
+
+@pytest.mark.parametrize("load,text,field", [
     (load_schedule, '{"N": 4, "n": 2, "f": 1, "sets": [[1,2],[3,4],[3,4],[3,4]], "N": 5}', "N"),
     (load_adversary, '{"kills": [9, 9], "kills": [1, 3, 4, 4]}', "kills"),
     (load_instance, '{"n": 2, "f": 1, "right_ids": [1, 2], "rows": [], "rows": [[1, 2]]}',

@@ -31,8 +31,9 @@ from faultsched import (
     two_pool_brute_optimum,
 )
 from faultsched import game, matrixgame, online
-from faultsched.matrixgame import double_oracle, over_common_denominator
+from faultsched.matrixgame import double_oracle
 from faultsched.online import _best_response, _kill, _policy_survival, _scheduler_best_response
+from faultsched.tableau import over_common_denominator
 from reference import apriori_upper_bound
 
 
@@ -258,9 +259,9 @@ class TestDoubleOracle:
         (tableau,) = tableaus
         used = tableau.pivots
         assert used > len(STAND_IN)
-        monkeypatch.setattr(matrixgame, "_MAX_PIVOTS", used)
+        monkeypatch.setattr("faultsched.tableau._MAX_PIVOTS", used)
         assert double_oracle(*stand_in_oracle())[0] == Fraction(-931, 983)
-        monkeypatch.setattr(matrixgame, "_MAX_PIVOTS", used - 1)
+        monkeypatch.setattr("faultsched.tableau._MAX_PIVOTS", used - 1)
         with pytest.raises(BudgetExceededError) as e:
             double_oracle(*stand_in_oracle())
         assert str(e.value) == f"exact LP exceeded its budget of {used - 1} pivots"

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import faultsched
-from faultsched import game, online, oracle, twopool
+from faultsched import cli, game, online, oracle, solver, twopool
 
 PUBLIC = [
     "Adversary", "BipartiteGraph", "BudgetExceededError",
@@ -70,6 +70,24 @@ def test_submodule_attribute_in_fresh_process():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "faultsched.solver\n", "")
+
+
+def test_tracer_finds_every_wrap_target():
+    """perfbench/tracer.py wraps library names where they are looked up and
+    raises LookupError on one that is gone, so a refactor that moves one
+    fails here.  ``cli`` resolves a public name it does not import, such
+    as one the tracer wraps there, through its module ``__getattr__``."""
+    root = Path(faultsched.__file__).parents[2]
+    code = ("from perfbench.run import import_faultsched\n"
+            "from perfbench.tracer import Tracer, install\n"
+            "install(Tracer(), import_faultsched())\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.membership_in_P is solver.membership_in_P
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
 
 
 def test_one_budget_error_class():
