@@ -36,7 +36,11 @@
 # solve-adversary and reduce print to stdout the bytes they write
 # with --out, and the surviving prefixes of the swapped schedule and
 # of a seeded random one reduce to members whose files are pinned
-# by SHA-256.
+# by SHA-256.  So are the kills that solve-adversary writes for the
+# optimal, the swapped and the random schedule: they come from the
+# maximum matching the scan finds, so a change to the scan or the
+# matcher that finds another one, and so other kills, fails here even
+# though those kills still replay.
 set -eu
 tmp=$(cd "$1" && pwd)
 cd "$(dirname "$0")/.."
@@ -173,6 +177,7 @@ echo 800 | diff - "$tmp/eval.txt"
 python -m faultsched solve-adversary --schedule "$tmp/s.json" \
   > "$tmp/solve-stdout.txt"
 tail -n 1 "$tmp/solve-stdout.txt" | cmp "$tmp/adv.json" -
+test "$(sha256 "$tmp/adv.json")" = f655787798c499f8adf767bbb4b0c10d20e695d844d7e329f6c6d763756505f8
 # 320 seeded member swaps break the shared histories of the batch
 # rows, so the scan also counts unequal histories at scale; the
 # written adversary must replay to the printed T (eval runs the
@@ -196,6 +201,7 @@ test "$T" -le 800
 python -m faultsched eval --schedule "$tmp/swap.json" \
   --adversary "$tmp/swap-adv.json" > "$tmp/swap-eval.txt"
 echo "$T" | diff - "$tmp/swap-eval.txt"
+test "$(sha256 "$tmp/swap-adv.json")" = e0c19e48cc55de14edf69feb0346b0bb71db82eeaa9f246a1e6dc7fb446cd5c7
 # A seeded uniform-random N=800 schedule, built without library
 # code: its members' histories differ, so which maximum matching
 # the scan finds, and with it the kills, depends on the order of
@@ -217,6 +223,7 @@ RT=$(sed -n 's/^T=//p' "$tmp/rand.txt")
 python -m faultsched eval --schedule "$tmp/rand.json" \
   --adversary "$tmp/rand-adv.json" > "$tmp/rand-eval.txt"
 echo "$RT" | diff - "$tmp/rand-eval.txt"
+test "$(sha256 "$tmp/rand-adv.json")" = a47f64cd20e723f02c3537cd37040ffb5a83f9e09bc28701fe677bdf0670f533
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); json.dump({"n": d["n"], "f": d["f"], "right_ids": list(range(1, d["N"] + 1)), "rows": d["sets"][:int(sys.argv[2])]}, open(sys.argv[3], "w"))' \
   "$tmp/rand.json" "$RT" "$tmp/rand-p.json"
 python -m faultsched check-p --instance "$tmp/rand-p.json" > "$tmp/rand-p.txt"

@@ -71,9 +71,20 @@ MUTANTS = [
      30),
     ("h-leftover-slack", "survival", "max(r + f - n, 0)", "max(r + f - n + 1, 0)",
      ["tests/test_survival.py"], 30),
-    # The scan's prefilter: f members with earlier steps can be killable.
-    ("scan-prefilter-strict", "solver", "n - lists.count([]) >= f", "n - lists.count([]) > f",
+    # The scan's prefilter: a bound of exactly f can be killable, and the
+    # bound of a row whose members' histories differ is the lower of the
+    # members seen and the distinct earlier steps, not one less.  Step
+    # f + 1 is the first that can be killable, as in a constant schedule.
+    ("scan-prefilter-strict", "solver", "if cap >= f:", "if cap > f:",
      ["tests/test_solver.py::test_scan_agrees_with_per_step_reference"], 30),
+    ("scan-bound-one-too-low", "solver", "len(set().union(*lists)))",
+     "len(set().union(*lists))) - 1",
+     ["tests/test_solver.py::test_scan_agrees_with_per_step_reference"], 30),
+    ("scan-skips-step-f-plus-one", "solver", "if t > f:", "if t > f + 1:",
+     ["tests/test_solver.py::test_scan_on_shared_histories"], 30),
+    # The matcher stops once the matching reaches the bound it is given.
+    ("search-past-its-bound", "matching", "if len(mate) == cap:", "if False:",
+     ["tests/test_matching.py::test_capped_search_stops_at_its_bound"], 30),
     # The on-line adversary's fallback kills the lowest live member.
     ("kill-fallback-ignores-dead", "online", "live = row & ~killed or row", "live = row",
      [f"{ONLINE}::TestAdversaryPolicy"], 30),

@@ -102,11 +102,17 @@ class DeficiencyWitness(_Frozen):
     value: int
 
 
-def _grow_matching(adj: Sequence[Sequence[int]]) -> dict[int, int]:
+def _grow_matching(adj: Sequence[Sequence[int]], cap: int | None = None) -> dict[int, int]:
     """Kuhn's augmenting-path search: match vertex j = 0, 1, ... to a
     neighbour in ``adj[j]``, searching once from each vertex in turn;
     returns the maximum matching as a neighbour -> vertex map; a vertex
-    without neighbours changes nothing.  Depth first without recursion:
+    without neighbours changes nothing.  ``cap``, when given, must be an
+    upper bound on the matching number, and the search stops once the
+    matching reaches it: the matching is maximum then, so every later
+    search would fail and leave the map unchanged, and the map returned,
+    in its insertion order too, is the one the search run to the end
+    returns.  The scan passes its prefilter's bound; the other callers
+    pass none.  Depth first without recursion:
     ``stack`` holds the vertices on the path with their neighbour
     iterators, ``path[i]`` the neighbour taken from ``stack[i]``.  A
     failed search leaves its visited neighbours marked until the next
@@ -115,6 +121,8 @@ def _grow_matching(adj: Sequence[Sequence[int]]) -> dict[int, int]:
     mate: dict[int, int] = {}
     visited: set[int] = set()
     for j in range(len(adj)):
+        if len(mate) == cap:
+            break
         stack, path = [(j, iter(adj[j]))], []
         while stack:
             for u in stack[-1][1]:

@@ -10,15 +10,20 @@ truncated matching converts into an explicit kill sequence.
 
 The scan for t* never builds a time graph.  It keeps, for each
 processor, the steps where it appeared so far, and tests step t on the
-lists of the members of S_t alone: fewer than f members seen before, or
-fewer than f distinct earlier steps among them (one list's length when
-all are equal, as in the batch schedule), settles the step.  Otherwise
-the augmenting-path search behind ``max_matching`` runs once, from the
-members over their own lists; at t* its maximum matching is returned as
-sorted (step, member index) pairs.  A row equal to the row before keeps
-that row's lists, to which the earlier step is already appended, so the
-batch schedule, which uses each batch for f rows in a row and pads with
-its last set, looks its members up once per run of equal rows.
+lists of the members of S_t alone.  A step t <= f is settled unread: its
+time graph has only t - 1 < f earlier steps.  Later steps have an upper
+bound on the matching number, the fewer of the members seen before and
+the distinct earlier steps among them (one list's length when all are
+equal, as in the batch schedule), and a bound below f settles the step.
+Otherwise the augmenting-path search behind ``max_matching`` runs once,
+from the members over their own lists, and stops when its matching
+reaches the bound; at t* its maximum matching is returned as sorted
+(step, member index) pairs.  A row equal to the row before keeps that
+row's lists, to which the earlier step is already appended, and whether
+they are all equal, which appending one step to each cannot change; so
+the batch schedule, which uses each batch for f rows in a row and pads
+with its last set, looks its members up and compares their lists once
+per run of equal rows.
 
 ``PInstance`` packages the abstract form of a surviving prefix: rows of
 degree n whose time graphs all have matching number at most f - 1.  Its
@@ -119,7 +124,8 @@ def _scan(
     step is settled.  At a searched step the search runs from its members
     in order, each over its ascending earlier steps, as ``max_matching``
     does on ``from_rows`` of those lists over ``range(1, t)``, with each
-    pair flipped."""
+    pair flipped.  It stops at the step's bound, where its matching is
+    already maximum, so it returns the pairs of the search run to the end."""
     steps: dict[int, list[int]] = {}
     prev = lists = None
     for t, row in enumerate(rows, start=1):
@@ -127,11 +133,15 @@ def _scan(
             return t, None
         if row != prev:
             prev, lists = row, [steps.get(p) or steps.setdefault(p, []) for p in row]
-        if (len(lists[0]) if lists.count(lists[0]) == n
-                else n - lists.count([]) >= f and len(set().union(*lists))) >= f:
-            mate = _grow_matching(lists)
-            if len(mate) >= f:
-                return t, sorted((u, j + 1) for u, j in mate.items())
+            uniform = lists.count(lists[0]) == n
+        if t > f:
+            cap = len(lists[0]) if uniform else n - lists.count([])
+            if not uniform and cap >= f:
+                cap = min(cap, len(set().union(*lists)))
+            if cap >= f:
+                mate = _grow_matching(lists, cap)
+                if len(mate) >= f:
+                    return t, sorted((u, j + 1) for u, j in mate.items())
         for seen in lists:
             seen.append(t)
     return 0, lists

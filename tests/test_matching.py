@@ -184,6 +184,50 @@ def test_matching_size_against_brute():
         assert max_matching(g).size == brute_max_matching_size(g)
 
 
+class ReadCounter(list):
+    """A list that records the indices read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def test_capped_search_returns_the_unbounded_map():
+    # Any bound at or above the matching number stops the search only
+    # once the matching is maximum, where every later search would fail
+    # and leave the map as it is: the same pairs in the same order.
+    # Up to 12 members over 6 steps, so that about half the searches
+    # stop before their last member, and the uniform lists of K_{f,n}.
+    rng = random.Random(45)
+    graphs = [[sorted(rng.sample(range(1, 7), rng.randint(0, 6)))
+               for _ in range(rng.randint(0, 12))] for _ in range(2000)]
+    graphs += [[list(range(1, f + 1)) for _ in range(n)] for n in range(2, 9) for f in range(1, n)]
+    stopped = 0
+    for adj in graphs:
+        mate = matching._grow_matching(adj)
+        for cap in range(len(mate), len(adj) + 2):
+            assert list(matching._grow_matching(adj, cap).items()) == list(mate.items())
+        matching._grow_matching(read := ReadCounter(adj), len(mate))
+        stopped += len(read.read) < len(adj)
+    assert stopped >= 900
+
+
+def test_capped_search_stops_at_its_bound():
+    # At the batch schedule's t* for n = 40, f = 10 the n members share
+    # one history of f steps.  With the bound f the search reads the
+    # first f members' lists and no other; without it, all n.
+    n, f = 40, 10
+    adj = ReadCounter([list(range(1, f + 1)) for _ in range(n)])
+    mate = matching._grow_matching(adj, f)
+    assert len(mate) == f and adj.read == set(range(f))
+    adj.read.clear()
+    assert matching._grow_matching(adj) == mate and adj.read == set(range(n))
+
+
 def test_witness_attains_formula():
     rng = random.Random(13)
     for _ in range(100):

@@ -289,13 +289,19 @@ def test_default_kills_match_min_reference(monkeypatch):
 
 @pytest.fixture
 def matching_calls(monkeypatch):
-    """Adjacencies the scan passes to ``_grow_matching`` while the test runs."""
+    """Adjacencies the scan passes to ``_grow_matching`` while the test runs.
+    Each bound it passes must be at least the matching number, and the
+    search stopped there must return the unbounded search's map."""
     seen = []
     real = solver._grow_matching
 
-    def counting(adj):
+    def counting(adj, cap):
         seen.append(adj)
-        return real(adj)
+        mate = real(adj)
+        assert cap >= len(mate)
+        capped = real(adj, cap)
+        assert list(capped.items()) == list(mate.items())
+        return capped
 
     monkeypatch.setattr(solver, "_grow_matching", counting)
     return seen
@@ -436,7 +442,8 @@ def test_scan_on_runs_of_equal_rows(monkeypatch):
     searched = []
     real = solver._grow_matching
     monkeypatch.setattr(solver, "_grow_matching",
-                        lambda adj: searched.append([[*steps] for steps in adj]) or real(adj))
+                        lambda adj, cap: searched.append([[*steps] for steps in adj])
+                        or real(adj, cap))
     mid_run = after_search = killed = 0
     for params, rows in [*run_cases(400, seed=26), *failed_search_cases(seed=26)]:
         n, f = params.n, params.f
